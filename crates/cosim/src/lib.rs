@@ -8,8 +8,8 @@
 //! [`CloudServer`](velopt_cloud::CloudServer) — with a [`FleetDriver`]
 //! that, each tick:
 //!
-//! 1. **reads** signal phases (`tl<c>:<i>`) and loop-detector counts
-//!    (`loop<c>:0`) over the TraCI protocol,
+//! 1. **reads** signal phases (`tl<c>:<i>`), loop-detector counts
+//!    (`loop<c>:0`) and every vehicle's position over the TraCI protocol,
 //! 2. **replans** every vehicle whose corridor's `T_q` windows shifted —
 //!    a phase flip restarts the queue clock, so all of that corridor's
 //!    vehicles re-request at once (the correlated storm the cloud's
@@ -20,12 +20,18 @@
 //! 3. **feeds back** each returned profile as a TraCI speed command for
 //!    the vehicle's current position.
 //!
+//! The TraCI side of a tick is at most three pipelined messages (see
+//! [`TraciClient::exchange`]): the step with every signal, loop and
+//! vehicle-list read; every listed vehicle's position; and, on planning
+//! ticks, the wave's speed commands. Commands are applied at the
+//! positions read in the same tick, since no step runs in between.
+//!
 //! Everything the driver does is a pure function of the seeded
 //! simulation's state plus the (deterministic) plan responses, so fleet
 //! counters — flips seen, replans issued, commands applied — are exactly
 //! pinnable under a lockstep harness.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use velopt_cloud::{CloudClient, TripRequest};
 use velopt_common::units::{Seconds, VehiclesPerHour};
@@ -33,7 +39,8 @@ use velopt_common::Result;
 use velopt_core::dp::OptimizedProfile;
 use velopt_queue::QueueParams;
 use velopt_road::Road;
-use velopt_traci::TraciClient;
+use velopt_traci::protocol::ids;
+use velopt_traci::{Command, Reply, TraciClient};
 
 /// Tuning knobs for the [`FleetDriver`].
 #[derive(Debug, Clone)]
@@ -114,6 +121,10 @@ struct Pilot {
     planned: Option<(usize, u64)>,
 }
 
+/// A vehicle chosen for replanning: its id, corridor, and the position
+/// its speed command will be computed for.
+type Flight = (String, usize, f64);
+
 /// The fleet driver: one TraCI connection to the network simulation, one
 /// cloud connection per vehicle.
 pub struct FleetDriver {
@@ -121,6 +132,10 @@ pub struct FleetDriver {
     cloud_addr: SocketAddr,
     config: CosimConfig,
     corridors: Vec<Corridor>,
+    /// Every tick's first message, built once: the step, the simulation
+    /// time, each corridor's light states then entrance-loop count, and
+    /// the vehicle id list.
+    observe: Vec<Command>,
     pilots: HashMap<String, Pilot>,
     stats: FleetStats,
 }
@@ -141,6 +156,29 @@ impl FleetDriver {
         config: CosimConfig,
     ) -> Result<Self> {
         let traci = TraciClient::connect(traci_addr)?;
+        let mut observe = vec![
+            Command::simulation_step(0.0),
+            Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
+        ];
+        for (c, road) in roads.iter().enumerate() {
+            for i in 0..road.traffic_lights().len() {
+                observe.push(Command::get(
+                    ids::CMD_GET_TL_VARIABLE,
+                    ids::TL_RED_YELLOW_GREEN_STATE,
+                    &format!("tl{c}:{i}"),
+                ));
+            }
+            observe.push(Command::get(
+                ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
+                ids::LAST_STEP_VEHICLE_NUMBER,
+                &format!("loop{c}:0"),
+            ));
+        }
+        observe.push(Command::get(
+            ids::CMD_GET_VEHICLE_VARIABLE,
+            ids::ID_LIST,
+            "",
+        ));
         let corridors = roads
             .into_iter()
             .map(|road| Corridor {
@@ -156,6 +194,7 @@ impl FleetDriver {
             cloud_addr,
             config,
             corridors,
+            observe,
             pilots: HashMap::new(),
             stats: FleetStats::default(),
         })
@@ -175,13 +214,30 @@ impl FleetDriver {
     /// plan refusals are *not* errors; they count in
     /// [`FleetStats::plan_failures`].
     pub fn step(&mut self) -> Result<()> {
-        self.traci.simulation_step(0.0)?;
+        // Message 1: the step, then every read the tick decides on.
+        let replies = self.traci.exchange(&self.observe)?;
+        let [step, time, reads @ .., listed] = &replies[..] else {
+            unreachable!("an exchange answers every command");
+        };
+        step.check()?;
         self.stats.ticks += 1;
-        let now = self.traci.simulation_time()?;
-        self.observe(now)?;
-        let wave = self.plan_wave()?;
-        self.replan(wave, now)?;
-        Ok(())
+        let now = time.value()?.as_double()?;
+        self.observe(now, reads)?;
+        let mut vehicles = listed.value()?.into_string_list()?;
+        vehicles.sort();
+        // Message 2: every listed vehicle's position.
+        let reads: Vec<Command> = vehicles
+            .iter()
+            .map(|id| Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, id))
+            .collect();
+        let positions = self
+            .traci
+            .exchange(&reads)?
+            .iter()
+            .map(|reply| reply.value()?.as_position())
+            .collect::<Result<Vec<_>>>()?;
+        let wave = self.plan_wave(vehicles, &positions);
+        self.replan(wave)
     }
 
     /// Runs `n` lockstep ticks.
@@ -196,17 +252,21 @@ impl FleetDriver {
         Ok(())
     }
 
-    /// Reads every corridor's signal phases and entrance-loop count,
-    /// bumping the replan epoch of corridors whose phase state flipped.
-    fn observe(&mut self, now: f64) -> Result<()> {
-        for c in 0..self.corridors.len() {
-            let lights = self.corridors[c].road.traffic_lights().len();
+    /// Takes every corridor's signal phases and entrance-loop count from
+    /// the replies to the tick's first message, bumping the replan epoch
+    /// of corridors whose phase state flipped.
+    fn observe(&mut self, now: f64, mut reads: &[Reply]) -> Result<()> {
+        for corridor in &mut self.corridors {
+            let (lights, rest) = reads.split_at(corridor.road.traffic_lights().len());
+            let (count, rest) = rest
+                .split_first()
+                .expect("each corridor ends in a loop read");
+            reads = rest;
             let mut signature = String::new();
-            for i in 0..lights {
-                signature.push_str(&self.traci.traffic_light_state(&format!("tl{c}:{i}"))?);
+            for light in lights {
+                signature.push_str(light.value()?.as_string()?);
             }
-            let crossings = self.traci.induction_loop_count(&format!("loop{c}:0"))?;
-            let corridor = &mut self.corridors[c];
+            let crossings = count.value()?.as_integer()?;
             corridor.volume += crossings.max(0) as u64;
             if corridor.signature != signature {
                 if !corridor.signature.is_empty() {
@@ -222,18 +282,15 @@ impl FleetDriver {
     }
 
     /// Collects the vehicles whose corridor epoch moved past their last
-    /// plan, in sorted-id order (deterministic, and stable under the
-    /// `max_replans_per_tick` cap).
-    fn plan_wave(&mut self) -> Result<Vec<(String, usize)>> {
-        let mut ids = self.traci.vehicle_ids()?;
-        ids.sort();
+    /// plan, from the sorted id list and its positions, in sorted-id order
+    /// (deterministic, and stable under the `max_replans_per_tick` cap).
+    fn plan_wave(&mut self, vehicles: Vec<String>, positions: &[(f64, f64)]) -> Vec<Flight> {
         // Vehicles that left the network take their connection with them.
-        let live: std::collections::HashSet<&String> = ids.iter().collect();
+        let live: HashSet<&String> = vehicles.iter().collect();
         self.pilots.retain(|id, _| live.contains(id));
 
         let mut wave = Vec::new();
-        for id in ids {
-            let (_, y) = self.traci.vehicle_position(&id)?;
+        for (id, &(x, y)) in vehicles.into_iter().zip(positions) {
             let corridor = y as usize;
             if corridor >= self.corridors.len() {
                 continue;
@@ -241,7 +298,7 @@ impl FleetDriver {
             let epoch = self.corridors[corridor].epoch;
             let planned = self.pilots.get(&id).and_then(|p| p.planned);
             if planned != Some((corridor, epoch)) {
-                wave.push((id, corridor));
+                wave.push((id, corridor, x));
                 if self.config.max_replans_per_tick > 0
                     && wave.len() >= self.config.max_replans_per_tick
                 {
@@ -249,7 +306,7 @@ impl FleetDriver {
                 }
             }
         }
-        Ok(wave)
+        wave
     }
 
     /// The corridor's current plan request: shared by every vehicle of
@@ -272,24 +329,25 @@ impl FleetDriver {
 
     /// Issues the wave's plan requests concurrently (one thread per
     /// vehicle, each on its own connection — the storm the coalescer
-    /// sees) and feeds the profiles back as speed commands.
-    fn replan(&mut self, wave: Vec<(String, usize)>, _now: f64) -> Result<()> {
+    /// sees) and feeds the profiles back as speed commands, all in one
+    /// TraCI message.
+    fn replan(&mut self, wave: Vec<Flight>) -> Result<()> {
         if wave.is_empty() {
             return Ok(());
         }
         // Per-corridor requests are built once and shared byte-for-byte.
         let requests: HashMap<usize, TripRequest> = wave
             .iter()
-            .map(|(_, c)| *c)
-            .collect::<std::collections::HashSet<_>>()
+            .map(|&(_, c, _)| c)
+            .collect::<HashSet<_>>()
             .into_iter()
             .map(|c| (c, self.corridor_request(c)))
             .collect();
 
         // Detach each planning connection (opening it on first use) so the
         // scoped threads own them mutably without aliasing the map.
-        let mut flights: Vec<(String, usize, Pilot)> = Vec::with_capacity(wave.len());
-        for (id, corridor) in wave {
+        let mut flights: Vec<(Flight, Pilot)> = Vec::with_capacity(wave.len());
+        for (id, corridor, position) in wave {
             let tenant = if self.config.tenant_per_corridor {
                 corridor as u32
             } else {
@@ -313,44 +371,39 @@ impl FleetDriver {
                     }
                 }
             };
-            flights.push((id, corridor, pilot));
+            flights.push(((id, corridor, position), pilot));
         }
 
         self.stats.replans += flights.len() as u64;
         telemetry::add("cosim.replans", flights.len() as u64);
-        let results: Vec<(String, usize, Pilot, Result<OptimizedProfile>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = flights
-                    .into_iter()
-                    .map(|(id, corridor, mut pilot)| {
-                        let request = &requests[&corridor];
-                        scope.spawn(move || {
-                            let outcome = pilot.client.request(request);
-                            (id, corridor, pilot, outcome)
-                        })
+        let results: Vec<(Flight, Pilot, Result<OptimizedProfile>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = flights
+                .into_iter()
+                .map(|(flight, mut pilot)| {
+                    let request = &requests[&flight.1];
+                    scope.spawn(move || {
+                        let outcome = pilot.client.request(request);
+                        (flight, pilot, outcome)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("replan thread panicked"))
-                    .collect()
-            });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("replan thread panicked"))
+                .collect()
+        });
 
-        for (id, corridor, mut pilot, outcome) in results {
+        // Message 3: the wave's speed commands.
+        let mut commands = Vec::new();
+        for ((id, corridor, position), mut pilot, outcome) in results {
             // Failed plans still advance the epoch marker: a refused
             // tenant retries on the *next* window shift, not every tick.
             pilot.planned = Some((corridor, self.corridors[corridor].epoch));
             match outcome {
                 Ok(profile) => {
                     self.stats.plans_ok += 1;
-                    let (position, _) = self.traci.vehicle_position(&id)?;
                     let speed = Self::speed_at(&profile, position).max(self.config.command_floor);
-                    // The vehicle may have exited between listing and now;
-                    // a failed command is not an error, just not counted.
-                    if self.traci.set_vehicle_speed(&id, speed).is_ok() {
-                        self.stats.commands += 1;
-                        telemetry::add("cosim.commands", 1);
-                    }
+                    commands.push(Command::set_vehicle_speed(&id, speed));
                 }
                 Err(_) => {
                     self.stats.plan_failures += 1;
@@ -359,6 +412,16 @@ impl FleetDriver {
             }
             self.pilots.insert(id, pilot);
         }
+        // A command the simulator refuses is not an error, just not
+        // counted.
+        let applied = self
+            .traci
+            .exchange(&commands)?
+            .iter()
+            .filter(|reply| reply.check().is_ok())
+            .count() as u64;
+        self.stats.commands += applied;
+        telemetry::add("cosim.commands", applied);
         Ok(())
     }
 
@@ -402,6 +465,11 @@ impl std::fmt::Debug for FleetDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
     use velopt_cloud::{CloudServer, ServerConfig};
     use velopt_common::units::MetersPerSecond;
     use velopt_microsim::{CorridorSpec, Network, SimConfig};
@@ -490,6 +558,121 @@ mod tests {
             "coalescer never flushed a flight: {a_coalesce:?}"
         );
         assert_eq!(a_coalesce, b_coalesce, "server counters must repeat");
+    }
+
+    /// Pins what a seeded fleet does over many ticks: the driver's
+    /// counters and the simulation's bit-exact state. Any change to how
+    /// the driver talks TraCI (batching, ordering, reuse of reads) must
+    /// leave both unchanged.
+    #[test]
+    fn seeded_fleet_counters_and_state_are_pinned() {
+        let (mut net, roads) = small_net(3, 91);
+        net.run_until(Seconds::new(200.0)).unwrap();
+        let traci = TraciServer::spawn(net).unwrap();
+        let cloud = CloudServer::spawn_with(ServerConfig {
+            compute_workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut driver = FleetDriver::connect(
+            traci.addr(),
+            cloud.addr(),
+            roads,
+            CosimConfig {
+                max_replans_per_tick: 4,
+                ..CosimConfig::default()
+            },
+        )
+        .unwrap();
+        driver.run(1500).unwrap();
+        let stats = driver.stats();
+        let hash = traci.simulation().lock().state_hash();
+        driver.close().unwrap();
+        cloud.shutdown();
+        traci.join();
+        // Recorded from the one-command-per-message driver.
+        assert_eq!(
+            stats,
+            FleetStats {
+                ticks: 1500,
+                flips: 18,
+                replans: 263,
+                plans_ok: 263,
+                plan_failures: 0,
+                commands: 263,
+            }
+        );
+        assert_eq!(hash, 0x674f_f340_0d82_d42c);
+    }
+
+    /// Forwards one TraCI connection to `upstream` and counts the
+    /// messages its client sends. Returns the address to connect to, the
+    /// count, and the forwarding thread (done once both sides hang up).
+    fn counting_proxy(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicU64>, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let messages = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&messages);
+        let forwarder = std::thread::spawn(move || {
+            let (mut client, _) = listener.accept().unwrap();
+            let mut server = TcpStream::connect(upstream).unwrap();
+            client.set_nodelay(true).unwrap();
+            server.set_nodelay(true).unwrap();
+            let mut to_client = client.try_clone().unwrap();
+            let mut from_server = server.try_clone().unwrap();
+            let replies = std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from_server, &mut to_client);
+            });
+            let mut header = [0u8; 4];
+            while client.read_exact(&mut header).is_ok() {
+                let mut message = header.to_vec();
+                message.resize(u32::from_be_bytes(header) as usize, 0);
+                client.read_exact(&mut message[4..]).unwrap();
+                // Counted before forwarding, so a reply the driver has
+                // received implies its message was counted.
+                counted.fetch_add(1, Ordering::SeqCst);
+                server.write_all(&message).unwrap();
+            }
+            let _ = server.shutdown(Shutdown::Write);
+            replies.join().unwrap();
+        });
+        (addr, messages, forwarder)
+    }
+
+    /// A tick costs at most three TraCI messages whatever the fleet size:
+    /// the step with every read, the positions, and on planning ticks the
+    /// speed commands.
+    #[test]
+    fn a_tick_sends_at_most_three_traci_messages() {
+        let (mut net, roads) = small_net(2, 77);
+        net.run_until(Seconds::new(120.0)).unwrap();
+        let traci = TraciServer::spawn(net).unwrap();
+        let (proxy, messages, forwarder) = counting_proxy(traci.addr());
+        let cloud = CloudServer::spawn_with(ServerConfig {
+            compute_workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut driver =
+            FleetDriver::connect(proxy, cloud.addr(), roads, CosimConfig::default()).unwrap();
+        let mut planning_ticks = 0;
+        for tick in 0..300 {
+            let (sent_before, replans_before) =
+                (messages.load(Ordering::SeqCst), driver.stats().replans);
+            driver.step().unwrap();
+            let sent = messages.load(Ordering::SeqCst) - sent_before;
+            if driver.stats().replans > replans_before {
+                planning_ticks += 1;
+                assert_eq!(sent, 3, "planning tick {tick}");
+            } else {
+                assert_eq!(sent, 2, "tick {tick}");
+            }
+        }
+        assert!(planning_ticks > 0, "no tick planned");
+        driver.close().unwrap();
+        forwarder.join().unwrap();
+        cloud.shutdown();
+        traci.join();
     }
 
     /// A tenant ceiling refuses part of a storm without failing the

@@ -68,12 +68,30 @@ pub trait TraciBackend: Send + 'static {
         -> Result<()>;
 }
 
+/// Parses a canonical decimal index: ASCII digits only, with no sign and
+/// no leading zero, so every object has exactly one spelling (`veh7`, never
+/// `veh07` or `veh+7`) on both get and set.
+fn canonical<T: std::str::FromStr>(digits: &str) -> Option<T> {
+    let canonical = !digits.is_empty()
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && (digits == "0" || !digits.starts_with('0'));
+    if canonical {
+        digits.parse().ok()
+    } else {
+        None
+    }
+}
+
+fn malformed(object: &str) -> Error {
+    Error::protocol(format!("malformed object id '{object}'"))
+}
+
 /// Parses `"<prefix><index>"` (e.g. `tl1`).
 fn parse_index(object: &str, prefix: &str) -> Result<usize> {
     object
         .strip_prefix(prefix)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::protocol(format!("malformed object id '{object}'")))
+        .and_then(canonical)
+        .ok_or_else(|| malformed(object))
 }
 
 /// Parses `"<prefix><corridor>:<index>"` (e.g. `tl2:0`).
@@ -81,8 +99,17 @@ fn parse_scoped(object: &str, prefix: &str) -> Result<(usize, usize)> {
     object
         .strip_prefix(prefix)
         .and_then(|s| s.split_once(':'))
-        .and_then(|(c, i)| Some((c.parse().ok()?, i.parse().ok()?)))
-        .ok_or_else(|| Error::protocol(format!("malformed object id '{object}'")))
+        .and_then(|(c, i)| Some((canonical(c)?, canonical(i)?)))
+        .ok_or_else(|| malformed(object))
+}
+
+/// Parses a vehicle's `veh<N>` name (the [`VehicleId`] display form).
+fn parse_vehicle(object: &str) -> Result<VehicleId> {
+    object
+        .strip_prefix("veh")
+        .and_then(canonical)
+        .map(VehicleId::from_raw)
+        .ok_or_else(|| malformed(object))
 }
 
 impl TraciBackend for Simulation {
@@ -103,9 +130,10 @@ impl TraciBackend for Simulation {
     }
 
     fn vehicle_state(&self, object: &str) -> Option<VehicleView> {
+        let id = parse_vehicle(object).ok()?;
         self.vehicles()
             .iter()
-            .find(|v| v.id().to_string() == object)
+            .find(|v| v.id() == id)
             .map(|v| VehicleView {
                 position: v.position(),
                 speed: v.speed(),
@@ -137,8 +165,7 @@ impl TraciBackend for Simulation {
         object: &str,
         speed: Option<MetersPerSecond>,
     ) -> Result<()> {
-        let raw = parse_index(object, "veh")? as u64;
-        self.set_vehicle_command(VehicleId::from_raw(raw), speed)
+        self.set_vehicle_command(parse_vehicle(object)?, speed)
     }
 }
 
@@ -168,9 +195,10 @@ impl TraciBackend for Network {
     }
 
     fn vehicle_state(&self, object: &str) -> Option<VehicleView> {
+        let id = parse_vehicle(object).ok()?;
         for c in 0..self.corridors() {
             let sim = self.corridor(c).expect("index in range");
-            if let Some(v) = sim.vehicles().iter().find(|v| v.id().to_string() == object) {
+            if let Some(v) = sim.vehicles().iter().find(|v| v.id() == id) {
                 return Some(VehicleView {
                     position: v.position(),
                     speed: v.speed(),
@@ -179,7 +207,7 @@ impl TraciBackend for Network {
             }
             // A vehicle queued at the junction is reported at position 0
             // of its destination corridor, one tick before it inserts.
-            if let Some(h) = self.pending(c).find(|h| h.id.to_string() == object) {
+            if let Some(h) = self.pending(c).find(|h| h.id == id) {
                 return Some(VehicleView {
                     position: Meters::ZERO,
                     speed: h.speed,
@@ -213,8 +241,7 @@ impl TraciBackend for Network {
         object: &str,
         speed: Option<MetersPerSecond>,
     ) -> Result<()> {
-        let raw = parse_index(object, "veh")? as u64;
-        self.set_vehicle_command(VehicleId::from_raw(raw), speed)
+        self.set_vehicle_command(parse_vehicle(object)?, speed)
     }
 }
 
@@ -225,6 +252,8 @@ mod tests {
     #[test]
     fn object_id_parsing() {
         assert_eq!(parse_index("tl3", "tl").unwrap(), 3);
+        assert_eq!(parse_index("tl0", "tl").unwrap(), 0);
+        assert_eq!(parse_index("tl10", "tl").unwrap(), 10);
         assert!(parse_index("tl", "tl").is_err());
         assert!(parse_index("loop1", "tl").is_err());
         assert_eq!(parse_scoped("tl2:7", "tl").unwrap(), (2, 7));
@@ -232,6 +261,91 @@ mod tests {
         assert!(parse_scoped("tl2", "tl").is_err());
         assert!(parse_scoped("tl2:", "tl").is_err());
         assert!(parse_scoped("tl:7", "tl").is_err());
+        assert_eq!(parse_vehicle("veh42").unwrap(), VehicleId::from_raw(42));
+        assert!(
+            parse_vehicle("veh18446744073709551616").is_err(),
+            "u64 overflow"
+        );
+    }
+
+    /// Spellings Rust's integer `parse` accepts but that are not an
+    /// object's name. Each used to alias the canonical object on some
+    /// paths (`setSpeed veh00` commanded `veh0`) but not on others.
+    fn non_canonical(prefix: &str, index: &str) -> Vec<String> {
+        ["0", "00", "+", "-", " ", "٣"]
+            .iter()
+            .map(|p| format!("{prefix}{p}{index}"))
+            .chain([
+                format!("{prefix}{index} "),
+                format!("{prefix}{index}x"),
+                prefix.to_owned(),
+            ])
+            .collect()
+    }
+
+    /// Every backend answers a canonical id and rejects every other
+    /// spelling of it, on reads and on `setSpeed` alike.
+    fn assert_only_canonical_ids<B: TraciBackend>(
+        backend: &mut B,
+        vehicle: &str,
+        light: &str,
+        detector: &str,
+    ) {
+        let speed = Some(MetersPerSecond::new(3.0));
+        assert!(backend.vehicle_state(vehicle).is_some());
+        backend.command_vehicle_speed(vehicle, speed).unwrap();
+        backend.light_phase(light).unwrap();
+        backend.loop_last_step_count(detector).unwrap();
+        let split = |id: &str, prefix: &str| id.strip_prefix(prefix).unwrap().to_owned();
+        for bad in non_canonical("veh", &split(vehicle, "veh")) {
+            assert!(backend.vehicle_state(&bad).is_none(), "get {bad:?}");
+            assert!(
+                backend.command_vehicle_speed(&bad, speed).is_err(),
+                "set {bad:?}"
+            );
+        }
+        for bad in non_canonical("tl", &split(light, "tl")) {
+            assert!(backend.light_phase(&bad).is_err(), "{bad:?}");
+        }
+        for bad in non_canonical("loop", &split(detector, "loop")) {
+            assert!(backend.loop_last_step_count(&bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn simulation_accepts_only_canonical_ids() {
+        use velopt_microsim::SimConfig;
+        use velopt_road::Road;
+
+        let mut sim = Simulation::new(Road::us25(), SimConfig::default()).unwrap();
+        sim.add_detector(Meters::new(100.0)).unwrap();
+        let ego = sim.spawn_ego(MetersPerSecond::new(5.0)).unwrap();
+        assert_eq!(ego.to_string(), "veh0");
+        assert_only_canonical_ids(&mut sim, "veh0", "tl1", "loop0");
+    }
+
+    #[test]
+    fn network_accepts_only_canonical_ids() {
+        use velopt_microsim::{CorridorSpec, SimConfig};
+        use velopt_road::Road;
+
+        let mut specs = vec![
+            CorridorSpec::through(Road::us25(), 1),
+            CorridorSpec::terminal(Road::us25()),
+        ];
+        for spec in &mut specs {
+            spec.detectors.push(Meters::new(100.0));
+        }
+        let mut net = Network::new(specs, 1, SimConfig::default()).unwrap();
+        let ego = net.spawn_ego(0, MetersPerSecond::new(5.0)).unwrap();
+        assert_only_canonical_ids(&mut net, &ego.to_string(), "tl1:1", "loop1:0");
+        // Both halves of a scoped id must be canonical.
+        for bad in ["tl01:1", "tl1:01", "tl+1:1", "tl1:+1", "tl1: 1", "loop1:00"] {
+            assert!(
+                net.light_phase(bad).is_err() && net.loop_last_step_count(bad).is_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     /// A vehicle mid-handoff (routed through the junction, queued to

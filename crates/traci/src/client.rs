@@ -1,31 +1,12 @@
 //! The TraCI client.
 
 use crate::protocol::{
-    self, ids, put_string, read_message, take_string, take_u8, write_message, Command, Status,
-    TraciValue,
+    ids, put_string, read_message, split_replies, take_i32, take_string, write_message, Command,
+    Reply, SubscriptionResult, TraciValue,
 };
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use std::net::{TcpStream, ToSocketAddrs};
 use velopt_common::{Error, Result};
-
-/// One subscription's values delivered with a simulation step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubscriptionResult {
-    /// The subscribed object's id.
-    pub object: String,
-    /// `(variable id, value)` pairs in subscription order.
-    pub values: Vec<(u8, TraciValue)>,
-}
-
-impl SubscriptionResult {
-    /// The value of a specific variable, if present.
-    pub fn value_of(&self, variable: u8) -> Option<&TraciValue> {
-        self.values
-            .iter()
-            .find(|(v, _)| *v == variable)
-            .map(|(_, val)| val)
-    }
-}
 
 /// The version information returned by `CMD_GETVERSION`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,9 +19,11 @@ pub struct Version {
 
 /// A blocking TraCI client over TCP.
 ///
-/// Every request sends one command message and reads the paired
-/// status/result message, exactly like SUMO's own client libraries. See the
-/// crate-level example.
+/// [`exchange`](Self::exchange) sends any number of commands as one
+/// message and returns one [`Reply`] per command, so a controller can read
+/// or command a whole fleet in one round trip. The typed methods
+/// (`vehicle_position`, `set_vehicle_speed`, …) are exchanges of one
+/// command. See the crate-level example.
 #[derive(Debug)]
 pub struct TraciClient {
     stream: TcpStream,
@@ -58,6 +41,24 @@ impl TraciClient {
         Ok(Self { stream })
     }
 
+    /// Sends `commands` as one message, reads the one reply message, and
+    /// splits it into one [`Reply`] per command, in order. A command the
+    /// server rejects shows in its own reply's status and leaves the
+    /// others untouched. An empty batch sends nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] on socket failures and [`Error::Protocol`] if
+    /// the reply does not answer every command in order.
+    pub fn exchange(&mut self, commands: &[Command]) -> Result<Vec<Reply>> {
+        if commands.is_empty() {
+            return Ok(Vec::new());
+        }
+        write_message(&mut self.stream, commands)?;
+        let responses = read_message(&mut self.stream)?;
+        split_replies(commands, responses)
+    }
+
     /// Requests the server's version.
     ///
     /// # Errors
@@ -65,12 +66,15 @@ impl TraciClient {
     /// Returns [`Error::Protocol`] on malformed responses and [`Error::Io`]
     /// on socket failures.
     pub fn get_version(&mut self) -> Result<Version> {
-        let responses = self.request(Command::new(ids::CMD_GETVERSION, Vec::<u8>::new()))?;
-        let result = responses
+        let reply = self.exchange_one(Command::new(ids::CMD_GETVERSION, Vec::<u8>::new()))?;
+        reply.check()?;
+        let mut payload = reply
+            .results
             .first()
-            .ok_or_else(|| Error::protocol("missing version result"))?;
-        let mut payload = result.payload.clone();
-        let api = protocol::take_i32(&mut payload)?;
+            .ok_or_else(|| Error::protocol("missing version result"))?
+            .payload
+            .clone();
+        let api = take_i32(&mut payload)?;
         let software = take_string(&mut payload)?;
         Ok(Version { api, software })
     }
@@ -81,8 +85,8 @@ impl TraciClient {
     ///
     /// Returns [`Error::Protocol`]/[`Error::Io`] on failures.
     pub fn simulation_step(&mut self, target_time: f64) -> Result<()> {
-        self.simulation_step_collect(target_time)?;
-        Ok(())
+        self.exchange_one(Command::simulation_step(target_time))?
+            .check()
     }
 
     /// Advances the simulation and returns the values of every live
@@ -93,29 +97,8 @@ impl TraciClient {
     ///
     /// Returns [`Error::Protocol`]/[`Error::Io`] on failures.
     pub fn simulation_step_collect(&mut self, target_time: f64) -> Result<Vec<SubscriptionResult>> {
-        let mut buf = BytesMut::new();
-        buf.put_f64(target_time);
-        let responses = self.request(Command::new(ids::CMD_SIMSTEP, buf.freeze()))?;
-        let mut results = Vec::new();
-        for cmd in &responses {
-            if cmd.id != ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE {
-                continue;
-            }
-            let mut payload: Bytes = cmd.payload.clone();
-            let object = take_string(&mut payload)?;
-            let count = take_u8(&mut payload)? as usize;
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                let var = take_u8(&mut payload)?;
-                let status = take_u8(&mut payload)?;
-                let value = TraciValue::decode(&mut payload)?;
-                if status == ids::RTYPE_OK {
-                    values.push((var, value));
-                }
-            }
-            results.push(SubscriptionResult { object, values });
-        }
-        Ok(results)
+        self.exchange_one(Command::simulation_step(target_time))?
+            .subscriptions()
     }
 
     /// Subscribes to vehicle variables for `[begin, end)`; their values
@@ -141,11 +124,11 @@ impl TraciClient {
         for &v in variables {
             buf.put_u8(v);
         }
-        self.request(Command::new(
+        self.exchange_one(Command::new(
             ids::CMD_SUBSCRIBE_VEHICLE_VARIABLE,
             buf.freeze(),
-        ))?;
-        Ok(())
+        ))?
+        .check()
     }
 
     /// Reads the current simulation time in seconds.
@@ -154,7 +137,7 @@ impl TraciClient {
     ///
     /// Returns [`Error::Protocol`]/[`Error::Io`] on failures.
     pub fn simulation_time(&mut self) -> Result<f64> {
-        self.get_variable(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "")?
+        self.get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "")?
             .as_double()
     }
 
@@ -165,21 +148,19 @@ impl TraciClient {
     /// Returns [`Error::Protocol`] with the server's message if the vehicle
     /// does not exist.
     pub fn vehicle_speed(&mut self, vehicle: &str) -> Result<f64> {
-        self.get_variable(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, vehicle)?
+        self.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, vehicle)?
             .as_double()
     }
 
-    /// Reads a vehicle's 2-D position (corridor offset, 0).
+    /// Reads a vehicle's 2-D position (corridor offset, corridor index).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Protocol`] with the server's message if the vehicle
     /// does not exist.
     pub fn vehicle_position(&mut self, vehicle: &str) -> Result<(f64, f64)> {
-        match self.get_variable(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, vehicle)? {
-            TraciValue::Position2D(x, y) => Ok((x, y)),
-            other => Err(Error::protocol(format!("expected position, got {other:?}"))),
-        }
+        self.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, vehicle)?
+            .as_position()
     }
 
     /// Lists the ids of all vehicles currently in the simulation.
@@ -188,10 +169,8 @@ impl TraciClient {
     ///
     /// Returns [`Error::Protocol`]/[`Error::Io`] on failures.
     pub fn vehicle_ids(&mut self) -> Result<Vec<String>> {
-        match self.get_variable(ids::CMD_GET_VEHICLE_VARIABLE, ids::ID_LIST, "")? {
-            TraciValue::StringList(list) => Ok(list),
-            other => Err(Error::protocol(format!("expected id list, got {other:?}"))),
-        }
+        self.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::ID_LIST, "")?
+            .into_string_list()
     }
 
     /// Commands a vehicle's speed (TraCI `setSpeed`). A negative value
@@ -202,12 +181,8 @@ impl TraciClient {
     /// Returns [`Error::Protocol`] with the server's message if the vehicle
     /// does not exist or is not externally controllable.
     pub fn set_vehicle_speed(&mut self, vehicle: &str, speed: f64) -> Result<()> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(ids::VAR_SPEED);
-        put_string(&mut buf, vehicle);
-        TraciValue::Double(speed).encode(&mut buf);
-        self.request(Command::new(ids::CMD_SET_VEHICLE_VARIABLE, buf.freeze()))?;
-        Ok(())
+        self.exchange_one(Command::set_vehicle_speed(vehicle, speed))?
+            .check()
     }
 
     /// Reads a traffic light's state string (`"G"` during green, `"r"`
@@ -218,7 +193,7 @@ impl TraciClient {
     /// Returns [`Error::Protocol`] if the light does not exist.
     pub fn traffic_light_state(&mut self, light: &str) -> Result<String> {
         Ok(self
-            .get_variable(
+            .get(
                 ids::CMD_GET_TL_VARIABLE,
                 ids::TL_RED_YELLOW_GREEN_STATE,
                 light,
@@ -236,7 +211,7 @@ impl TraciClient {
     ///
     /// Returns [`Error::Protocol`] if the loop does not exist.
     pub fn induction_loop_count(&mut self, loop_id: &str) -> Result<i32> {
-        self.get_variable(
+        self.get(
             ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
             ids::LAST_STEP_VEHICLE_NUMBER,
             loop_id,
@@ -250,57 +225,19 @@ impl TraciClient {
     ///
     /// Returns [`Error::Io`] on socket failures.
     pub fn close(&mut self) -> Result<()> {
-        self.request(Command::new(ids::CMD_CLOSE, Vec::<u8>::new()))?;
-        Ok(())
+        self.exchange_one(Command::new(ids::CMD_CLOSE, Vec::<u8>::new()))?
+            .check()
     }
 
-    /// Issues a "get variable" command and decodes the typed result value.
-    fn get_variable(&mut self, command: u8, variable: u8, object: &str) -> Result<TraciValue> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(variable);
-        put_string(&mut buf, object);
-        let responses = self.request(Command::new(command, buf.freeze()))?;
-        let result = responses
-            .first()
-            .ok_or_else(|| Error::protocol("missing get-variable result"))?;
-        if result.id != command.wrapping_add(ids::RESPONSE_OFFSET) {
-            return Err(Error::protocol(format!(
-                "unexpected result command 0x{:02x}",
-                result.id
-            )));
-        }
-        let mut payload: Bytes = result.payload.clone();
-        let var = take_u8(&mut payload)?;
-        if var != variable {
-            return Err(Error::protocol("result variable mismatch"));
-        }
-        let _object = take_string(&mut payload)?;
-        TraciValue::decode(&mut payload)
+    /// Issues one "get variable" command and decodes its typed value.
+    fn get(&mut self, command: u8, variable: u8, object: &str) -> Result<TraciValue> {
+        self.exchange_one(Command::get(command, variable, object))?
+            .value()
     }
 
-    /// Sends one command, checks its status, and returns any further result
-    /// commands.
-    fn request(&mut self, command: Command) -> Result<Vec<Command>> {
-        let command_id = command.id;
-        write_message(&mut self.stream, &[command])?;
-        let mut responses = read_message(&mut self.stream)?;
-        if responses.is_empty() {
-            return Err(Error::protocol("empty response message"));
-        }
-        let status = Status::from_command(&responses[0])?;
-        if status.command != command_id {
-            return Err(Error::protocol(format!(
-                "status for wrong command: 0x{:02x} vs 0x{:02x}",
-                status.command, command_id
-            )));
-        }
-        if status.result != ids::RTYPE_OK {
-            return Err(Error::protocol(format!(
-                "server rejected command 0x{command_id:02x}: {}",
-                status.description
-            )));
-        }
-        responses.remove(0);
-        Ok(responses)
+    /// An exchange of one command.
+    fn exchange_one(&mut self, command: Command) -> Result<Reply> {
+        let mut replies = self.exchange(std::slice::from_ref(&command))?;
+        Ok(replies.pop().expect("split_replies answers every command"))
     }
 }

@@ -8,19 +8,28 @@
 //! side is a faithful TraCI client:
 //!
 //! * [`protocol`] — message framing (4-byte big-endian message length,
-//!   1-byte or `0x00` + 4-byte command lengths), typed values
-//!   ([`TraciValue`]), command/status/result encoding, and the command and
+//!   capped at [`protocol::MAX_MESSAGE_LEN`]; 1-byte or `0x00` + 4-byte
+//!   command lengths), typed values ([`TraciValue`]), command/status/result
+//!   encoding, request builders ([`Command::get`],
+//!   [`Command::simulation_step`], [`Command::set_vehicle_speed`]), the
+//!   reply splitter ([`protocol::split_replies`]), and the command and
 //!   variable identifier constants from SUMO's `TraCIConstants`.
-//! * [`TraciClient`] — a typed client over any TCP stream:
-//!   `get_version`, `simulation_step`, vehicle speed/position get,
-//!   `set_speed`, traffic-light state, induction-loop counts, simulation
-//!   time, and `close`.
-//! * [`TraciServer`] — serves one client per connection, translating TraCI
+//! * [`TraciClient`] — a blocking client over TCP. Its one transport is
+//!   [`TraciClient::exchange`]: any number of commands go out in one
+//!   message, the one reply comes back, and it is split per command into a
+//!   [`Reply`] — the command's status and its results — so a rejected
+//!   command fails only itself. The typed methods (`get_version`,
+//!   `simulation_step`, vehicle speed/position/id-list reads,
+//!   `set_vehicle_speed`, traffic-light state, induction-loop counts,
+//!   simulation time, subscriptions, `close`) are exchanges of one command.
+//! * [`TraciServer`] — serves one client per connection, answering every
+//!   command of a message in order in one reply, and translating TraCI
 //!   commands into calls on a [`TraciBackend`]: a single-corridor
 //!   [`velopt_microsim::Simulation`] (vehicles `veh<N>`, traffic lights
 //!   `tl<N>`, induction loops `loop<N>`) or a multi-corridor
 //!   [`velopt_microsim::Network`] (network-unique `veh<N>` plus
-//!   corridor-scoped `tl<corridor>:<N>` and `loop<corridor>:<N>`).
+//!   corridor-scoped `tl<corridor>:<N>` and `loop<corridor>:<N>`). Every
+//!   `<N>` is canonical decimal: no sign, no leading zero.
 //!
 //! # Examples
 //!
@@ -37,6 +46,22 @@
 //! assert!(version.api >= 20);
 //! client.simulation_step(0.0)?; // advance one step
 //! assert!(client.simulation_time()? > 0.0);
+//!
+//! // One round trip: step, then read the time and a light that exists
+//! // and one that does not. Each command gets its own reply.
+//! use velopt_traci::protocol::ids;
+//! use velopt_traci::Command;
+//! let light = |id| Command::get(ids::CMD_GET_TL_VARIABLE, ids::TL_RED_YELLOW_GREEN_STATE, id);
+//! let replies = client.exchange(&[
+//!     Command::simulation_step(0.0),
+//!     Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
+//!     light("tl0"),
+//!     light("tl9"),
+//! ])?;
+//! replies[0].check()?;
+//! assert!(replies[1].value()?.as_double()? > 0.1);
+//! assert!(replies[2].value().is_ok());
+//! assert!(replies[3].check().is_err()); // US-25 has two lights
 //! client.close()?;
 //! # Ok(())
 //! # }
@@ -48,6 +73,6 @@ pub mod protocol;
 mod server;
 
 pub use backend::{TraciBackend, VehicleView};
-pub use client::{SubscriptionResult, TraciClient, Version};
-pub use protocol::TraciValue;
+pub use client::{TraciClient, Version};
+pub use protocol::{Command, Reply, SubscriptionResult, TraciValue};
 pub use server::TraciServer;

@@ -12,6 +12,9 @@
 //! * The server answers every command with a **status** response (command
 //!   id, result code, description string), optionally followed by a result
 //!   command whose id is `command id + 0x10` for "get variable" commands.
+//! * A message may carry many commands; the reply message carries their
+//!   answers in the same order, and [`split_replies`] cuts it back into one
+//!   [`Reply`] per command. A rejected command fails only its own reply.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use velopt_common::{Error, Result};
@@ -63,6 +66,11 @@ pub mod ids {
     /// Status result: error, see description.
     pub const RTYPE_ERR: u8 = 0xFF;
 }
+
+/// Largest message, header included, either side accepts (64 MiB, the
+/// cloud reactor's frame limit). The length comes from the peer, so it is
+/// checked before the body is allocated.
+pub const MAX_MESSAGE_LEN: usize = 64 * 1024 * 1024;
 
 /// Type codes for [`TraciValue`].
 mod type_codes {
@@ -231,6 +239,30 @@ impl TraciValue {
             other => Err(Error::protocol(format!("expected integer, got {other:?}"))),
         }
     }
+
+    /// Extracts a 2-D position, erroring on any other variant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] if the value is not a `Position2D`.
+    pub fn as_position(&self) -> Result<(f64, f64)> {
+        match self {
+            TraciValue::Position2D(x, y) => Ok((*x, *y)),
+            other => Err(Error::protocol(format!("expected position, got {other:?}"))),
+        }
+    }
+
+    /// Extracts a string list, erroring on any other variant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] if the value is not a `StringList`.
+    pub fn into_string_list(self) -> Result<Vec<String>> {
+        match self {
+            TraciValue::StringList(list) => Ok(list),
+            other => Err(Error::protocol(format!("expected id list, got {other:?}"))),
+        }
+    }
 }
 
 /// One decoded command (or response command) of a message.
@@ -249,6 +281,29 @@ impl Command {
             id,
             payload: payload.into(),
         }
+    }
+
+    /// A "get variable" command reading `variable` of `object`.
+    pub fn get(command: u8, variable: u8, object: &str) -> Self {
+        let mut buf = BytesMut::with_capacity(5 + object.len());
+        buf.put_u8(variable);
+        put_string(&mut buf, object);
+        Self::new(command, buf.freeze())
+    }
+
+    /// A `CMD_SIMSTEP` to `target_time` seconds (0 = one step).
+    pub fn simulation_step(target_time: f64) -> Self {
+        Self::new(ids::CMD_SIMSTEP, target_time.to_be_bytes().to_vec())
+    }
+
+    /// A vehicle `setSpeed`; a negative speed returns control to the
+    /// car-following model.
+    pub fn set_vehicle_speed(vehicle: &str, speed: f64) -> Self {
+        let mut buf = BytesMut::with_capacity(14 + vehicle.len());
+        buf.put_u8(ids::VAR_SPEED);
+        put_string(&mut buf, vehicle);
+        TraciValue::Double(speed).encode(&mut buf);
+        Self::new(ids::CMD_SET_VEHICLE_VARIABLE, buf.freeze())
     }
 
     /// Encodes the command (length prefix + id + payload) into `buf`.
@@ -350,6 +405,176 @@ impl Status {
     }
 }
 
+/// The answer to one command of a message: its status, and the result
+/// commands that followed it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reply {
+    /// The command's status response.
+    pub status: Status,
+    /// What followed the status: nothing for a rejected command or a
+    /// set, subscribe or close; the result for a get or a version
+    /// request; for a step, the subscription count and one
+    /// [`ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE`] per delivered
+    /// subscription.
+    pub results: Vec<Command>,
+}
+
+impl Reply {
+    /// Succeeds if the server accepted the command.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] with the server's description if the
+    /// command was rejected or is not implemented.
+    pub fn check(&self) -> Result<()> {
+        if self.status.result == ids::RTYPE_OK {
+            Ok(())
+        } else {
+            Err(Error::protocol(format!(
+                "server rejected command 0x{:02x}: {}",
+                self.status.command, self.status.description
+            )))
+        }
+    }
+
+    /// The typed value of an accepted "get variable" command.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] if the command was rejected or its
+    /// result does not decode.
+    pub fn value(&self) -> Result<TraciValue> {
+        self.check()?;
+        let result = self
+            .results
+            .first()
+            .ok_or_else(|| Error::protocol("missing get-variable result"))?;
+        let mut payload = result.payload.clone();
+        take_u8(&mut payload)?; // variable, checked by `split_replies`
+        take_string(&mut payload)?; // object id
+        TraciValue::decode(&mut payload)
+    }
+
+    /// The subscription values delivered with an accepted step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] if the step was rejected or a
+    /// subscription result does not decode.
+    pub fn subscriptions(&self) -> Result<Vec<SubscriptionResult>> {
+        self.check()?;
+        let mut out = Vec::new();
+        for cmd in &self.results {
+            if cmd.id != ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE {
+                continue;
+            }
+            let mut payload = cmd.payload.clone();
+            let object = take_string(&mut payload)?;
+            let count = take_u8(&mut payload)? as usize;
+            let mut values = Vec::with_capacity(count);
+            for _ in 0..count {
+                let var = take_u8(&mut payload)?;
+                let status = take_u8(&mut payload)?;
+                let value = TraciValue::decode(&mut payload)?;
+                if status == ids::RTYPE_OK {
+                    values.push((var, value));
+                }
+            }
+            out.push(SubscriptionResult { object, values });
+        }
+        Ok(out)
+    }
+}
+
+/// One subscription's values delivered with a simulation step.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SubscriptionResult {
+    /// The subscribed object's id.
+    pub object: String,
+    /// `(variable id, value)` pairs in subscription order.
+    pub values: Vec<(u8, TraciValue)>,
+}
+
+impl SubscriptionResult {
+    /// The value of a specific variable, if present.
+    pub fn value_of(&self, variable: u8) -> Option<&TraciValue> {
+        self.values
+            .iter()
+            .find(|(v, _)| *v == variable)
+            .map(|(_, val)| val)
+    }
+}
+
+/// Whether `id` lies in SUMO's "get variable" command range, whose
+/// accepted commands are answered by one result command.
+fn is_get(id: u8) -> bool {
+    (0xA0..=0xAF).contains(&id)
+}
+
+/// Splits the reply to a message of `requests` into one [`Reply`] per
+/// request, in order. Each answer starts with a status for the request's
+/// command id; what follows an accepted status depends on the command
+/// (see [`Reply::results`]).
+///
+/// # Errors
+///
+/// Returns [`Error::Protocol`] if an answer is missing, answers the wrong
+/// command, carries a mismatched result, or the reply has trailing
+/// commands.
+pub fn split_replies(requests: &[Command], responses: Vec<Command>) -> Result<Vec<Reply>> {
+    let mut responses = responses.into_iter();
+    let mut next = |what: &str| {
+        responses
+            .next()
+            .ok_or_else(|| Error::protocol(format!("reply ended before {what}")))
+    };
+    let mut replies = Vec::with_capacity(requests.len());
+    for request in requests {
+        let status = Status::from_command(&next("a status")?)?;
+        if status.command != request.id {
+            return Err(Error::protocol(format!(
+                "status for wrong command: 0x{:02x} vs 0x{:02x}",
+                status.command, request.id
+            )));
+        }
+        let mut results = Vec::new();
+        if status.result == ids::RTYPE_OK {
+            match request.id {
+                ids::CMD_GETVERSION => results.push(next("a version result")?),
+                ids::CMD_SIMSTEP => {
+                    let counted = next("a step result")?;
+                    let count = take_i32(&mut counted.payload.clone())?;
+                    let count = usize::try_from(count)
+                        .map_err(|_| Error::protocol("negative subscription count"))?;
+                    results.push(counted);
+                    for _ in 0..count {
+                        results.push(next("a subscription result")?);
+                    }
+                }
+                id if is_get(id) => {
+                    let result = next("a get-variable result")?;
+                    if result.id != id.wrapping_add(ids::RESPONSE_OFFSET) {
+                        return Err(Error::protocol(format!(
+                            "unexpected result command 0x{:02x}",
+                            result.id
+                        )));
+                    }
+                    if result.payload.first() != request.payload.first() {
+                        return Err(Error::protocol("result variable mismatch"));
+                    }
+                    results.push(result);
+                }
+                _ => {}
+            }
+        }
+        replies.push(Reply { status, results });
+    }
+    if responses.next().is_some() {
+        return Err(Error::protocol("reply has more answers than commands"));
+    }
+    Ok(replies)
+}
+
 /// Encodes a whole message (length header + commands) ready to write to a
 /// socket.
 pub fn encode_message(commands: &[Command]) -> Bytes {
@@ -382,15 +607,20 @@ pub fn decode_message_body(mut body: Bytes) -> Result<Vec<Command>> {
 /// # Errors
 ///
 /// Returns [`Error::Io`] on socket errors and [`Error::Protocol`] on
-/// malformed lengths.
+/// malformed lengths, including any above [`MAX_MESSAGE_LEN`].
 pub fn read_message(reader: &mut impl std::io::Read) -> Result<Vec<Command>> {
     let mut header = [0u8; 4];
     reader.read_exact(&mut header)?;
     let total = i32::from_be_bytes(header);
-    if total < 4 {
-        return Err(Error::protocol(format!("message length {total} too small")));
-    }
-    let mut body = vec![0u8; (total - 4) as usize];
+    let total = match usize::try_from(total) {
+        Ok(n @ 4..=MAX_MESSAGE_LEN) => n,
+        _ => {
+            return Err(Error::protocol(format!(
+                "message length {total} out of range"
+            )))
+        }
+    };
+    let mut body = vec![0u8; total - 4];
     reader.read_exact(&mut body)?;
     decode_message_body(Bytes::from(body))
 }
@@ -574,6 +804,82 @@ mod tests {
     fn bad_message_header_rejected() {
         let mut cursor = std::io::Cursor::new(vec![0, 0, 0, 2]);
         assert!(read_message(&mut cursor).is_err());
+    }
+
+    /// A peer's length header is checked against the cap before the body
+    /// is allocated: the old reader reserved `total - 4` bytes (~2 GiB for
+    /// `i32::MAX`) and only then failed to read them.
+    #[test]
+    fn oversized_message_header_rejected_before_allocating() {
+        let over = i32::try_from(MAX_MESSAGE_LEN + 1).unwrap();
+        for total in [i32::MAX, over, -1, i32::MIN] {
+            let mut cursor = std::io::Cursor::new(total.to_be_bytes().to_vec());
+            assert!(
+                matches!(read_message(&mut cursor), Err(Error::Protocol(_))),
+                "length {total}"
+            );
+        }
+    }
+
+    fn speed_result(speed: f64) -> Command {
+        let mut buf = BytesMut::new();
+        buf.put_u8(ids::VAR_SPEED);
+        put_string(&mut buf, "veh0");
+        TraciValue::Double(speed).encode(&mut buf);
+        Command::new(
+            ids::CMD_GET_VEHICLE_VARIABLE + ids::RESPONSE_OFFSET,
+            buf.freeze(),
+        )
+    }
+
+    #[test]
+    fn split_replies_answers_each_command_in_order() {
+        let get = Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, "veh0");
+        let set = Command::set_vehicle_speed("veh9", 1.0);
+        let step = Command::simulation_step(0.0);
+        let mut sub = BytesMut::new();
+        put_string(&mut sub, "veh0");
+        sub.put_u8(1);
+        sub.put_u8(ids::VAR_SPEED);
+        sub.put_u8(ids::RTYPE_OK);
+        TraciValue::Double(4.0).encode(&mut sub);
+        let responses = vec![
+            Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).to_command(),
+            speed_result(2.5),
+            Status::err(ids::CMD_SET_VEHICLE_VARIABLE, "no vehicle 'veh9'").to_command(),
+            Status::ok(ids::CMD_SIMSTEP).to_command(),
+            Command::new(ids::CMD_SIMSTEP, 1i32.to_be_bytes().to_vec()),
+            Command::new(ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE, sub.freeze()),
+            Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).to_command(),
+            speed_result(3.5),
+        ];
+        let requests = [get.clone(), set.clone(), step, get.clone()];
+        let replies = split_replies(&requests, responses.clone()).unwrap();
+        assert_eq!(replies.len(), 4);
+        assert_eq!(replies[0].value().unwrap(), TraciValue::Double(2.5));
+        let rejected = replies[1].check().unwrap_err().to_string();
+        assert!(rejected.contains("no vehicle 'veh9'"), "{rejected}");
+        assert!(replies[1].results.is_empty());
+        let subs = replies[2].subscriptions().unwrap();
+        assert_eq!(subs.len(), 1);
+        assert_eq!(
+            subs[0].value_of(ids::VAR_SPEED),
+            Some(&TraciValue::Double(4.0))
+        );
+        assert_eq!(replies[3].value().unwrap(), TraciValue::Double(3.5));
+
+        // A reply that does not answer exactly these commands is an error.
+        let position = Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, "veh0");
+        assert!(split_replies(&[get.clone(), set.clone()], responses.clone()).is_err());
+        let mut more = requests.to_vec();
+        more.push(get.clone());
+        assert!(split_replies(&more, responses.clone()).is_err());
+        let mut swapped = requests.to_vec();
+        swapped.swap(0, 1);
+        assert!(split_replies(&swapped, responses.clone()).is_err());
+        let mut wrong_variable = requests.to_vec();
+        wrong_variable[0] = position;
+        assert!(split_replies(&wrong_variable, responses).is_err());
     }
 
     #[test]

@@ -440,6 +440,28 @@ mod tests {
         assert!(client.get_version().is_err());
     }
 
+    /// A length header over the cap makes the server hang up on that
+    /// client at once, instead of reserving the body and waiting for it,
+    /// and the next client is served.
+    #[test]
+    fn oversized_message_drops_the_client_and_serving_continues() {
+        use std::io::{ErrorKind, Read, Write};
+
+        let server = server();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(&i32::MAX.to_be_bytes()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let hung_up = match raw.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+        assert!(hung_up, "server kept the oversized client's connection");
+        let mut client = TraciClient::connect(server.addr()).unwrap();
+        assert_eq!(client.get_version().unwrap().api, API_LEVEL);
+        client.close().unwrap();
+        server.join();
+    }
+
     #[test]
     fn explicit_shutdown_is_idempotent() {
         let mut server = server();

@@ -1,8 +1,15 @@
-//! Property-based tests: the wire format round-trips arbitrary values.
+//! Property-based tests: the wire format round-trips arbitrary values, and
+//! a pipelined message is answered exactly as its commands one by one.
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
-use velopt_traci::protocol::{decode_message_body, encode_message, Command, Status, TraciValue};
+use velopt_common::units::{Meters, Seconds, VehiclesPerHour};
+use velopt_microsim::{CorridorSpec, Network, SimConfig};
+use velopt_road::Road;
+use velopt_traci::protocol::{
+    decode_message_body, encode_message, ids, put_string, Command, Reply, Status, TraciValue,
+};
+use velopt_traci::{TraciBackend, TraciClient, TraciServer};
 
 /// Strategy for arbitrary (bounded-depth) TraCI values.
 fn arb_value() -> impl Strategy<Value = TraciValue> {
@@ -68,5 +75,233 @@ proptest! {
         let _ = decode_message_body(bytes::Bytes::from(garbage.clone()));
         let mut b = bytes::Bytes::from(garbage);
         let _ = TraciValue::decode(&mut b);
+    }
+}
+
+/// A vehicle a generated command names.
+#[derive(Debug, Clone)]
+enum Vehicle {
+    /// The `i`-th (mod count) vehicle live when the sequence starts.
+    Live(usize),
+    /// A name no live vehicle has.
+    Unknown(&'static str),
+}
+
+/// One generated command.
+#[derive(Debug, Clone)]
+enum Op {
+    /// `CMD_SIMSTEP` to this target (0 = one step; a past time is refused).
+    Step(f64),
+    Time,
+    IdList,
+    Position(Vehicle),
+    Speed(Vehicle),
+    /// `tl<corridor>:<index>`; out-of-range ids are refused.
+    Light(usize, usize),
+    /// `loop<corridor>:<index>`; out-of-range ids are refused.
+    Loop(usize, usize),
+    /// A malformed light or loop name.
+    BadObject(u8, &'static str),
+    SetSpeed(Vehicle, f64),
+    Subscribe(Vehicle, Vec<u8>),
+    UnsupportedVariable(Vehicle),
+    Unimplemented(u8),
+}
+
+fn arb_vehicle() -> impl Strategy<Value = Vehicle> {
+    prop_oneof![
+        (0usize..64).prop_map(Vehicle::Live),
+        (0usize..64).prop_map(Vehicle::Live),
+        prop_oneof![
+            Just("veh999999"),
+            Just("veh00"),
+            Just("veh+1"),
+            Just("car1")
+        ]
+        .prop_map(Vehicle::Unknown),
+    ]
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        prop_oneof![Just(0.0), Just(0.0), Just(1.0)].prop_map(Op::Step),
+        Just(Op::Time),
+        Just(Op::IdList),
+        arb_vehicle().prop_map(Op::Position),
+        arb_vehicle().prop_map(Op::Speed),
+        (0usize..3, 0usize..3).prop_map(|(c, i)| Op::Light(c, i)),
+        (0usize..3, 0usize..2).prop_map(|(c, i)| Op::Loop(c, i)),
+        prop_oneof![
+            Just((ids::CMD_GET_TL_VARIABLE, "tl00:0")),
+            Just((ids::CMD_GET_TL_VARIABLE, "tl0")),
+            Just((ids::CMD_GET_INDUCTIONLOOP_VARIABLE, "loop+0:0")),
+            Just((ids::CMD_GET_INDUCTIONLOOP_VARIABLE, "bogus")),
+        ]
+        .prop_map(|(cmd, object)| Op::BadObject(cmd, object)),
+        (arb_vehicle(), -5.0f64..25.0).prop_map(|(v, speed)| Op::SetSpeed(v, speed)),
+        (
+            arb_vehicle(),
+            prop_oneof![
+                Just(vec![ids::VAR_SPEED, ids::VAR_POSITION]),
+                Just(vec![ids::VAR_SPEED]),
+                Just(vec![0x7E]),
+                Just(vec![]),
+            ],
+        )
+            .prop_map(|(v, vars)| Op::Subscribe(v, vars)),
+        arb_vehicle().prop_map(Op::UnsupportedVariable),
+        prop_oneof![Just(0x55u8), Just(0xA1), Just(0xCC)].prop_map(Op::Unimplemented),
+    ]
+}
+
+impl Op {
+    fn command(&self, live: &[String]) -> Command {
+        let name = |v: &Vehicle| match v {
+            Vehicle::Live(i) => live[i % live.len()].clone(),
+            Vehicle::Unknown(name) => (*name).to_owned(),
+        };
+        let vehicle_get =
+            |var, v: &Vehicle| Command::get(ids::CMD_GET_VEHICLE_VARIABLE, var, &name(v));
+        match self {
+            Op::Step(target) => Command::simulation_step(*target),
+            Op::Time => Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
+            Op::IdList => Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::ID_LIST, ""),
+            Op::Position(v) => vehicle_get(ids::VAR_POSITION, v),
+            Op::Speed(v) => vehicle_get(ids::VAR_SPEED, v),
+            Op::Light(c, i) => Command::get(
+                ids::CMD_GET_TL_VARIABLE,
+                ids::TL_RED_YELLOW_GREEN_STATE,
+                &format!("tl{c}:{i}"),
+            ),
+            Op::Loop(c, i) => Command::get(
+                ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
+                ids::LAST_STEP_VEHICLE_NUMBER,
+                &format!("loop{c}:{i}"),
+            ),
+            Op::BadObject(cmd, object) => {
+                let var = if *cmd == ids::CMD_GET_TL_VARIABLE {
+                    ids::TL_RED_YELLOW_GREEN_STATE
+                } else {
+                    ids::LAST_STEP_VEHICLE_NUMBER
+                };
+                Command::get(*cmd, var, object)
+            }
+            Op::SetSpeed(v, speed) => Command::set_vehicle_speed(&name(v), *speed),
+            Op::Subscribe(v, vars) => {
+                let mut buf = BytesMut::new();
+                buf.put_f64(0.0);
+                buf.put_f64(1e9);
+                put_string(&mut buf, &name(v));
+                buf.put_u8(vars.len() as u8);
+                buf.put_slice(vars);
+                Command::new(ids::CMD_SUBSCRIBE_VEHICLE_VARIABLE, buf.freeze())
+            }
+            Op::UnsupportedVariable(v) => vehicle_get(0x7E, v),
+            Op::Unimplemented(id) => Command::new(*id, vec![1, 2, 3]),
+        }
+    }
+}
+
+/// Two corridors of US-25 in a chain, each with an entrance loop, warmed
+/// to a minute of traffic. Every call builds the same network.
+fn seeded_network() -> Network {
+    let mut feeder = CorridorSpec::through(Road::us25(), 1);
+    feeder.arrival_rate = VehiclesPerHour::new(1200.0);
+    feeder.detectors.push(Meters::new(25.0));
+    let mut sink = CorridorSpec::terminal(Road::us25());
+    sink.arrival_rate = VehiclesPerHour::new(600.0);
+    sink.detectors.push(Meters::new(25.0));
+    let config = SimConfig {
+        seed: 19,
+        ..SimConfig::default()
+    };
+    let mut net = Network::new(vec![feeder, sink], 1, config).unwrap();
+    net.run_until(Seconds::new(60.0)).unwrap();
+    net
+}
+
+/// A doubles-by-bits rendering of a value.
+fn bits(value: &TraciValue) -> String {
+    match value {
+        TraciValue::Double(x) => format!("double {:#018x}", x.to_bits()),
+        TraciValue::Position2D(x, y) => {
+            format!("position {:#018x} {:#018x}", x.to_bits(), y.to_bits())
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// A reply in comparable form: status code and description, then the
+/// decoded result values, every double compared by `f64::to_bits`.
+fn outcome(reply: &Reply) -> (u8, String, Vec<String>) {
+    let status = &reply.status;
+    let values = if reply.check().is_err() {
+        assert!(reply.results.is_empty(), "a rejected command has no result");
+        Vec::new()
+    } else if status.command == ids::CMD_SIMSTEP {
+        let subscriptions = reply.subscriptions().unwrap();
+        subscriptions
+            .iter()
+            .flat_map(|s| {
+                s.values
+                    .iter()
+                    .map(move |(var, v)| format!("{} {var:#04x} {}", s.object, bits(v)))
+            })
+            .collect()
+    } else if (0xA0..=0xAF).contains(&status.command) {
+        vec![bits(&reply.value().unwrap())]
+    } else {
+        assert!(
+            reply.results.is_empty(),
+            "0x{:02x} has no result",
+            status.command
+        );
+        Vec::new()
+    };
+    (status.result, status.description.clone(), values)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A message of many commands — steps, reads of live and unknown
+    /// vehicles, bad light and loop ids, `setSpeed` with negative speeds
+    /// and unknown vehicles, unsupported variables, unimplemented command
+    /// ids, subscriptions — is answered, command by command, exactly as the
+    /// same commands sent one message each to a twin server, and leaves the
+    /// simulation in the same state. A rejected command fails only itself.
+    #[test]
+    fn pipelined_message_answers_as_one_message_per_command(
+        ops in prop::collection::vec(arb_op(), 1..40),
+    ) {
+        let (together_net, apart_net) = (seeded_network(), seeded_network());
+        let live = together_net.vehicle_ids();
+        prop_assert!(!live.is_empty());
+        let commands: Vec<Command> = ops.iter().map(|op| op.command(&live)).collect();
+        let together_server = TraciServer::spawn(together_net).unwrap();
+        let apart_server = TraciServer::spawn(apart_net).unwrap();
+        let mut together = TraciClient::connect(together_server.addr()).unwrap();
+        let mut apart = TraciClient::connect(apart_server.addr()).unwrap();
+
+        let replies = together.exchange(&commands).unwrap();
+        prop_assert_eq!(replies.len(), commands.len());
+        for (i, (reply, command)) in replies.iter().zip(&commands).enumerate() {
+            let alone = apart.exchange(std::slice::from_ref(command)).unwrap();
+            prop_assert_eq!(alone.len(), 1);
+            prop_assert_eq!(
+                outcome(reply),
+                outcome(&alone[0]),
+                "command {} of {}: {:?}",
+                i,
+                ops.len(),
+                ops[i]
+            );
+        }
+        let hash = |server: &TraciServer<Network>| server.simulation().lock().state_hash();
+        prop_assert_eq!(hash(&together_server), hash(&apart_server));
+        together.close().unwrap();
+        apart.close().unwrap();
+        together_server.join();
+        apart_server.join();
     }
 }
