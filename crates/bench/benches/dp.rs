@@ -1,6 +1,6 @@
 //! Benchmarks the DP optimizer: the default grid, a finer grid, the
-//! Exact-vs-Greedy time-handling ablation called out in DESIGN.md, the
-//! sequential-vs-parallel relaxation, and batch planning. The single-run
+//! Exact-vs-Greedy time-handling ablation called out in DESIGN.md, and
+//! batch planning. The single-run
 //! benchmarks also print the solver's own [`SolverMetrics`] once, so grid
 //! or pruning regressions show up next to the wall-clock numbers.
 
@@ -22,7 +22,7 @@ fn report_metrics(label: &str, m: &SolverMetrics) {
     println!(
         "metrics {label}: expanded={} pruned={} ratio={:.3} \
          setup={:.1}ms relax={:.1}ms backtrack={:.1}ms \
-         arena(reuse={}, alloc={}) threads={}",
+         arena(reuse={}, alloc={})",
         m.states_expanded,
         m.states_pruned,
         m.expansion_ratio(),
@@ -31,7 +31,6 @@ fn report_metrics(label: &str, m: &SolverMetrics) {
         m.backtrack_seconds * 1e3,
         m.arena_reuse_hits,
         m.arena_allocations,
-        m.threads_used,
     );
 }
 
@@ -54,22 +53,6 @@ fn bench_dp(c: &mut Criterion) {
             .unwrap();
         report_metrics("exact_default_grid_us25", &profile.metrics);
     }
-
-    group.bench_function("exact_sequential_us25", |b| {
-        let opt = optimizer(DpConfig {
-            threads: 1,
-            ..DpConfig::default()
-        });
-        b.iter(|| opt.optimize(black_box(&road), &constraints).unwrap())
-    });
-
-    group.bench_function("exact_parallel_auto_us25", |b| {
-        let opt = optimizer(DpConfig {
-            threads: 0,
-            ..DpConfig::default()
-        });
-        b.iter(|| opt.optimize(black_box(&road), &constraints).unwrap())
-    });
 
     group.bench_function("exact_fine_space_grid_us25", |b| {
         let opt = optimizer(DpConfig {
@@ -150,10 +133,7 @@ fn bench_dp(c: &mut Criterion) {
         .collect();
 
     group.bench_function("batch_64_serial_loop", |b| {
-        let opt = optimizer(DpConfig {
-            threads: 1,
-            ..DpConfig::default()
-        });
+        let opt = optimizer(DpConfig::default());
         b.iter(|| {
             for req in &requests {
                 black_box(opt.optimize_from(req.road, req.signals, req.start).unwrap());

@@ -8,13 +8,12 @@ use velopt_traffic::{
     VolumeScratch,
 };
 
-fn quick_config(batch_size: usize, threads: usize) -> SaePredictorConfig {
+fn quick_config(batch_size: usize) -> SaePredictorConfig {
     let sgd = |epochs: usize| SgdConfig {
         epochs,
         learning_rate: 0.05,
         momentum: 0.9,
         batch_size,
-        threads,
     };
     SaePredictorConfig {
         lags: 24,
@@ -31,8 +30,8 @@ fn bench_sae(c: &mut Criterion) {
     let feed = VolumeGenerator::us25_station(1).generate_weeks(2).unwrap();
     // Scaled-down training configs so the benchmark iterates in seconds:
     // the historical per-sample path and the mini-batch gemm path.
-    let per_sample = quick_config(1, 1);
-    let batched = quick_config(16, 2);
+    let per_sample = quick_config(1);
+    let batched = quick_config(16);
 
     let mut group = c.benchmark_group("sae");
     group.sample_size(10);

@@ -1529,14 +1529,12 @@ fn replan_refresh_only(ticks: usize) -> Result<ScenarioResult> {
 /// dispatches — forced-scalar first, then SIMD — each through its own warm
 /// arena, and reports the same-run median ratio as `simd_speedup`
 /// (`--check` keeps it above [`MIN_SIMD_SPEEDUP`] once a baseline has
-/// demonstrated it). Single-threaded so the relaxation dominates and the
-/// chunk geometry is fixed.
+/// demonstrated it).
 fn dp_single_simd(iters: usize) -> Result<ScenarioResult> {
     let road = Road::us25();
     let run = |simd: bool| -> Result<(Vec<f64>, SolverMetrics)> {
         let config = DpConfig {
             simd,
-            threads: 1,
             ..DpConfig::default()
         };
         let constraints = green_only_constraints(&road, config.horizon);
@@ -1621,7 +1619,6 @@ fn sae_bench_config() -> SaePredictorConfig {
         learning_rate: 0.05,
         momentum: 0.9,
         batch_size: 64,
-        threads: 1,
     };
     SaePredictorConfig {
         lags: 24,
@@ -2210,17 +2207,8 @@ fn route_plan(spec: &MatrixSpec) -> Result<ScenarioResult> {
 /// solves once solves always, and an error here means the build is broken.
 /// Returns [`Error::InvalidInput`] for a filter no scenario stem contains.
 pub fn run_scenarios(spec: &MatrixSpec, filter: Option<&str>) -> Result<BenchReport> {
-    let sequential = DpConfig {
-        threads: 1,
-        ..DpConfig::default()
-    };
-    let parallel = DpConfig {
-        threads: 0,
-        ..DpConfig::default()
-    };
     let greedy = DpConfig {
         time_handling: TimeHandling::Greedy,
-        threads: 1,
         ..DpConfig::default()
     };
     type Scenario<'a> = (
@@ -2230,11 +2218,13 @@ pub fn run_scenarios(spec: &MatrixSpec, filter: Option<&str>) -> Result<BenchRep
     let entries: Vec<Scenario<'_>> = vec![
         (
             "single_trip_sequential",
-            Box::new(move || single_trip("single_trip_sequential", sequential, spec.trip_iters)),
-        ),
-        (
-            "single_trip_parallel",
-            Box::new(move || single_trip("single_trip_parallel", parallel, spec.trip_iters)),
+            Box::new(move || {
+                single_trip(
+                    "single_trip_sequential",
+                    DpConfig::default(),
+                    spec.trip_iters,
+                )
+            }),
         ),
         (
             "single_trip_greedy",
@@ -2834,7 +2824,7 @@ mod tests {
     fn tiny_matrix_produces_a_complete_report() {
         let spec = tiny_spec();
         let report = run_matrix(&spec).unwrap();
-        assert_eq!(report.scenarios.len(), 15);
+        assert_eq!(report.scenarios.len(), 14);
         for s in &report.scenarios {
             assert!(s.iterations > 0, "{}", s.name);
             assert!(s.wall_seconds.p50 > 0.0, "{}", s.name);
@@ -2943,6 +2933,6 @@ mod tests {
         // A matrix run is comparable against itself at any tolerance.
         let outcome = compare(&report, &report, 0.0).unwrap();
         assert!(!outcome.is_regression(), "{:?}", outcome.regressions);
-        assert_eq!(outcome.passed, 15);
+        assert_eq!(outcome.passed, 14);
     }
 }

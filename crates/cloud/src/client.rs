@@ -301,7 +301,7 @@ mod tests {
             assert_eq!(result.as_ref().unwrap(), single);
         }
         // Profiles over the wire carry their solver metrics.
-        assert!(batched[0].as_ref().unwrap().metrics.threads_used >= 1);
+        assert!(batched[0].as_ref().unwrap().metrics.states_expanded > 0);
         // The three singles warmed the cache; the whole batch hit it.
         let (served, hits) = client.stats().unwrap();
         assert_eq!(served, 6);

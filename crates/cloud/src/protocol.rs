@@ -222,7 +222,6 @@ pub fn encode_profile(profile: &OptimizedProfile, buf: &mut BytesMut) {
     buf.put_u64(m.repair_hits);
     buf.put_u64(m.repair_full_resolves);
     buf.put_u64(m.repair_layers_skipped);
-    buf.put_u32(m.threads_used as u32);
 }
 
 /// Decodes a profile payload.
@@ -263,7 +262,6 @@ pub fn decode_profile(buf: &mut Bytes) -> Result<OptimizedProfile> {
         repair_hits: take_u64(buf)?,
         repair_full_resolves: take_u64(buf)?,
         repair_layers_skipped: take_u64(buf)?,
-        threads_used: take_u32(buf)? as usize,
     };
     Ok(OptimizedProfile {
         stations,

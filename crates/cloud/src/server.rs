@@ -1144,7 +1144,6 @@ fn service_predictor_config(lags: usize) -> SaePredictorConfig {
         learning_rate: 0.05,
         momentum: 0.9,
         batch_size: 16,
-        threads: 1,
     };
     SaePredictorConfig {
         lags,

@@ -1,11 +1,168 @@
 //! Property-based tests for the vehicular-cloud wire format.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
-use velopt_cloud::protocol::{read_frame, write_frame, TripRequest};
-use velopt_common::units::{Seconds, VehiclesPerHour};
+use velopt_cloud::protocol::{
+    decode_profile, encode_profile, read_frame, write_frame, BatchPlanResponse, TripRequest,
+};
+use velopt_common::units::{AmpereHours, Meters, MetersPerSecond, Seconds, VehiclesPerHour};
+use velopt_core::dp::OptimizedProfile;
+use velopt_core::metrics::SolverMetrics;
 use velopt_queue::QueueParams;
 use velopt_road::CorridorTemplate;
+
+/// Any `f64` bit pattern, NaNs and infinities included: the codec carries
+/// raw bits, so nothing about the value may matter.
+fn any_f64() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(f64::from_bits)
+}
+
+fn metrics_strategy() -> impl Strategy<Value = SolverMetrics> {
+    let counters = || any::<u64>();
+    (
+        (
+            counters(),
+            counters(),
+            any_f64(),
+            any_f64(),
+            any_f64(),
+            counters(),
+            counters(),
+            counters(),
+        ),
+        (
+            counters(),
+            counters(),
+            counters(),
+            counters(),
+            counters(),
+            counters(),
+            counters(),
+            counters(),
+        ),
+    )
+        .prop_map(|((se, sp, setup, relax, back, reuse, alloc, mh), rest)| {
+            let (mm, ev, rows, simd, scalar, rh, rf, rl) = rest;
+            SolverMetrics {
+                states_expanded: se,
+                states_pruned: sp,
+                setup_seconds: setup,
+                relax_seconds: relax,
+                backtrack_seconds: back,
+                arena_reuse_hits: reuse,
+                arena_allocations: alloc,
+                memo_hits: mh,
+                memo_misses: mm,
+                energy_evals: ev,
+                rows_skipped: rows,
+                simd_rows: simd,
+                scalar_rows: scalar,
+                repair_hits: rh,
+                repair_full_resolves: rf,
+                repair_layers_skipped: rl,
+            }
+        })
+}
+
+fn profile_strategy() -> impl Strategy<Value = OptimizedProfile> {
+    (
+        prop::collection::vec((any_f64(), any_f64(), any_f64()), 1..48),
+        any_f64(),
+        any_f64(),
+        any::<u32>(),
+        metrics_strategy(),
+    )
+        .prop_map(
+            |(points, energy, trip, violations, metrics)| OptimizedProfile {
+                stations: points.iter().map(|p| Meters::new(p.0)).collect(),
+                speeds: points.iter().map(|p| MetersPerSecond::new(p.1)).collect(),
+                times: points.iter().map(|p| Seconds::new(p.2)).collect(),
+                total_energy: AmpereHours::new(energy),
+                trip_time: Seconds::new(trip),
+                window_violations: violations as usize,
+                metrics,
+            },
+        )
+}
+
+/// Batch answers: profiles mixed with error entries (non-ASCII included,
+/// since error text travels as UTF-8).
+fn batch_strategy() -> impl Strategy<Value = BatchPlanResponse> {
+    let entry = prop_oneof![
+        profile_strategy().prop_map(Ok::<OptimizedProfile, String>),
+        "[ -~À-ÿ]{0,40}".prop_map(Err::<OptimizedProfile, String>),
+    ];
+    prop::collection::vec(entry, 0..6).prop_map(|results| BatchPlanResponse { results })
+}
+
+/// Every field of a profile as raw bits. The metrics are destructured
+/// without `..`, so a new `SolverMetrics` field fails to compile here until
+/// the round-trip checks it too.
+fn profile_bits(p: &OptimizedProfile) -> Vec<u64> {
+    let SolverMetrics {
+        states_expanded,
+        states_pruned,
+        setup_seconds,
+        relax_seconds,
+        backtrack_seconds,
+        arena_reuse_hits,
+        arena_allocations,
+        memo_hits,
+        memo_misses,
+        energy_evals,
+        rows_skipped,
+        simd_rows,
+        scalar_rows,
+        repair_hits,
+        repair_full_resolves,
+        repair_layers_skipped,
+    } = p.metrics;
+    let mut bits = vec![
+        p.stations.len() as u64,
+        p.speeds.len() as u64,
+        p.times.len() as u64,
+    ];
+    for i in 0..p.stations.len() {
+        bits.push(p.stations[i].value().to_bits());
+        bits.push(p.speeds[i].value().to_bits());
+        bits.push(p.times[i].value().to_bits());
+    }
+    bits.extend([
+        p.total_energy.value().to_bits(),
+        p.trip_time.value().to_bits(),
+        p.window_violations as u64,
+        states_expanded,
+        states_pruned,
+        setup_seconds.to_bits(),
+        relax_seconds.to_bits(),
+        backtrack_seconds.to_bits(),
+        arena_reuse_hits,
+        arena_allocations,
+        memo_hits,
+        memo_misses,
+        energy_evals,
+        rows_skipped,
+        simd_rows,
+        scalar_rows,
+        repair_hits,
+        repair_full_resolves,
+        repair_layers_skipped,
+    ]);
+    bits
+}
+
+fn encoded_profile(p: &OptimizedProfile) -> Bytes {
+    let mut buf = BytesMut::new();
+    encode_profile(p, &mut buf);
+    buf.freeze()
+}
+
+fn flip_bit(payload: &Bytes, bit: usize) -> Bytes {
+    let mut raw = payload.to_vec();
+    let bit = bit % (raw.len() * 8);
+    raw[bit / 8] ^= 1 << (bit % 8);
+    Bytes::from(raw)
+}
 
 proptest! {
     /// Requests over arbitrary generated corridors round-trip losslessly.
@@ -60,5 +217,73 @@ proptest! {
         prop_assume!(cut < encoded.len());
         let mut truncated = encoded.slice(0..cut);
         prop_assert!(TripRequest::decode(&mut truncated).is_err());
+    }
+
+    /// Profile frames round-trip bit for bit — station count, every speed
+    /// and time, and every `SolverMetrics` field — and the decoder consumes
+    /// the whole payload.
+    #[test]
+    fn profile_frame_round_trips_bit_for_bit(profile in profile_strategy()) {
+        let mut bytes = encoded_profile(&profile);
+        let back = decode_profile(&mut bytes).unwrap();
+        prop_assert_eq!(profile_bits(&back), profile_bits(&profile));
+        prop_assert!(bytes.is_empty(), "{} bytes left over", bytes.len());
+    }
+
+    /// Batch responses carry profiles and error entries through unchanged,
+    /// in order.
+    #[test]
+    fn batch_response_round_trips_profiles_and_errors(batch in batch_strategy()) {
+        let mut bytes = batch.encode();
+        let back = BatchPlanResponse::decode(&mut bytes).unwrap();
+        prop_assert!(bytes.is_empty(), "{} bytes left over", bytes.len());
+        prop_assert_eq!(back.results.len(), batch.results.len());
+        for (got, want) in back.results.iter().zip(&batch.results) {
+            match (got, want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(profile_bits(got), profile_bits(want)),
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                _ => prop_assert!(false, "entry kind changed: {:?} vs {:?}", got, want),
+            }
+        }
+    }
+
+    /// Every strict prefix of a valid profile or batch payload is an error.
+    #[test]
+    fn every_strict_prefix_is_rejected(batch in batch_strategy()) {
+        let payloads = batch
+            .results
+            .iter()
+            .filter_map(|r| r.as_ref().ok())
+            .map(|p| (encoded_profile(p), true))
+            .chain([(batch.encode(), false)]);
+        for (payload, is_profile) in payloads {
+            for cut in 0..payload.len() {
+                let mut prefix = payload.slice(0..cut);
+                let rejected = if is_profile {
+                    decode_profile(&mut prefix).is_err()
+                } else {
+                    BatchPlanResponse::decode(&mut prefix).is_err()
+                };
+                prop_assert!(rejected, "prefix of {} / {} bytes decoded", cut, payload.len());
+            }
+        }
+    }
+
+    /// Random bytes never panic the profile or batch-response decoders.
+    #[test]
+    fn response_decoders_never_panic(garbage in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = decode_profile(&mut Bytes::from(garbage.clone()));
+        let _ = BatchPlanResponse::decode(&mut Bytes::from(garbage));
+    }
+
+    /// A single flipped bit anywhere in a valid payload never panics the
+    /// decoder (it may decode to a different value or fail).
+    #[test]
+    fn bit_flipped_responses_never_panic(batch in batch_strategy(), bit in any::<usize>()) {
+        let encoded = batch.encode();
+        let _ = BatchPlanResponse::decode(&mut flip_bit(&encoded, bit));
+        for profile in batch.results.iter().filter_map(|r| r.as_ref().ok()) {
+            let _ = decode_profile(&mut flip_bit(&encoded_profile(profile), bit));
+        }
     }
 }

@@ -15,9 +15,8 @@
 //! * [`interp`] — linear interpolation and piecewise-linear curves.
 //! * [`rng`] — a tiny, deterministic SplitMix64 generator so that synthetic
 //!   workloads are reproducible without pulling `rand` into every crate.
-//! * [`par`] — deterministic chunked parallelism (scoped fan-outs and a
-//!   persistent worker [`par::Team`]) shared by the DP solver and the
-//!   traffic predictor's mini-batch trainer.
+//! * [`par`] — deterministic chunked parallelism over scoped worker
+//!   threads, used by the sharded microsimulator.
 //! * [`error`] — the workspace-wide [`Error`] type.
 //!
 //! # Examples

@@ -6,31 +6,16 @@
 //! never on the thread count or on scheduling — and within a chunk work
 //! runs in the same order as the sequential path, so the buffer contents
 //! are bit-identical whether the work runs on one thread or sixteen.
-//! Per-chunk results (metric counters) are returned in chunk order so any
-//! fold over them is deterministic too.
+//! Per-chunk results are returned in chunk order so any fold over them is
+//! deterministic too.
 //!
-//! The DP solver leans on this for layer relaxation (each chunk is a band
-//! of target-speed rows) and the traffic predictor for mini-batch gradient
-//! accumulation (each chunk is a band of samples); both advertise
-//! bit-identical output for any thread count on the strength of this
-//! contract.
-//!
-//! Two execution strategies share it:
-//!
-//! * [`map_chunks`] — spawns scoped workers per call. Fine for one-shot
-//!   fan-outs (batch planning spreads whole solves this way).
-//! * [`team_scope`] / [`Team`] — spawns the workers **once** and reuses
-//!   them across many rounds via a barrier protocol. A DP solve relaxes
-//!   hundreds of layers — and an SGD epoch visits dozens of mini-batches —
-//!   each only tens of microseconds of work; per-round thread spawning
-//!   would dwarf the work itself, so callers keep one team alive for the
-//!   whole loop.
+//! [`map_chunks`] spawns scoped workers per call, so it suits coarse
+//! fan-outs such as the sharded microsimulator's per-tick corridor step.
+//! Fine-grained loops (a DP layer, an SGD mini-batch) run sequentially;
+//! their callers parallelize across whole trips instead, where one spawn
+//! pays for milliseconds of work.
 
-use std::cell::UnsafeCell;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::Barrier;
 
 /// Resolves a configured worker count: `0` means one worker per available
 /// core, anything else is taken literally (minimum 1).
@@ -107,236 +92,6 @@ where
         .collect()
 }
 
-/// One round's worth of work, published by the main thread for the team.
-///
-/// The function pointer is only dereferenced between the round's start and
-/// done barriers, while the referent (a closure on the main thread's
-/// stack) is provably alive.
-struct Job {
-    f: *const (dyn Fn(usize) + Sync),
-    n_chunks: usize,
-}
-
-/// State shared between the main thread and the persistent workers.
-struct TeamShared {
-    /// The current round's job; written by main before the start barrier.
-    job: AtomicPtr<Job>,
-    /// Round entry: main + workers all arrive before any chunk runs.
-    start: Barrier,
-    /// Round exit: main + workers all arrive before `run` returns.
-    done: Barrier,
-    /// Set by main (under the start barrier) to retire the workers.
-    shutdown: AtomicBool,
-    /// Set by any thread whose chunk closure panicked this round.
-    poisoned: AtomicBool,
-}
-
-/// A persistent worker team created by [`team_scope`].
-///
-/// With one worker the team degenerates to inline sequential execution —
-/// no threads, no barriers — so callers can use one code path for every
-/// thread count.
-pub struct Team<'a> {
-    workers: usize,
-    shared: Option<&'a TeamShared>,
-}
-
-/// Runs every chunk index assigned to `worker` (the static stride
-/// partition `ci % workers == worker`), trapping panics so the thread
-/// always reaches the round's done barrier.
-fn run_stride(job: &Job, shared: &TeamShared, worker: usize, workers: usize) {
-    // SAFETY: the job pointer (and the closure it points to) outlives the
-    // round; see `Job`.
-    let f = unsafe { &*job.f };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut ci = worker;
-        while ci < job.n_chunks {
-            f(ci);
-            ci += workers;
-        }
-    }));
-    if outcome.is_err() {
-        shared.poisoned.store(true, Ordering::Release);
-    }
-}
-
-/// Releases the workers into shutdown even if the driver panics, so the
-/// enclosing thread scope can join instead of deadlocking.
-struct ShutdownGuard<'a> {
-    shared: &'a TeamShared,
-}
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.start.wait();
-    }
-}
-
-/// Spawns `threads - 1` worker threads (the caller participates as worker
-/// 0), hands the driver a [`Team`], and joins the workers when the driver
-/// returns. With `threads <= 1` no threads are spawned and every
-/// [`Team::map_chunks`] call runs inline.
-pub fn team_scope<Ret>(threads: usize, driver: impl FnOnce(&Team<'_>) -> Ret) -> Ret {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return driver(&Team {
-            workers: 1,
-            shared: None,
-        });
-    }
-    let shared = TeamShared {
-        job: AtomicPtr::new(std::ptr::null_mut()),
-        start: Barrier::new(threads),
-        done: Barrier::new(threads),
-        shutdown: AtomicBool::new(false),
-        poisoned: AtomicBool::new(false),
-    };
-    std::thread::scope(|scope| {
-        for worker in 1..threads {
-            let shared = &shared;
-            scope.spawn(move || loop {
-                shared.start.wait();
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // SAFETY: between the start and done barriers the job
-                // pointer published by `Team::run` is valid.
-                let job = unsafe { &*shared.job.load(Ordering::Acquire) };
-                run_stride(job, shared, worker, threads);
-                shared.done.wait();
-            });
-        }
-        let _guard = ShutdownGuard { shared: &shared };
-        driver(&Team {
-            workers: threads,
-            shared: Some(&shared),
-        })
-    })
-}
-
-/// Raw-pointer newtype so a chunk base pointer can cross the closure's
-/// `Sync` bound; the disjoint-chunk partition makes the aliasing sound.
-struct SendPtr<T>(*mut T);
-// SAFETY: the pointer is only dereferenced through the disjoint chunk
-// ranges `map_chunks` hands each worker, so moving it across threads
-// cannot create aliasing access to any `T: Send` element.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as above — shared references to the wrapper only yield the raw
-// pointer, and every dereference stays within one chunk's disjoint range.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// wrapper — edition-2021 closures capture disjoint fields, and the
-    /// bare `*mut T` field would not be `Sync`.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// Result slots written by whichever thread owns the chunk; `Sync` is
-/// sound because distinct chunks write distinct slots exactly once.
-struct SyncSlots<T>(Vec<UnsafeCell<Option<T>>>);
-// SAFETY: slot `i` is written exactly once, by the unique owner of chunk
-// `i` (see `put`), and only read after the round's done barrier — no two
-// threads ever touch the same cell concurrently.
-unsafe impl<T: Send> Sync for SyncSlots<T> {}
-
-impl<T> SyncSlots<T> {
-    /// # Safety
-    ///
-    /// Each slot index must be written by at most one thread per round
-    /// (here: the unique owner of chunk `i`).
-    unsafe fn put(&self, i: usize, value: T) {
-        // SAFETY: the caller guarantees exclusive ownership of slot `i`
-        // this round, so the raw cell write cannot race.
-        unsafe { *self.0[i].get() = Some(value) };
-    }
-}
-
-impl Team<'_> {
-    /// The team's worker count (including the calling thread).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs one round: every chunk index in `0..n_chunks` is executed
-    /// exactly once, partitioned over the team by stride.
-    fn run(&self, n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-        let Some(shared) = self.shared else {
-            for ci in 0..n_chunks {
-                f(ci);
-            }
-            return;
-        };
-        // SAFETY: the erased lifetime is a formality — the pointer is only
-        // dereferenced between this round's start and done barriers, while
-        // `f` is provably alive.
-        let f_erased: *const (dyn Fn(usize) + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-        };
-        let job = Job {
-            f: f_erased,
-            n_chunks,
-        };
-        shared
-            .job
-            .store(&job as *const Job as *mut Job, Ordering::Release);
-        shared.start.wait();
-        run_stride(&job, shared, 0, self.workers);
-        shared.done.wait();
-        if shared.poisoned.swap(false, Ordering::AcqRel) {
-            panic!("worker thread panicked");
-        }
-    }
-
-    /// [`map_chunks`] over the persistent team: same chunk geometry, same
-    /// deterministic per-chunk results, but the threads already exist —
-    /// one barrier round instead of a spawn/join cycle per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len == 0` or a chunk closure panics on any worker.
-    pub fn map_chunks<T, R, F>(&self, data: &mut [T], chunk_len: usize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        let n_chunks = data.len().div_ceil(chunk_len);
-        if self.shared.is_none() || n_chunks <= 1 {
-            return data
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .map(|(ci, chunk)| f(ci * chunk_len, chunk))
-                .collect();
-        }
-        let len = data.len();
-        let base = SendPtr(data.as_mut_ptr());
-        let slots = SyncSlots((0..n_chunks).map(|_| UnsafeCell::new(None)).collect());
-        let job = |ci: usize| {
-            let offset = ci * chunk_len;
-            let end = (offset + chunk_len).min(len);
-            // SAFETY: chunk `ci` covers `[offset, end)`; distinct chunk
-            // indices give disjoint ranges and `run` executes each index
-            // exactly once, so no two threads alias the same elements.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(offset), end - offset) };
-            let r = f(offset, chunk);
-            // SAFETY: slot `ci` is written only by the owner of chunk `ci`.
-            unsafe { slots.put(ci, r) };
-        };
-        self.run(n_chunks, &job);
-        slots
-            .0
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every chunk produces a result"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,87 +144,5 @@ mod tests {
             });
             assert_eq!(data, baseline);
         }
-    }
-
-    #[test]
-    fn team_matches_map_chunks_over_many_rounds() {
-        let rounds = 25usize;
-        let baseline: Vec<Vec<u64>> = (0..rounds)
-            .map(|r| {
-                let mut data = vec![0u64; 61];
-                map_chunks(&mut data, 9, 1, |offset, chunk| {
-                    for (k, x) in chunk.iter_mut().enumerate() {
-                        *x = ((offset + k) * (r + 1)) as u64;
-                    }
-                    chunk.iter().sum::<u64>()
-                });
-                data
-            })
-            .collect();
-        for threads in [1, 2, 4, 7] {
-            team_scope(threads, |team| {
-                for (r, expect) in baseline.iter().enumerate() {
-                    let mut data = vec![0u64; 61];
-                    let sums = team.map_chunks(&mut data, 9, |offset, chunk| {
-                        for (k, x) in chunk.iter_mut().enumerate() {
-                            *x = ((offset + k) * (r + 1)) as u64;
-                        }
-                        chunk.iter().sum::<u64>()
-                    });
-                    assert_eq!(&data, expect, "round {r} diverged at {threads} threads");
-                    assert_eq!(sums.len(), 61usize.div_ceil(9));
-                    assert_eq!(
-                        sums.iter().sum::<u64>(),
-                        expect.iter().sum::<u64>(),
-                        "per-chunk sums must cover the data exactly once"
-                    );
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn team_scope_returns_driver_value() {
-        let got = team_scope(3, |team| {
-            let mut data = vec![1u8; 10];
-            let counts = team.map_chunks(&mut data, 3, |_, chunk| chunk.len());
-            counts.into_iter().sum::<usize>()
-        });
-        assert_eq!(got, 10);
-    }
-
-    #[test]
-    fn team_worker_panic_propagates() {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            team_scope(2, |team| {
-                let mut data = vec![0u8; 16];
-                team.map_chunks(&mut data, 2, |offset, _| {
-                    assert!(offset != 8, "boom");
-                });
-            });
-        }));
-        assert!(outcome.is_err(), "a panicking chunk must fail the round");
-    }
-
-    #[test]
-    fn team_survives_a_poisoned_round() {
-        // After a panic is reported, the team must still run later rounds
-        // (the poisoned flag is per-round, not sticky).
-        team_scope(2, |team| {
-            let mut data = vec![0u8; 8];
-            let first = catch_unwind(AssertUnwindSafe(|| {
-                team.map_chunks(&mut data, 2, |offset, _| assert!(offset != 4));
-            }));
-            assert!(first.is_err());
-            let mut data = vec![0u64; 8];
-            let sums = team.map_chunks(&mut data, 2, |offset, chunk| {
-                for (k, x) in chunk.iter_mut().enumerate() {
-                    *x = (offset + k) as u64;
-                }
-                chunk.len() as u64
-            });
-            assert_eq!(sums.iter().sum::<u64>(), 8);
-            assert_eq!(data, (0..8).collect::<Vec<u64>>());
-        });
     }
 }

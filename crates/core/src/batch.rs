@@ -3,22 +3,22 @@
 //! The vehicular cloud receives bursts of uploads (every EV entering the
 //! corridor asks for a plan), and each plan is independent of the others —
 //! an embarrassingly parallel workload. [`DpOptimizer::optimize_batch`]
-//! fans the requests out over scoped worker threads, one
-//! [`SolverArena`] per worker so consecutive plans on the same worker
-//! recycle layer buffers *and* the transition-cost memo (plans after the
-//! first on a worker typically build zero cost tables — see
-//! [`crate::memo`]), and returns results **in request order**.
+//! fans the requests out over scoped worker threads, one per core (capped
+//! by the request count), and [`DpOptimizer::optimize_batch_with`] runs one
+//! worker per caller-owned [`SolverArena`]. Each worker keeps its arena
+//! across its share of the batch, so consecutive plans on a worker recycle
+//! layer buffers *and* the transition-cost memo (plans after the first on
+//! a worker typically build zero cost tables — see [`crate::memo`]).
+//! Results come back **in request order**.
 //!
-//! Per-plan layer parallelism is disabled inside a batch (each plan runs
-//! the sequential relaxation) so a batch of N on C cores uses exactly
-//! `min(N, C)` threads instead of oversubscribing with N×C workers. The
-//! solved profiles are bit-identical either way — see the determinism
-//! notes in [`crate::dp`] — so a batch of N equals N sequential
-//! [`optimize_from`](DpOptimizer::optimize_from) calls profile-for-profile.
+//! Each plan is one sequential DP solve, so a batch of N on C cores uses
+//! `min(N, C)` threads. A plan's bits depend only on its request, never on
+//! the worker or arena that solved it (see [`crate::dp`]), so a batch of N
+//! equals N sequential [`optimize_from`](DpOptimizer::optimize_from) calls
+//! profile-for-profile.
 
 use crate::dp::{DpOptimizer, OptimizedProfile, SignalConstraint, SolverArena, StartState};
-use crate::par;
-use velopt_common::Result;
+use velopt_common::{par, Result};
 use velopt_road::Road;
 
 /// One trip in a batch: the corridor, its per-signal arrival windows, and
@@ -45,12 +45,13 @@ impl<'a> PlanRequest<'a> {
 }
 
 impl DpOptimizer {
-    /// Plans every request concurrently; results come back in request
-    /// order. Individual infeasible trips surface as `Err` entries without
-    /// failing the rest of the batch.
+    /// Plans every request concurrently, one worker per core (capped by
+    /// the request count); results come back in request order. Individual
+    /// infeasible trips surface as `Err` entries without failing the rest
+    /// of the batch.
     pub fn optimize_batch(&self, requests: &[PlanRequest<'_>]) -> Vec<Result<OptimizedProfile>> {
-        let threads = par::effective_threads(self.config().threads).min(requests.len().max(1));
-        let mut arenas: Vec<SolverArena> = (0..threads).map(|_| SolverArena::new()).collect();
+        let workers = par::effective_threads(0).min(requests.len().max(1));
+        let mut arenas: Vec<SolverArena> = (0..workers).map(|_| SolverArena::new()).collect();
         self.optimize_batch_with(requests, &mut arenas)
     }
 
@@ -61,8 +62,7 @@ impl DpOptimizer {
     ///
     /// Up to `arenas.len()` workers run; worker `w` owns `arenas[w]` and
     /// plans requests `w, w + workers, …`, so with a fixed arena count the
-    /// request → arena assignment (and therefore every profile) is
-    /// deterministic.
+    /// request → arena assignment is deterministic.
     pub fn optimize_batch_with(
         &self,
         requests: &[PlanRequest<'_>],
@@ -71,11 +71,8 @@ impl DpOptimizer {
         let _batch_span = telemetry::span("dp.batch_seconds");
         telemetry::add("dp.batch.calls", 1);
         telemetry::add("dp.batch.trips", requests.len() as u64);
-        let threads = par::effective_threads(self.config().threads)
-            .min(requests.len().max(1))
-            .min(arenas.len().max(1));
-        let solo = self.single_threaded();
-        if threads <= 1 || requests.len() <= 1 {
+        let workers = arenas.len().min(requests.len());
+        if workers <= 1 {
             let mut fallback;
             let arena = match arenas.first_mut() {
                 Some(a) => a,
@@ -86,7 +83,7 @@ impl DpOptimizer {
             };
             return requests
                 .iter()
-                .map(|r| solo.optimize_from_with(r.road, r.signals, r.start, arena))
+                .map(|r| self.optimize_from_with(r.road, r.signals, r.start, arena))
                 .collect();
         }
 
@@ -95,8 +92,7 @@ impl DpOptimizer {
         let mut results: Vec<Option<Result<OptimizedProfile>>> =
             (0..requests.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
-            let solo = &solo;
-            let handles: Vec<_> = arenas[..threads]
+            let handles: Vec<_> = arenas[..workers]
                 .iter_mut()
                 .enumerate()
                 .map(|(w, arena)| {
@@ -105,11 +101,11 @@ impl DpOptimizer {
                             .iter()
                             .enumerate()
                             .skip(w)
-                            .step_by(threads)
+                            .step_by(workers)
                             .map(|(i, r)| {
                                 (
                                     i,
-                                    solo.optimize_from_with(r.road, r.signals, r.start, arena),
+                                    self.optimize_from_with(r.road, r.signals, r.start, arena),
                                 )
                             })
                             .collect::<Vec<_>>()
@@ -138,15 +134,16 @@ mod tests {
     use velopt_queue::TimeWindow;
     use velopt_road::RoadBuilder;
 
-    fn optimizer(threads: usize) -> DpOptimizer {
-        DpOptimizer::new(
-            EnergyModel::new(VehicleParams::spark_ev()),
-            DpConfig {
-                threads,
-                ..DpConfig::default()
-            },
-        )
-        .unwrap()
+    fn optimizer_with(config: DpConfig) -> DpOptimizer {
+        DpOptimizer::new(EnergyModel::new(VehicleParams::spark_ev()), config).unwrap()
+    }
+
+    fn optimizer() -> DpOptimizer {
+        optimizer_with(DpConfig::default())
+    }
+
+    fn arenas(n: usize) -> Vec<SolverArena> {
+        (0..n).map(|_| SolverArena::new()).collect()
     }
 
     fn simple_road(length: f64) -> velopt_road::Road {
@@ -159,9 +156,21 @@ mod tests {
             .unwrap()
     }
 
+    /// Every float of a plan as raw bits, plus its violation count.
+    fn plan_bits(p: &OptimizedProfile) -> Vec<u64> {
+        let curves = p.stations.iter().map(|x| x.value());
+        let curves = curves.chain(p.speeds.iter().map(|v| v.value()));
+        let curves = curves.chain(p.times.iter().map(|t| t.value()));
+        curves
+            .chain([p.total_energy.value(), p.trip_time.value()])
+            .map(f64::to_bits)
+            .chain([p.window_violations as u64])
+            .collect()
+    }
+
     #[test]
     fn batch_matches_sequential_calls_profile_for_profile() {
-        let roads: Vec<_> = [600.0, 800.0, 1000.0, 1200.0]
+        let roads: Vec<_> = [600.0, 800.0, 1000.0, 1200.0, 700.0]
             .iter()
             .map(|&l| simple_road(l))
             .collect();
@@ -186,11 +195,26 @@ mod tests {
             })
             .collect();
 
-        let opt = optimizer(4);
-        let batched = opt.optimize_batch(&requests);
-        for (req, got) in requests.iter().zip(&batched) {
-            let solo = opt.optimize_from(req.road, req.signals, req.start).unwrap();
-            assert_eq!(got.as_ref().unwrap(), &solo);
+        let opt = optimizer();
+        let solo: Vec<OptimizedProfile> = requests
+            .iter()
+            .map(|r| opt.optimize_from(r.road, r.signals, r.start).unwrap())
+            .collect();
+        for n in [1, 2, 4] {
+            let batched = opt.optimize_batch_with(&requests, &mut arenas(n));
+            assert_eq!(batched.len(), requests.len());
+            for (k, (got, want)) in batched.iter().zip(&solo).enumerate() {
+                let got = got.as_ref().unwrap();
+                assert_eq!(
+                    plan_bits(got),
+                    plan_bits(want),
+                    "request {k} diverged with {n} arenas"
+                );
+                // Same search, whichever worker and arena ran it.
+                assert_eq!(got.metrics.states_expanded, want.metrics.states_expanded);
+                assert_eq!(got.metrics.states_pruned, want.metrics.states_pruned);
+                assert_eq!(got.metrics.rows_skipped, want.metrics.rows_skipped);
+            }
         }
     }
 
@@ -199,21 +223,16 @@ mod tests {
         let good = simple_road(800.0);
         // Far too long for a 2-minute horizon: infeasible.
         let bad = simple_road(30_000.0);
-        let opt = DpOptimizer::new(
-            EnergyModel::new(VehicleParams::spark_ev()),
-            DpConfig {
-                horizon: Seconds::new(120.0),
-                threads: 2,
-                ..DpConfig::default()
-            },
-        )
-        .unwrap();
+        let opt = optimizer_with(DpConfig {
+            horizon: Seconds::new(120.0),
+            ..DpConfig::default()
+        });
         let requests = [
             PlanRequest::fresh(&good, &[]),
             PlanRequest::fresh(&bad, &[]),
             PlanRequest::fresh(&good, &[]),
         ];
-        let results = opt.optimize_batch(&requests);
+        let results = opt.optimize_batch_with(&requests, &mut arenas(2));
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         assert!(results[2].is_ok());
@@ -224,9 +243,6 @@ mod tests {
     #[test]
     fn batch_arena_reuse_shows_in_metrics() {
         let road = simple_road(700.0);
-        // Single worker (threads = 1): one arena across the whole batch, so
-        // every plan after the first must reuse its layers.
-        let opt = optimizer(1);
         let requests: Vec<PlanRequest<'_>> = (0..3)
             .map(|i| PlanRequest {
                 road: &road,
@@ -237,7 +253,9 @@ mod tests {
                 },
             })
             .collect();
-        let results = opt.optimize_batch(&requests);
+        // One arena across the whole batch, so every plan after the first
+        // must reuse its layers.
+        let results = optimizer().optimize_batch_with(&requests, &mut arenas(1));
         let later = results[2].as_ref().unwrap();
         assert_eq!(later.metrics.arena_allocations, 0);
         assert!(later.metrics.arena_reuse_hits > 0);
@@ -250,16 +268,16 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        assert!(optimizer(0).optimize_batch(&[]).is_empty());
-        assert!(optimizer(0).optimize_batch_with(&[], &mut []).is_empty());
+        assert!(optimizer().optimize_batch(&[]).is_empty());
+        assert!(optimizer().optimize_batch_with(&[], &mut []).is_empty());
     }
 
     #[test]
     fn batch_with_keeps_arenas_warm_across_calls() {
         let road = simple_road(700.0);
-        let opt = optimizer(1);
+        let opt = optimizer();
         let requests = [PlanRequest::fresh(&road, &[])];
-        let mut arenas = vec![SolverArena::new()];
+        let mut arenas = arenas(1);
         let first = opt.optimize_batch_with(&requests, &mut arenas);
         let second = opt.optimize_batch_with(&requests, &mut arenas);
         let p = second[0].as_ref().unwrap();
@@ -281,10 +299,9 @@ mod tests {
             .iter()
             .map(|road| PlanRequest::fresh(road, &[]))
             .collect();
-        let opt = optimizer(2);
+        let opt = optimizer();
         let plain = opt.optimize_batch(&requests);
-        let mut arenas = vec![SolverArena::new(), SolverArena::new()];
-        let with = opt.optimize_batch_with(&requests, &mut arenas);
+        let with = opt.optimize_batch_with(&requests, &mut arenas(2));
         for (a, b) in plain.iter().zip(&with) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
@@ -293,20 +310,15 @@ mod tests {
     #[test]
     fn greedy_batch_works_too() {
         let road = simple_road(900.0);
-        let opt = DpOptimizer::new(
-            EnergyModel::new(VehicleParams::spark_ev()),
-            DpConfig {
-                time_handling: TimeHandling::Greedy,
-                threads: 2,
-                ..DpConfig::default()
-            },
-        )
-        .unwrap();
+        let opt = optimizer_with(DpConfig {
+            time_handling: TimeHandling::Greedy,
+            ..DpConfig::default()
+        });
         let requests = [
             PlanRequest::fresh(&road, &[]),
             PlanRequest::fresh(&road, &[]),
         ];
-        let results = opt.optimize_batch(&requests);
+        let results = opt.optimize_batch_with(&requests, &mut arenas(2));
         let a = results[0].as_ref().unwrap();
         assert_eq!(a.speeds[0], MetersPerSecond::ZERO);
         assert_eq!(a, results[1].as_ref().unwrap());

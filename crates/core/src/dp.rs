@@ -79,26 +79,23 @@
 //! sweep, so the returned profile is bit-identical to the unpruned one
 //! (see DESIGN.md for the full argument). The rung schedule is fixed and
 //! data-independent, so the work counters remain deterministic across
-//! thread counts and memoization settings.
+//! memoization and kernel-dispatch settings.
 //!
-//! ## Parallelism and determinism
+//! ## Parallelism
 //!
-//! Layer relaxation is parallelized across contiguous blocks of
-//! target-speed rows of the speed×time-bin grid ([`DpConfig::threads`]),
-//! executed by a persistent worker team ([`crate::par::team_scope`]) that
-//! is spawned once per solve rather than once per layer. Each block is a
-//! disjoint `&mut` slice relaxed by exactly one thread, and within a row
-//! candidates are visited in the same order as the sequential loop (source
-//! speed ascending, then time bin ascending) with ties broken by the same
-//! strict `<`, so the solved profile is **bit-identical** for every thread
-//! count. All pruning decisions (masks, bounds, spans) are computed before
-//! the fan-out and are independent of the chunk geometry, so the state
-//! counters in [`SolverMetrics`] are thread-count-invariant too.
+//! One solve runs on one thread: a layer is tens of microseconds of work,
+//! too little to pay for waking workers twice per layer. Parallelism lives
+//! one level up, across independent trips. [`DpOptimizer::optimize_batch`]
+//! runs one worker per core (capped by the request count),
+//! [`DpOptimizer::optimize_batch_with`] one worker per caller-owned arena,
+//! and the cloud's compute workers, the coalescer, the router's frontier
+//! batches and the fleet driver's replan waves all plan many trips at
+//! once. Every plan is a pure function of its request, so a batch returns
+//! the same bits as solving its trips one after another.
 
 use crate::arena::{LayerPool, LeaseStats};
 use crate::memo::{ClassKey, CostTable, MemoStats, TransitionTable};
 use crate::metrics::SolverMetrics;
-use crate::par;
 use crate::simd;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -154,10 +151,6 @@ pub struct DpConfig {
     pub time_weight: f64,
     /// Time-tracking mode.
     pub time_handling: TimeHandling,
-    /// Worker threads for layer relaxation: `0` = one per available core,
-    /// `1` = sequential. The solved profile is bit-identical for every
-    /// value (see the module docs), so this is purely a throughput knob.
-    pub threads: usize,
     /// Whether to reuse transition-cost tables from the arena cache
     /// (default `true`). With `false` every solve rebuilds its tables from
     /// the energy model — same results bit-for-bit, no sharing; kept as an
@@ -192,7 +185,6 @@ impl Default for DpConfig {
             stop_dwell: Seconds::new(5.5),
             time_weight: 0.003,
             time_handling: TimeHandling::Exact,
-            threads: 0,
             memo: true,
             simd: default_simd(),
         }
@@ -300,8 +292,8 @@ pub struct OptimizedProfile {
 }
 
 /// Equality is over the *plan*, not the solve: two profiles describing the
-/// same trajectory compare equal even if one came from the cache (or a
-/// different thread count) and has different timings in `metrics`.
+/// same trajectory compare equal even if one came from the cache and has
+/// different timings in `metrics`.
 impl PartialEq for OptimizedProfile {
     fn eq(&self, other: &Self) -> bool {
         self.stations == other.stations
@@ -687,10 +679,10 @@ impl Prepared<'_> {
     }
 }
 
-/// Per-layer read-only inputs shared by every relax tile of one chunk:
+/// Per-layer read-only inputs shared by every relax tile of one layer:
 /// the layer's clock/penalty parameters, its live mask, and (Exact mode
 /// only) the slot-uniform lower-bound tables plus the current aspiration
-/// rung. Slices are indexed by *global* target-speed index / time bin.
+/// rung. Slices are indexed by target-speed index / time bin.
 struct RelaxEnv<'a> {
     horizon: f64,
     dt_bin: f64,
@@ -704,22 +696,31 @@ struct RelaxEnv<'a> {
     wait: &'a [f64],
 }
 
-/// Per-chunk relax counters, merged into [`SolverMetrics`] by the caller.
-/// The state counters are chunk-geometry-invariant (candidates are counted
+/// Relax counters of one sweep, merged into [`SolverMetrics`] when it
+/// ends. The state counters are dispatch-invariant (candidates are counted
 /// per candidate, table-infeasible pairs once per pair); the kernel-row
-/// counters are not (tile fragmentation depends on the chunk boundaries)
-/// and stay observability-only.
+/// counters depend on the host and the dispatch override and stay
+/// observability-only.
 #[derive(Debug, Default, Clone, Copy)]
-struct ChunkCounters {
+struct RelaxCounters {
     expanded: u64,
     pruned: u64,
     simd_rows: u64,
     scalar_rows: u64,
 }
 
+impl RelaxCounters {
+    fn add_to(self, metrics: &mut SolverMetrics) {
+        metrics.states_expanded += self.expanded;
+        metrics.states_pruned += self.pruned;
+        metrics.simd_rows += self.simd_rows;
+        metrics.scalar_rows += self.scalar_rows;
+    }
+}
+
 /// Relaxes one gathered Exact-mode source group — states of a single
-/// source speed `vi`, time bins ascending — over this chunk's share
-/// `[lo, lo + charge_row.len())` of its target band, tile by tile.
+/// source speed `vi`, time bins ascending — over its target band
+/// `[lo, lo + charge_row.len())`, tile by tile.
 ///
 /// The cost/arrival tiles come from [`simd::relax_tile`] (AVX2 or the
 /// bit-identical portable kernel); the winner pass stays scalar and visits
@@ -739,12 +740,11 @@ fn relax_exact_group(
     srcs: &[simd::TileSrc],
     metas: &[(u32, u32)],
     lo: usize,
-    row0: usize,
     n_bins: usize,
     env: &RelaxEnv<'_>,
-    chunk: &mut [Option<Node>],
+    layer: &mut [Option<Node>],
     row_spans: &mut [Option<(u32, u32)>],
-    counters: &mut ChunkCounters,
+    counters: &mut RelaxCounters,
 ) {
     let n_lanes = charge_row.len();
     let mut out = simd::TileOut::new();
@@ -802,7 +802,7 @@ fn relax_exact_group(
                     }
                 }
                 counters.expanded += 1;
-                let slot = &mut chunk[(vj - row0) * n_bins + tj];
+                let slot = &mut layer[vj * n_bins + tj];
                 if slot.is_none_or(|s| cost < s.cost) {
                     *slot = Some(Node {
                         cost,
@@ -811,7 +811,7 @@ fn relax_exact_group(
                         prev_t: ti,
                         violations: violations + violation,
                     });
-                    let span = &mut row_spans[vj - row0];
+                    let span = &mut row_spans[vj];
                     *span = Some(match *span {
                         None => (tj as u32, tj as u32),
                         Some((s_lo, s_hi)) => (s_lo.min(tj as u32), s_hi.max(tj as u32)),
@@ -845,8 +845,8 @@ fn table_signature(energy: &EnergyModel, config: &DpConfig, n_speeds: usize) -> 
 /// the start state, and the clock/penalty parameters. Two refreshes with
 /// equal signatures relax identical DP graphs up to their windows, so the
 /// window diff alone decides which layers a repair must redo. (Knobs that
-/// provably cannot change the solved bits — `threads`, `memo`, `simd` —
-/// are deliberately left out.)
+/// provably cannot change the solved bits — `memo` and `simd` — are
+/// deliberately left out.)
 fn refresh_signature(energy: &EnergyModel, config: &DpConfig, prep: &Prepared<'_>) -> u64 {
     fn mix(h: &mut u64, bits: u64) {
         *h ^= bits;
@@ -1478,7 +1478,6 @@ impl DpOptimizer {
                         // Nothing moved: the retained profile *is* the
                         // answer (it was certified bit-identical to a
                         // from-scratch solve under these exact windows).
-                        metrics.threads_used = par::effective_threads(self.config.threads);
                         metrics.rows_skipped = state.rows_skipped;
                         metrics.repair_hits += 1;
                         metrics.repair_layers_skipped += (n_stations - 1) as u64;
@@ -1580,32 +1579,26 @@ impl DpOptimizer {
                 rows.fill(None);
             }
         }
-        let threads = par::effective_threads(self.config.threads);
-        metrics.threads_used = threads;
         metrics.rows_skipped = state.rows_skipped;
         let mut span_log = state.spans.clone();
         span_log.truncate(d);
-        let best = par::team_scope(threads, |team| {
-            self.relax_exact_layers(
-                ctx,
-                team,
-                layers,
-                d,
-                state.spans[d - 1].clone(),
-                &state.live,
-                &state.b_free,
-                &state.emin,
-                &state.wait_free,
-                state.limit,
-                n_bins,
-                use_simd,
-                metrics,
-                dirty_log,
-                Some(&mut span_log),
-            );
-            exact_terminal(&layers[n_stations - 1], n_bins)
-        });
-        let (ti, terminal) = best?;
+        self.relax_exact_layers(
+            ctx,
+            layers,
+            d,
+            state.spans[d - 1].clone(),
+            &state.live,
+            &state.b_free,
+            &state.emin,
+            &state.wait_free,
+            state.limit,
+            n_bins,
+            use_simd,
+            metrics,
+            dirty_log,
+            Some(&mut span_log),
+        );
+        let (ti, terminal) = exact_terminal(&layers[n_stations - 1], n_bins)?;
         if let Some(limit) = state.limit {
             // Same certification as a ladder rung: the repaired sweep is
             // provably lossless only while its value stays under the
@@ -1951,114 +1944,93 @@ impl DpOptimizer {
     /// ([`simd::relax_tile`]); for a fixed slot `vj` candidates still
     /// arrive in source-speed-ascending order exactly as in the historical
     /// sequential loop (same winners under the strict `<`).
-    fn relax_greedy(
-        &self,
-        ctx: &SolveCtx<'_>,
-        layers: &mut [Vec<Option<GNode>>],
-        team: &par::Team<'_>,
-    ) -> ChunkCounters {
+    fn relax_greedy(&self, ctx: &SolveCtx<'_>, layers: &mut [Vec<Option<GNode>>]) -> RelaxCounters {
         let n_stations = ctx.stations.len();
+        let n_speeds = ctx.n_speeds;
         let horizon = self.config.horizon.value();
         let tw = self.config.time_weight;
         let use_simd = simd::dispatch(self.config.simd);
-        let rows_per_chunk = ctx.n_speeds.div_ceil(team.workers());
         layers[0][ctx.start_vi] = Some(GNode {
             cost: 0.0,
             time: ctx.start_time,
             prev_v: ctx.start_vi as u32,
             violations: 0,
         });
-        let mut total = ChunkCounters::default();
+        let mut c = RelaxCounters::default();
+        let mut out = simd::TileOut::new();
         for i in 1..n_stations {
             let table = ctx.tables[i - 1];
             let (done, rest) = layers.split_at_mut(i);
             let prev_layer: &[Option<GNode>] = &done[i - 1];
-            let layer: &mut Vec<Option<GNode>> = &mut rest[0];
-
-            // A block of target-speed rows per chunk.
-            let counters =
-                team.map_chunks(layer.as_mut_slice(), rows_per_chunk, |offset, chunk| {
-                    let n_rows = chunk.len();
-                    let mut c = ChunkCounters::default();
-                    let mut out = simd::TileOut::new();
-                    for (vi, prev) in prev_layer.iter().enumerate() {
-                        if i > 1 && !ctx.allowed[i - 1][vi] {
+            let layer: &mut [Option<GNode>] = &mut rest[0];
+            for (vi, prev) in prev_layer.iter().enumerate() {
+                if i > 1 && !ctx.allowed[i - 1][vi] {
+                    continue;
+                }
+                let Some(node) = *prev else {
+                    continue;
+                };
+                let charge_row = table.charges(vi);
+                let dur_row = table.durations(vi);
+                let srcs = [simd::TileSrc {
+                    cost: node.cost,
+                    time: node.time,
+                }];
+                let mut j0 = 0usize;
+                while j0 < n_speeds {
+                    let n = simd::NR.min(n_speeds - j0);
+                    let went_simd = simd::relax_tile(
+                        use_simd,
+                        &charge_row[j0..j0 + n],
+                        &dur_row[j0..j0 + n],
+                        &srcs,
+                        tw,
+                        ctx.dwell[i],
+                        n,
+                        &mut out,
+                    );
+                    if went_simd {
+                        c.simd_rows += 1;
+                    } else {
+                        c.scalar_rows += 1;
+                    }
+                    for j in 0..n {
+                        let vj = j0 + j;
+                        if !ctx.allowed[i][vj] {
                             continue;
                         }
-                        let Some(node) = *prev else {
+                        if dur_row[vj].is_nan() {
+                            // Table-infeasible pair, like the old
+                            // per-pair `table.get` miss.
+                            c.pruned += 1;
                             continue;
+                        }
+                        let t1 = out.t1[0][j];
+                        if t1 > horizon {
+                            c.pruned += 1;
+                            continue;
+                        }
+                        let (penalty, violation) = match ctx.station_windows[i] {
+                            Some(sc) if !sc.admits(Seconds::new(t1)) => (self.config.penalty_m, 1),
+                            _ => (0.0, 0),
                         };
-                        let charge_row = &table.charges(vi)[offset..offset + n_rows];
-                        let dur_row = &table.durations(vi)[offset..offset + n_rows];
-                        let srcs = [simd::TileSrc {
-                            cost: node.cost,
-                            time: node.time,
-                        }];
-                        let mut j0 = 0usize;
-                        while j0 < n_rows {
-                            let n = simd::NR.min(n_rows - j0);
-                            let went_simd = simd::relax_tile(
-                                use_simd,
-                                &charge_row[j0..j0 + n],
-                                &dur_row[j0..j0 + n],
-                                &srcs,
-                                tw,
-                                ctx.dwell[i],
-                                n,
-                                &mut out,
-                            );
-                            if went_simd {
-                                c.simd_rows += 1;
-                            } else {
-                                c.scalar_rows += 1;
-                            }
-                            for j in 0..n {
-                                let vj = offset + j0 + j;
-                                if !ctx.allowed[i][vj] {
-                                    continue;
-                                }
-                                if dur_row[j0 + j].is_nan() {
-                                    // Table-infeasible pair, like the old
-                                    // per-pair `table.get` miss.
-                                    c.pruned += 1;
-                                    continue;
-                                }
-                                let t1 = out.t1[0][j];
-                                if t1 > horizon {
-                                    c.pruned += 1;
-                                    continue;
-                                }
-                                let (penalty, violation) = match ctx.station_windows[i] {
-                                    Some(sc) if !sc.admits(Seconds::new(t1)) => {
-                                        (self.config.penalty_m, 1)
-                                    }
-                                    _ => (0.0, 0),
-                                };
-                                let cand = GNode {
-                                    cost: out.cost[0][j] + penalty,
-                                    time: t1,
-                                    prev_v: vi as u32,
-                                    violations: node.violations + violation,
-                                };
-                                c.expanded += 1;
-                                let slot = &mut chunk[j0 + j];
-                                if slot.is_none_or(|s| cand.cost < s.cost) {
-                                    *slot = Some(cand);
-                                }
-                            }
-                            j0 += n;
+                        let cand = GNode {
+                            cost: out.cost[0][j] + penalty,
+                            time: t1,
+                            prev_v: vi as u32,
+                            violations: node.violations + violation,
+                        };
+                        c.expanded += 1;
+                        let slot = &mut layer[vj];
+                        if slot.is_none_or(|s| cand.cost < s.cost) {
+                            *slot = Some(cand);
                         }
                     }
-                    c
-                });
-            for c in counters {
-                total.expanded += c.expanded;
-                total.pruned += c.pruned;
-                total.simd_rows += c.simd_rows;
-                total.scalar_rows += c.scalar_rows;
+                    j0 += n;
+                }
             }
         }
-        total
+        c
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2134,139 +2106,130 @@ impl DpOptimizer {
     ) -> Result<(OptimizedProfile, Option<f64>)> {
         let n_stations = ctx.stations.len();
         let n_speeds = ctx.n_speeds;
-        let threads = par::effective_threads(self.config.threads);
-        metrics.threads_used = threads;
         let dt_bin = self.config.dt_bin.value();
         let use_simd = simd::dispatch(self.config.simd);
 
-        par::team_scope(threads, |team| -> Result<(OptimizedProfile, Option<f64>)> {
-            // Presolve: the Greedy DP's terminal cost is an achievable-path
-            // cost accumulated with bit-identical float expressions, so it
-            // upper-bounds the candidate costs along *some* complete path.
-            let (glayers, glease) = greedy_pool.take_layers(n_stations, n_speeds, None);
-            metrics.arena_reuse_hits += glease.reuse_hits;
-            metrics.arena_allocations += glease.allocations;
-            let g = self.relax_greedy(ctx, glayers, team);
-            metrics.states_expanded += g.expanded;
-            metrics.states_pruned += g.pruned;
-            metrics.simd_rows += g.simd_rows;
-            metrics.scalar_rows += g.scalar_rows;
-            // Tiny relative margin so accumulated rounding in the bound
-            // arithmetic can never prune the true winner's path.
-            let greedy_ub =
-                glayers[n_stations - 1][0].map(|node| node.cost + 1e-9 * node.cost.abs().max(1.0));
+        // Presolve: the Greedy DP's terminal cost is an achievable-path
+        // cost accumulated with bit-identical float expressions, so it
+        // upper-bounds the candidate costs along *some* complete path.
+        let (glayers, glease) = greedy_pool.take_layers(n_stations, n_speeds, None);
+        metrics.arena_reuse_hits += glease.reuse_hits;
+        metrics.arena_allocations += glease.allocations;
+        self.relax_greedy(ctx, glayers).add_to(metrics);
+        // Tiny relative margin so accumulated rounding in the bound
+        // arithmetic can never prune the true winner's path.
+        let greedy_ub =
+            glayers[n_stations - 1][0].map(|node| node.cost + 1e-9 * node.cost.abs().max(1.0));
 
-            // Aspiration ladder: each rung is a candidate pruning limit,
-            // tightest first. The verification below certifies a passing
-            // rung bit-identical to the unbounded sweep *without* needing
-            // the limit to be achievable, so the first rungs can undercut
-            // the greedy path cost — crucial when the greedy presolve pays
-            // a window penalty and its bound degenerates to ~`penalty_m`.
-            // A failing rung costs one (heavily pruned, therefore cheap)
-            // sweep; the ladder always ends in the unbounded `None`.
-            let b0 = ctg[0][ctx.start_vi];
-            let tw = self.config.time_weight;
-            let mut ladder: Vec<Option<f64>> = Vec::new();
-            if b0.is_finite() && tw > 0.0 {
-                for &slack_seconds in slacks {
-                    let trial = b0 + tw * slack_seconds;
-                    ladder.push(Some(match greedy_ub {
-                        Some(g) => trial.min(g),
-                        None => trial,
-                    }));
+        // Aspiration ladder: each rung is a candidate pruning limit,
+        // tightest first. The verification below certifies a passing
+        // rung bit-identical to the unbounded sweep *without* needing
+        // the limit to be achievable, so the first rungs can undercut
+        // the greedy path cost — crucial when the greedy presolve pays
+        // a window penalty and its bound degenerates to ~`penalty_m`.
+        // A failing rung costs one (heavily pruned, therefore cheap)
+        // sweep; the ladder always ends in the unbounded `None`.
+        let b0 = ctg[0][ctx.start_vi];
+        let tw = self.config.time_weight;
+        let mut ladder: Vec<Option<f64>> = Vec::new();
+        if b0.is_finite() && tw > 0.0 {
+            for &slack_seconds in slacks {
+                let trial = b0 + tw * slack_seconds;
+                ladder.push(Some(match greedy_ub {
+                    Some(g) => trial.min(g),
+                    None => trial,
+                }));
+            }
+        }
+        ladder.push(greedy_ub);
+        ladder.push(None);
+        ladder.dedup();
+
+        // Bounded sweeps, verified; fall back down the ladder (ending
+        // unbounded) if time-bin merging pushed the DP value past the
+        // rung (rare — see the module docs).
+        for use_bound in ladder {
+            let (layers, lease) = reset_exact_layers(
+                exact_pool,
+                exact_dirty,
+                use_simd,
+                n_stations,
+                n_speeds,
+                n_bins,
+            );
+            metrics.arena_reuse_hits += lease.reuse_hits;
+            metrics.arena_allocations += lease.allocations;
+            let dirty_log = exact_dirty
+                .as_mut()
+                .expect("reset_exact_layers installs a log");
+
+            let start_ti = ((ctx.start_time / dt_bin).round() as usize).min(n_bins - 1);
+            layers[0][ctx.start_vi * n_bins + start_ti] = Some(Node {
+                cost: 0.0,
+                time: ctx.start_time,
+                prev_v: ctx.start_vi as u32,
+                prev_t: start_ti as u32,
+                violations: 0,
+            });
+            dirty_log.merge(0, ctx.start_vi, start_ti as u32, start_ti as u32);
+            // Occupied time-bin span per source row, maintained layer to
+            // layer so the relax scans only bins that can hold a state.
+            let mut spans0: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
+            spans0[ctx.start_vi] = Some((start_ti as u32, start_ti as u32));
+            if let Some(log) = span_log.as_deref_mut() {
+                log.clear();
+                log.push(spans0.clone());
+            }
+            self.relax_exact_layers(
+                ctx,
+                layers,
+                1,
+                spans0,
+                live,
+                ctg,
+                emin,
+                wait,
+                use_bound,
+                n_bins,
+                use_simd,
+                metrics,
+                dirty_log,
+                span_log.as_deref_mut(),
+            );
+
+            // Pick the cheapest terminal state at v = 0.
+            let best = exact_terminal(&layers[n_stations - 1], n_bins);
+            if let Some(limit) = use_bound {
+                // A rung is only certified when the bounded sweep's
+                // value stays under it; otherwise the rung undercut
+                // the optimum (or bin merging pushed the DP value past
+                // the greedy path cost) and pruning is not provably
+                // lossless — retry with the next, looser rung. The
+                // ladder ends in `None`, which always verifies.
+                if !matches!(best, Some((_, node)) if node.cost <= limit) {
+                    continue;
                 }
             }
-            ladder.push(greedy_ub);
-            ladder.push(None);
-            ladder.dedup();
+            let (ti, terminal) =
+                best.ok_or_else(|| Error::infeasible("no kinematically feasible profile"))?;
+            metrics.relax_seconds = relax_started.elapsed().as_secs_f64();
 
-            // Bounded sweeps, verified; fall back down the ladder (ending
-            // unbounded) if time-bin merging pushed the DP value past the
-            // rung (rare — see the module docs).
-            for use_bound in ladder {
-                let (layers, lease) = reset_exact_layers(
-                    exact_pool,
-                    exact_dirty,
-                    use_simd,
-                    n_stations,
-                    n_speeds,
-                    n_bins,
-                );
-                metrics.arena_reuse_hits += lease.reuse_hits;
-                metrics.arena_allocations += lease.allocations;
-                let dirty_log = exact_dirty
-                    .as_mut()
-                    .expect("reset_exact_layers installs a log");
+            let backtrack_started = Instant::now();
+            backtrack_exact(ctx, layers, n_bins, ti, terminal, speeds_idx, times)?;
+            metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
 
-                let start_ti = ((ctx.start_time / dt_bin).round() as usize).min(n_bins - 1);
-                layers[0][ctx.start_vi * n_bins + start_ti] = Some(Node {
-                    cost: 0.0,
-                    time: ctx.start_time,
-                    prev_v: ctx.start_vi as u32,
-                    prev_t: start_ti as u32,
-                    violations: 0,
-                });
-                dirty_log.merge(0, ctx.start_vi, start_ti as u32, start_ti as u32);
-                // Occupied time-bin span per source row, maintained layer to
-                // layer so the relax scans only bins that can hold a state.
-                let mut spans0: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
-                spans0[ctx.start_vi] = Some((start_ti as u32, start_ti as u32));
-                if let Some(log) = span_log.as_deref_mut() {
-                    log.clear();
-                    log.push(spans0.clone());
-                }
-                self.relax_exact_layers(
-                    ctx,
-                    team,
-                    layers,
-                    1,
-                    spans0,
-                    live,
-                    ctg,
-                    emin,
-                    wait,
-                    use_bound,
-                    n_bins,
-                    use_simd,
-                    metrics,
-                    dirty_log,
-                    span_log.as_deref_mut(),
-                );
-
-                // Pick the cheapest terminal state at v = 0.
-                let best = exact_terminal(&layers[n_stations - 1], n_bins);
-                if let Some(limit) = use_bound {
-                    // A rung is only certified when the bounded sweep's
-                    // value stays under it; otherwise the rung undercut
-                    // the optimum (or bin merging pushed the DP value past
-                    // the greedy path cost) and pruning is not provably
-                    // lossless — retry with the next, looser rung. The
-                    // ladder ends in `None`, which always verifies.
-                    if !matches!(best, Some((_, node)) if node.cost <= limit) {
-                        continue;
-                    }
-                }
-                let (ti, terminal) =
-                    best.ok_or_else(|| Error::infeasible("no kinematically feasible profile"))?;
-                metrics.relax_seconds = relax_started.elapsed().as_secs_f64();
-
-                let backtrack_started = Instant::now();
-                backtrack_exact(ctx, layers, n_bins, ti, terminal, speeds_idx, times)?;
-                metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
-
-                let profile = self.assemble(
-                    ctx,
-                    speeds_idx,
-                    times,
-                    terminal.violations as usize,
-                    *metrics,
-                )?;
-                return Ok((profile, use_bound));
-            }
-            // The final rung is `None`, whose sweep is unbounded and always
-            // either returns a profile or fails with `infeasible` above.
-            unreachable!("the unbounded ladder rung always returns")
-        })
+            let profile = self.assemble(
+                ctx,
+                speeds_idx,
+                times,
+                terminal.violations as usize,
+                *metrics,
+            )?;
+            return Ok((profile, use_bound));
+        }
+        // The final rung is `None`, whose sweep is unbounded and always
+        // either returns a profile or fails with `infeasible` above.
+        unreachable!("the unbounded ladder rung always returns")
     }
 
     /// Relaxes Exact-mode layers `first..n_stations` in place, given the
@@ -2278,7 +2241,6 @@ impl DpOptimizer {
     fn relax_exact_layers(
         &self,
         ctx: &SolveCtx<'_>,
-        team: &par::Team<'_>,
         layers: &mut [Vec<Option<Node>>],
         first: usize,
         spans_first: Vec<Option<(u32, u32)>>,
@@ -2295,154 +2257,112 @@ impl DpOptimizer {
     ) {
         let n_stations = ctx.stations.len();
         let n_speeds = ctx.n_speeds;
-        let horizon = self.config.horizon.value();
-        let dt_bin = self.config.dt_bin.value();
         let tw = self.config.time_weight;
-        let rows_per_chunk = n_speeds.div_ceil(team.workers());
-        let chunk_len = rows_per_chunk * n_bins;
+        let mut c = RelaxCounters::default();
         let mut spans_prev = spans_first;
         for i in first..n_stations {
             let table = ctx.tables[i - 1];
             let ds = ctx.layer_ds[i - 1];
             let (done, rest) = layers.split_at_mut(i);
             let prev_layer: &[Option<Node>] = &done[i - 1];
-            let layer: &mut Vec<Option<Node>> = &mut rest[0];
+            let layer: &mut [Option<Node>] = &mut rest[0];
+            let env = RelaxEnv {
+                horizon: self.config.horizon.value(),
+                dt_bin: self.config.dt_bin.value(),
+                dwell: ctx.dwell[i],
+                penalty_m: self.config.penalty_m,
+                limit,
+                window: ctx.station_windows[i],
+                live: &live[i],
+                ctg: &ctg[i],
+                emin: &emin[i],
+                wait: &wait[i],
+            };
+            let mut spans_next: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
 
-            // Per-source-speed data shared read-only by every
-            // worker: the feasible target band from the
-            // acceleration bounds (the same float expressions in
-            // memoized and direct solves, via the snapped length)
-            // and the source row's occupied bin span.
-            let bands: Vec<Option<(usize, usize, usize, usize)>> = (0..n_speeds)
-                .map(|vi| {
-                    spans_prev[vi].map(|(ti_lo, ti_hi)| {
-                        let v0 = self.config.dv.value() * vi as f64;
-                        let lo_sq = v0 * v0 + 2.0 * self.config.a_min.value() * ds;
-                        let hi_sq = v0 * v0 + 2.0 * self.config.a_max.value() * ds;
-                        let vj_lo =
-                            (lo_sq.max(0.0).sqrt() / self.config.dv.value()).floor() as usize;
-                        let vj_hi = ((hi_sq.max(0.0).sqrt() / self.config.dv.value()).ceil()
-                            as usize)
-                            .min(n_speeds - 1);
-                        (vj_lo, vj_hi, ti_lo as usize, ti_hi as usize)
-                    })
-                })
-                .collect();
-
-            // Relax a contiguous block of target-speed rows per
-            // chunk, source-speed-outer over SoA cost rows: each
-            // group of up to MR source states (one vi, ti
-            // ascending) is relaxed over NR-lane target tiles. For
-            // a fixed slot (vj, tj) candidates still arrive in
-            // (vi asc, ti asc) order exactly as in the sequential
-            // loop, so the strict `<` keeps the same winner
-            // regardless of the thread count, chunk geometry, or
-            // kernel dispatch.
-            let counters = team.map_chunks(layer.as_mut_slice(), chunk_len, |offset, chunk| {
-                let row0 = offset / n_bins;
-                let n_rows = chunk.len() / n_bins;
-                let mut c = ChunkCounters::default();
-                let mut row_spans: Vec<Option<(u32, u32)>> = vec![None; n_rows];
-                let env = RelaxEnv {
-                    horizon,
-                    dt_bin,
-                    dwell: ctx.dwell[i],
-                    penalty_m: self.config.penalty_m,
-                    limit,
-                    window: ctx.station_windows[i],
-                    live: &live[i],
-                    ctg: &ctg[i],
-                    emin: &emin[i],
-                    wait: &wait[i],
+            // Source-speed-outer over SoA cost rows: each group of up to
+            // MR source states (one vi, ti ascending) is relaxed over
+            // NR-lane target tiles. For a fixed slot (vj, tj) candidates
+            // arrive in (vi asc, ti asc) order, so the strict `<` keeps the
+            // same winner under either kernel dispatch.
+            let mut srcs = [simd::TileSrc::default(); simd::MR];
+            let mut metas = [(0u32, 0u32); simd::MR];
+            for (vi, span) in spans_prev.iter().enumerate() {
+                let Some((ti_lo, ti_hi)) = *span else {
+                    continue;
                 };
-                let mut srcs = [simd::TileSrc::default(); simd::MR];
-                let mut metas = [(0u32, 0u32); simd::MR];
-                for vi in 0..n_speeds {
-                    let Some((vj_lo, vj_hi, ti_lo, ti_hi)) = bands[vi] else {
+                // The feasible target band from the acceleration bounds
+                // (the same float expressions in memoized and direct
+                // solves, via the snapped length).
+                let v0 = self.config.dv.value() * vi as f64;
+                let lo_sq = v0 * v0 + 2.0 * self.config.a_min.value() * ds;
+                let hi_sq = v0 * v0 + 2.0 * self.config.a_max.value() * ds;
+                let lo = (lo_sq.max(0.0).sqrt() / self.config.dv.value()).floor() as usize;
+                let hi = ((hi_sq.max(0.0).sqrt() / self.config.dv.value()).ceil() as usize)
+                    .min(n_speeds - 1);
+                if lo > hi {
+                    continue;
+                }
+                let charge_row = &table.charges(vi)[lo..=hi];
+                let dur_row = &table.durations(vi)[lo..=hi];
+                // Table-infeasible (vi, vj) pairs prune once per pair,
+                // exactly like the old loop's per-pair `table.get` miss.
+                for (k, d) in dur_row.iter().enumerate() {
+                    if live[i][lo + k] && d.is_nan() {
+                        c.pruned += 1;
+                    }
+                }
+                let mut m = 0usize;
+                for ti in ti_lo as usize..=ti_hi as usize {
+                    let Some(node) = prev_layer[vi * n_bins + ti] else {
                         continue;
                     };
-                    // This chunk's share of the target band.
-                    let lo = vj_lo.max(row0);
-                    let hi = vj_hi.min(row0 + n_rows - 1);
-                    if lo > hi {
-                        continue;
-                    }
-                    let charge_row = &table.charges(vi)[lo..=hi];
-                    let dur_row = &table.durations(vi)[lo..=hi];
-                    // Table-infeasible (vi, vj) pairs prune once
-                    // per pair, exactly like the old loop's
-                    // per-pair `table.get` miss.
-                    for (k, d) in dur_row.iter().enumerate() {
-                        if live[i][lo + k] && d.is_nan() {
-                            c.pruned += 1;
-                        }
-                    }
-                    let mut m = 0usize;
-                    for ti in ti_lo..=ti_hi {
-                        let Some(node) = prev_layer[vi * n_bins + ti] else {
-                            continue;
-                        };
-                        srcs[m] = simd::TileSrc {
-                            cost: node.cost,
-                            time: node.time,
-                        };
-                        metas[m] = (ti as u32, node.violations);
-                        m += 1;
-                        if m == simd::MR {
-                            relax_exact_group(
-                                use_simd,
-                                tw,
-                                vi as u32,
-                                charge_row,
-                                dur_row,
-                                &srcs,
-                                &metas,
-                                lo,
-                                row0,
-                                n_bins,
-                                &env,
-                                chunk,
-                                &mut row_spans,
-                                &mut c,
-                            );
-                            m = 0;
-                        }
-                    }
-                    if m > 0 {
+                    srcs[m] = simd::TileSrc {
+                        cost: node.cost,
+                        time: node.time,
+                    };
+                    metas[m] = (ti as u32, node.violations);
+                    m += 1;
+                    if m == simd::MR {
                         relax_exact_group(
                             use_simd,
                             tw,
                             vi as u32,
                             charge_row,
                             dur_row,
-                            &srcs[..m],
-                            &metas[..m],
+                            &srcs,
+                            &metas,
                             lo,
-                            row0,
                             n_bins,
                             &env,
-                            chunk,
-                            &mut row_spans,
+                            layer,
+                            &mut spans_next,
                             &mut c,
                         );
+                        m = 0;
                     }
                 }
-                let spans: Vec<(u32, u32, u32)> = row_spans
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, s)| s.map(|(s_lo, s_hi)| ((row0 + r) as u32, s_lo, s_hi)))
-                    .collect();
-                (c, spans)
-            });
-            let mut spans_next: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
-            for (c, spans) in counters {
-                metrics.states_expanded += c.expanded;
-                metrics.states_pruned += c.pruned;
-                metrics.simd_rows += c.simd_rows;
-                metrics.scalar_rows += c.scalar_rows;
-                for (vj, lo, hi) in spans {
-                    spans_next[vj as usize] = Some((lo, hi));
-                    dirty.merge(i, vj as usize, lo, hi);
+                if m > 0 {
+                    relax_exact_group(
+                        use_simd,
+                        tw,
+                        vi as u32,
+                        charge_row,
+                        dur_row,
+                        &srcs[..m],
+                        &metas[..m],
+                        lo,
+                        n_bins,
+                        &env,
+                        layer,
+                        &mut spans_next,
+                        &mut c,
+                    );
+                }
+            }
+            for (vj, span) in spans_next.iter().enumerate() {
+                if let Some((s_lo, s_hi)) = *span {
+                    dirty.merge(i, vj, s_lo, s_hi);
                 }
             }
             spans_prev = spans_next;
@@ -2450,6 +2370,7 @@ impl DpOptimizer {
                 log.push(spans_prev.clone());
             }
         }
+        c.add_to(metrics);
     }
 
     fn solve_greedy(
@@ -2462,18 +2383,12 @@ impl DpOptimizer {
     ) -> Result<OptimizedProfile> {
         let relax_started = Instant::now();
         let n_stations = ctx.stations.len();
-        let threads = par::effective_threads(self.config.threads);
-        metrics.threads_used = threads;
 
         let (layers, lease) = greedy_pool.take_layers(n_stations, ctx.n_speeds, None);
         metrics.arena_reuse_hits += lease.reuse_hits;
         metrics.arena_allocations += lease.allocations;
 
-        let g = par::team_scope(threads, |team| self.relax_greedy(ctx, layers, team));
-        metrics.states_expanded += g.expanded;
-        metrics.states_pruned += g.pruned;
-        metrics.simd_rows += g.simd_rows;
-        metrics.scalar_rows += g.scalar_rows;
+        self.relax_greedy(ctx, layers).add_to(metrics);
         metrics.relax_seconds = relax_started.elapsed().as_secs_f64();
 
         let backtrack_started = Instant::now();
@@ -2504,15 +2419,6 @@ impl DpOptimizer {
             terminal.violations as usize,
             *metrics,
         )
-    }
-
-    /// A clone forced to sequential relaxation. Batch planning parallelizes
-    /// across plans and must not oversubscribe the cores with per-plan
-    /// workers on top.
-    pub(crate) fn single_threaded(&self) -> Self {
-        let mut solo = self.clone();
-        solo.config.threads = 1;
-        solo
     }
 
     fn assemble(
@@ -2845,76 +2751,11 @@ mod tests {
             && a.window_violations == b.window_violations
     }
 
-    #[test]
-    fn parallel_exact_is_bit_identical_to_sequential() {
-        let road = simple_road(1200.0);
-        let t_free = optimizer().optimize(&road, &[]).unwrap();
-        let constraint = SignalConstraint {
-            position: Meters::new(600.0),
-            windows: vec![TimeWindow {
-                start: t_free.arrival_time_at(Meters::new(600.0)) + Seconds::new(12.0),
-                end: t_free.arrival_time_at(Meters::new(600.0)) + Seconds::new(20.0),
-            }],
-        };
-        let sequential = optimizer_with(DpConfig {
-            threads: 1,
-            ..DpConfig::default()
-        })
-        .optimize(&road, std::slice::from_ref(&constraint))
-        .unwrap();
-        for threads in [2, 3, 7] {
-            let parallel = optimizer_with(DpConfig {
-                threads,
-                ..DpConfig::default()
-            })
-            .optimize(&road, std::slice::from_ref(&constraint))
-            .unwrap();
-            assert!(
-                bitwise_equal(&sequential, &parallel),
-                "profile diverged at {threads} threads"
-            );
-            assert_eq!(parallel.metrics.threads_used, threads);
-            // Same search space, same pruning decisions.
-            assert_eq!(
-                parallel.metrics.states_expanded,
-                sequential.metrics.states_expanded
-            );
-            assert_eq!(
-                parallel.metrics.states_pruned,
-                sequential.metrics.states_pruned
-            );
-            assert_eq!(
-                parallel.metrics.rows_skipped,
-                sequential.metrics.rows_skipped
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_greedy_is_bit_identical_to_sequential() {
-        let road = simple_road(1000.0);
-        let mk = |threads| {
-            optimizer_with(DpConfig {
-                time_handling: TimeHandling::Greedy,
-                threads,
-                ..DpConfig::default()
-            })
-        };
-        let sequential = mk(1).optimize(&road, &[]).unwrap();
-        for threads in [2, 5] {
-            let parallel = mk(threads).optimize(&road, &[]).unwrap();
-            assert!(
-                bitwise_equal(&sequential, &parallel),
-                "greedy profile diverged at {threads} threads"
-            );
-        }
-    }
-
     /// The SIMD exactness claim: the AVX2 relax tiles must not move a
     /// single bit of the solution relative to the portable kernel — in
-    /// both time handlings, across thread counts, on a road with a stop
-    /// sign and an arrival window — and the search-space counters must
-    /// not depend on the dispatch either.
+    /// both time handlings, on a road with a stop sign and an arrival
+    /// window — and the search-space counters must not depend on the
+    /// dispatch either.
     #[test]
     fn simd_and_scalar_solves_are_bit_identical() {
         let road = RoadBuilder::new(Meters::new(1400.0))
@@ -2935,37 +2776,34 @@ mod tests {
             }],
         };
         for time_handling in [TimeHandling::Exact, TimeHandling::Greedy] {
-            for threads in [1, 2] {
-                let mk = |simd| {
-                    optimizer_with(DpConfig {
-                        time_handling,
-                        threads,
-                        simd,
-                        ..DpConfig::default()
-                    })
-                    .optimize(&road, std::slice::from_ref(&constraint))
-                    .unwrap()
-                };
-                let vectorized = mk(true);
-                let scalar = mk(false);
-                assert!(
-                    bitwise_equal(&vectorized, &scalar),
-                    "profile diverged between kernels ({time_handling:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    vectorized.metrics.states_expanded,
-                    scalar.metrics.states_expanded
-                );
-                assert_eq!(
-                    vectorized.metrics.states_pruned,
-                    scalar.metrics.states_pruned
-                );
-                // With the knob off every relax row goes through the
-                // portable kernel; either way rows were counted.
-                assert_eq!(scalar.metrics.simd_rows, 0);
-                assert!(scalar.metrics.scalar_rows > 0);
-                assert!(vectorized.metrics.simd_rows + vectorized.metrics.scalar_rows > 0);
-            }
+            let mk = |simd| {
+                optimizer_with(DpConfig {
+                    time_handling,
+                    simd,
+                    ..DpConfig::default()
+                })
+                .optimize(&road, std::slice::from_ref(&constraint))
+                .unwrap()
+            };
+            let vectorized = mk(true);
+            let scalar = mk(false);
+            assert!(
+                bitwise_equal(&vectorized, &scalar),
+                "profile diverged between kernels ({time_handling:?})"
+            );
+            assert_eq!(
+                vectorized.metrics.states_expanded,
+                scalar.metrics.states_expanded
+            );
+            assert_eq!(
+                vectorized.metrics.states_pruned,
+                scalar.metrics.states_pruned
+            );
+            // With the knob off every relax row goes through the
+            // portable kernel; either way rows were counted.
+            assert_eq!(scalar.metrics.simd_rows, 0);
+            assert!(scalar.metrics.scalar_rows > 0);
+            assert!(vectorized.metrics.simd_rows + vectorized.metrics.scalar_rows > 0);
         }
     }
 
@@ -3055,8 +2893,8 @@ mod tests {
 
     /// The tentpole exactness claim: replacing per-candidate energy-model
     /// calls with memoized, quantized cost tables must not move a single
-    /// bit of the solution — across thread counts, on a road that
-    /// exercises stop signs, windows and penalties.
+    /// bit of the solution, on a road that exercises stop signs, windows
+    /// and penalties.
     #[test]
     fn memoized_and_direct_solves_are_bit_identical() {
         let road = RoadBuilder::new(Meters::new(1500.0))
@@ -3076,39 +2914,33 @@ mod tests {
                 end: t + Seconds::new(16.0),
             }],
         };
-        for threads in [1, 2, 4] {
-            let memo = optimizer_with(DpConfig {
-                threads,
-                ..DpConfig::default()
-            })
+        let memo = optimizer()
             .optimize(&road, std::slice::from_ref(&constraint))
             .unwrap();
-            let direct = optimizer_with(DpConfig {
-                threads,
-                memo: false,
-                ..DpConfig::default()
-            })
-            .optimize(&road, std::slice::from_ref(&constraint))
-            .unwrap();
-            assert!(
-                bitwise_equal(&memo, &direct),
-                "memoized profile diverged from direct at {threads} threads"
-            );
-            // Identical search: every counter matches, not just the plan.
-            assert_eq!(memo.metrics.states_expanded, direct.metrics.states_expanded);
-            assert_eq!(memo.metrics.states_pruned, direct.metrics.states_pruned);
-            assert_eq!(memo.metrics.rows_skipped, direct.metrics.rows_skipped);
-            // The uniform corridor collapses to a couple of segment
-            // classes: the cache pays off within a single solve...
-            assert!(memo.metrics.memo_hits > 0);
-            assert!(memo.metrics.memo_misses < memo.metrics.memo_hits);
-            // ...while the direct path rebuilds per segment, never caching.
-            assert_eq!(direct.metrics.memo_hits, 0);
-            assert_eq!(
-                direct.metrics.memo_misses,
-                (road.length().value() / 20.0).round() as u64
-            );
-        }
+        let direct = optimizer_with(DpConfig {
+            memo: false,
+            ..DpConfig::default()
+        })
+        .optimize(&road, std::slice::from_ref(&constraint))
+        .unwrap();
+        assert!(
+            bitwise_equal(&memo, &direct),
+            "memoized profile diverged from direct"
+        );
+        // Identical search: every counter matches, not just the plan.
+        assert_eq!(memo.metrics.states_expanded, direct.metrics.states_expanded);
+        assert_eq!(memo.metrics.states_pruned, direct.metrics.states_pruned);
+        assert_eq!(memo.metrics.rows_skipped, direct.metrics.rows_skipped);
+        // The uniform corridor collapses to a couple of segment classes:
+        // the cache pays off within a single solve...
+        assert!(memo.metrics.memo_hits > 0);
+        assert!(memo.metrics.memo_misses < memo.metrics.memo_hits);
+        // ...while the direct path rebuilds per segment, never caching.
+        assert_eq!(direct.metrics.memo_hits, 0);
+        assert_eq!(
+            direct.metrics.memo_misses,
+            (road.length().value() / 20.0).round() as u64
+        );
     }
 
     /// The cache lives in the arena: a second solve over the same corridor
@@ -3169,7 +3001,6 @@ mod tests {
         let profile = optimizer().optimize(&road, &[]).unwrap();
         let m = profile.metrics;
         assert!(m.states_expanded > 0);
-        assert!(m.threads_used >= 1);
         assert!(m.relax_seconds >= 0.0 && m.total_seconds() >= m.relax_seconds);
         assert!(m.expansion_ratio() > 0.0 && m.expansion_ratio() <= 1.0);
         assert!(m.memo_misses > 0);

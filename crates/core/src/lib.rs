@@ -63,11 +63,6 @@ pub mod route;
 pub(crate) mod simd;
 pub mod windows;
 
-/// Deterministic chunked parallelism, re-exported from
-/// [`velopt_common::par`] (it moved there so the traffic predictor can
-/// share the same worker-team machinery without a dependency cycle).
-pub use velopt_common::par;
-
 pub use analysis::{ProfileMetrics, TripComparison};
 pub use arena::{LayerPool, LeaseStats};
 pub use batch::PlanRequest;

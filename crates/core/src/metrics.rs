@@ -51,8 +51,8 @@ pub struct SolverMetrics {
     pub rows_skipped: u64,
     /// Source rows whose cost/arrival tiles went through the AVX2 relax
     /// microkernels. Unlike the state counters this depends on the host
-    /// (AVX2 or not), the dispatch override and the chunk geometry, so it
-    /// is observability only — never part of a bit-identity contract.
+    /// (AVX2 or not) and the dispatch override, so it is observability
+    /// only — never part of a bit-identity contract.
     #[serde(default)]
     pub simd_rows: u64,
     /// Source rows relaxed through the portable scalar kernel (non-AVX2
@@ -72,8 +72,6 @@ pub struct SolverMetrics {
     /// DP layers a successful repair did not have to re-relax.
     #[serde(default)]
     pub repair_layers_skipped: u64,
-    /// Worker threads used for layer relaxation (1 = sequential).
-    pub threads_used: usize,
 }
 
 impl SolverMetrics {
@@ -116,9 +114,8 @@ impl SolverMetrics {
         telemetry::observe("dp.total_seconds", self.total_seconds());
     }
 
-    /// Accumulates another solve's metrics into this one (counters add,
-    /// times add, thread count takes the maximum). Used to aggregate a
-    /// batch.
+    /// Accumulates another solve's metrics into this one (counters and
+    /// times add). Used to aggregate a batch.
     pub fn absorb(&mut self, other: &SolverMetrics) {
         self.states_expanded += other.states_expanded;
         self.states_pruned += other.states_pruned;
@@ -136,7 +133,6 @@ impl SolverMetrics {
         self.repair_hits += other.repair_hits;
         self.repair_full_resolves += other.repair_full_resolves;
         self.repair_layers_skipped += other.repair_layers_skipped;
-        self.threads_used = self.threads_used.max(other.threads_used);
     }
 }
 
@@ -163,7 +159,6 @@ mod tests {
             repair_hits: 1,
             repair_full_resolves: 1,
             repair_layers_skipped: 50,
-            threads_used: 1,
         };
         let b = SolverMetrics {
             states_expanded: 3,
@@ -172,7 +167,6 @@ mod tests {
             simd_rows: 2,
             repair_hits: 1,
             repair_layers_skipped: 25,
-            threads_used: 4,
             ..SolverMetrics::default()
         };
         a.absorb(&b);
@@ -184,7 +178,6 @@ mod tests {
         assert_eq!(a.repair_hits, 2);
         assert_eq!(a.repair_full_resolves, 1);
         assert_eq!(a.repair_layers_skipped, 75);
-        assert_eq!(a.threads_used, 4);
         assert!((a.total_seconds() - 0.35).abs() < 1e-12);
     }
 

@@ -27,8 +27,8 @@
 //!    [`SolverArena`]s.
 //! 3. **Batched frontier evaluation.** When several uncached candidates
 //!    sit at the top of the frontier, they are solved in one
-//!    [`DpOptimizer::optimize_batch_with`] call on the existing thread
-//!    team instead of serially ([`RouteConfig::batch_frontier`]).
+//!    [`DpOptimizer::optimize_batch_with`] call, one worker per core,
+//!    instead of serially ([`RouteConfig::batch_frontier`]).
 //!
 //! ## The route model
 //!
@@ -48,8 +48,8 @@
 //! best route found, and breaks exact cost ties toward the
 //! lexicographically smallest edge-id sequence. Under the route model
 //! above it returns the *exact* optimum — bit-identical route, cost, and
-//! stitched profile versus exhaustive path enumeration, at any thread
-//! count, with every cache and the batched frontier on or off (proptested
+//! stitched profile versus exhaustive path enumeration, with every cache
+//! and the batched frontier on or off (proptested
 //! in `tests/route.rs`; see DESIGN.md §15 for the admissibility and
 //! fixed-point arguments). Graphs whose true edge costs admit a
 //! negative-cost cycle are rejected during the heuristic sweep.
@@ -58,11 +58,10 @@ use crate::batch::PlanRequest;
 use crate::dp::{
     DpOptimizer, EdgeBound, OptimizedProfile, SignalConstraint, SolverArena, StartState,
 };
-use crate::par;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use velopt_common::units::{AmpereHours, Meters, MetersPerSecond, Seconds};
-use velopt_common::{Error, Result};
+use velopt_common::{par, Error, Result};
 use velopt_queue::TimeWindow;
 use velopt_road::{EdgeId, NodeId, Road, RoadGraph};
 
@@ -424,7 +423,7 @@ impl Ord for HeapItem {
 
 /// The best-first router. Owns the DP oracle, the per-class lower-bound
 /// cache, the (class, departure-bin) plan memo, and one [`SolverArena`]
-/// per oracle worker, so everything warm — layer buffers, transition
+/// per core (one oracle worker each), so everything warm — layer buffers, transition
 /// tables, edge plans — persists across queries.
 #[derive(Debug)]
 pub struct Router {
@@ -445,11 +444,12 @@ impl Router {
     /// invalid.
     pub fn new(optimizer: DpOptimizer, config: RouteConfig) -> Result<Self> {
         let config = config.validated()?;
-        let workers = par::effective_threads(optimizer.config().threads).max(1);
         Ok(Self {
             optimizer,
             config,
-            arenas: (0..workers).map(|_| SolverArena::new()).collect(),
+            arenas: (0..par::effective_threads(0))
+                .map(|_| SolverArena::new())
+                .collect(),
             lb_cache: HashMap::new(),
             plans: HashMap::new(),
             scratch: Vec::new(),
@@ -1120,12 +1120,11 @@ mod tests {
         }
     }
 
-    fn router(threads: usize, config: RouteConfig) -> Router {
+    fn router(config: RouteConfig) -> Router {
         let optimizer = DpOptimizer::new(
             EnergyModel::new(VehicleParams::spark_ev()),
             DpConfig {
                 horizon: Seconds::new(300.0),
-                threads,
                 ..DpConfig::default()
             },
         )
@@ -1147,7 +1146,7 @@ mod tests {
     #[test]
     fn routes_across_a_grid() {
         let graph = grid(2, 3, 9);
-        let mut r = router(1, RouteConfig::default());
+        let mut r = router(RouteConfig::default());
         let query = RouteQuery {
             origin: NodeId(0),
             dest: NodeId(5),
@@ -1175,7 +1174,7 @@ mod tests {
     #[test]
     fn memo_serves_repeat_queries() {
         let graph = grid(2, 2, 4);
-        let mut r = router(1, RouteConfig::default());
+        let mut r = router(RouteConfig::default());
         let query = RouteQuery {
             origin: NodeId(0),
             dest: NodeId(3),
@@ -1198,15 +1197,12 @@ mod tests {
             dest: NodeId(8),
             depart: Seconds::ZERO,
         };
-        let mut astar = router(1, RouteConfig::default());
+        let mut astar = router(RouteConfig::default());
         let with = astar.plan(&graph, query).unwrap();
-        let mut dijkstra = router(
-            1,
-            RouteConfig {
-                heuristic: false,
-                ..RouteConfig::default()
-            },
-        );
+        let mut dijkstra = router(RouteConfig {
+            heuristic: false,
+            ..RouteConfig::default()
+        });
         let without = dijkstra.plan(&graph, query).unwrap();
         assert_eq!(with, without);
         assert!(
@@ -1223,7 +1219,7 @@ mod tests {
         // Two nodes, edge pointing the wrong way.
         let mut g = RoadGraph::new(2).unwrap();
         g.add_edge(NodeId(1), NodeId(0), Road::us25()).unwrap();
-        let mut r = router(1, RouteConfig::default());
+        let mut r = router(RouteConfig::default());
         let err = r
             .plan(
                 &g,
@@ -1240,7 +1236,7 @@ mod tests {
     #[test]
     fn query_validation() {
         let graph = grid(2, 2, 1);
-        let mut r = router(1, RouteConfig::default());
+        let mut r = router(RouteConfig::default());
         assert!(r
             .plan(
                 &graph,
@@ -1296,7 +1292,6 @@ mod tests {
             EnergyModel::new(VehicleParams::spark_ev()),
             DpConfig {
                 horizon: Seconds::new(300.0),
-                threads: 1,
                 ..DpConfig::default()
             },
         )

@@ -145,8 +145,8 @@ mod memo_equivalence {
 
         /// The tentpole's exactness contract: the memoized solver is
         /// **bit-identical** to the direct (per-solve table) solver on
-        /// random graded corridors, for 1, 2, and 4 threads, in both time
-        /// handlings — same trajectory bits, same work counters.
+        /// random graded corridors, in both time handlings — same
+        /// trajectory bits, same work counters.
         #[test]
         fn memoized_dp_is_bit_identical_to_direct(
             length in 700.0f64..1600.0,
@@ -163,10 +163,10 @@ mod memo_equivalence {
             } else {
                 TimeHandling::Exact
             };
-            let solve = |memo: bool, threads: usize, signals: &[SignalConstraint]| {
+            let solve = |memo: bool, signals: &[SignalConstraint]| {
                 let opt = DpOptimizer::new(
                     EnergyModel::new(VehicleParams::spark_ev()),
-                    DpConfig { memo, threads, time_handling, ..DpConfig::default() },
+                    DpConfig { memo, time_handling, ..DpConfig::default() },
                 )
                 .unwrap();
                 let mut arena = SolverArena::new();
@@ -175,7 +175,7 @@ mod memo_equivalence {
             };
             // A reachable window mid-corridor keeps the time machinery in
             // play without making the problem infeasible.
-            let free = solve(false, 1, &[]);
+            let free = solve(false, &[]);
             let pos = Meters::new((0.5 * length / 20.0).round() * 20.0);
             let t0 = free.arrival_time_at(pos) + Seconds::new(delay);
             let constraint = SignalConstraint {
@@ -184,45 +184,43 @@ mod memo_equivalence {
             };
             let signals = std::slice::from_ref(&constraint);
 
-            let reference = solve(false, 1, signals);
-            for threads in [1usize, 2, 4] {
-                for memo in [true, false] {
-                    let got = solve(memo, threads, signals);
-                    // Trajectory: bit-for-bit, not approximately.
-                    prop_assert_eq!(&got, &reference);
-                    for i in 0..got.speeds.len() {
-                        prop_assert_eq!(
-                            got.speeds[i].value().to_bits(),
-                            reference.speeds[i].value().to_bits()
-                        );
-                        prop_assert_eq!(
-                            got.times[i].value().to_bits(),
-                            reference.times[i].value().to_bits()
-                        );
-                    }
+            let reference = solve(false, signals);
+            for memo in [true, false] {
+                let got = solve(memo, signals);
+                // Trajectory: bit-for-bit, not approximately.
+                prop_assert_eq!(&got, &reference);
+                for i in 0..got.speeds.len() {
                     prop_assert_eq!(
-                        got.total_energy.value().to_bits(),
-                        reference.total_energy.value().to_bits()
-                    );
-                    // Work counters: thread- and memo-invariant.
-                    prop_assert_eq!(
-                        got.metrics.states_expanded,
-                        reference.metrics.states_expanded
+                        got.speeds[i].value().to_bits(),
+                        reference.speeds[i].value().to_bits()
                     );
                     prop_assert_eq!(
-                        got.metrics.states_pruned,
-                        reference.metrics.states_pruned
+                        got.times[i].value().to_bits(),
+                        reference.times[i].value().to_bits()
                     );
-                    prop_assert_eq!(
-                        got.metrics.rows_skipped,
-                        reference.metrics.rows_skipped
-                    );
-                    // The memo knob changes only where tables come from.
-                    if memo {
-                        prop_assert!(got.metrics.memo_misses > 0);
-                    } else {
-                        prop_assert_eq!(got.metrics.memo_hits, 0);
-                    }
+                }
+                prop_assert_eq!(
+                    got.total_energy.value().to_bits(),
+                    reference.total_energy.value().to_bits()
+                );
+                // Work counters: memo-invariant.
+                prop_assert_eq!(
+                    got.metrics.states_expanded,
+                    reference.metrics.states_expanded
+                );
+                prop_assert_eq!(
+                    got.metrics.states_pruned,
+                    reference.metrics.states_pruned
+                );
+                prop_assert_eq!(
+                    got.metrics.rows_skipped,
+                    reference.metrics.rows_skipped
+                );
+                // The memo knob changes only where tables come from.
+                if memo {
+                    prop_assert!(got.metrics.memo_misses > 0);
+                } else {
+                    prop_assert_eq!(got.metrics.memo_hits, 0);
                 }
             }
         }
@@ -238,9 +236,8 @@ mod simd_and_repair_equivalence {
 
         /// Tentpole #1 contract: the AVX2 relax microkernels never move a
         /// bit relative to the portable scalar kernel — random graded
-        /// corridors, a random reachable window, 1/2/4 threads, both time
-        /// handlings — and the search-space counters are
-        /// dispatch-invariant.
+        /// corridors, a random reachable window, both time handlings — and
+        /// the search-space counters are dispatch-invariant.
         #[test]
         fn simd_dp_is_bit_identical_to_scalar(
             length in 700.0f64..1500.0,
@@ -256,16 +253,16 @@ mod simd_and_repair_equivalence {
             } else {
                 TimeHandling::Exact
             };
-            let solve = |simd: bool, threads: usize, signals: &[SignalConstraint]| {
+            let solve = |simd: bool, signals: &[SignalConstraint]| {
                 DpOptimizer::new(
                     EnergyModel::new(VehicleParams::spark_ev()),
-                    DpConfig { simd, threads, time_handling, ..DpConfig::default() },
+                    DpConfig { simd, time_handling, ..DpConfig::default() },
                 )
                 .unwrap()
                 .optimize(&road, signals)
                 .unwrap()
             };
-            let free = solve(false, 1, &[]);
+            let free = solve(false, &[]);
             let pos = Meters::new((0.5 * length / 20.0).round() * 20.0);
             let t0 = free.arrival_time_at(pos) + Seconds::new(delay);
             let constraint = SignalConstraint {
@@ -274,41 +271,39 @@ mod simd_and_repair_equivalence {
             };
             let signals = std::slice::from_ref(&constraint);
 
-            let reference = solve(false, 1, signals);
-            for threads in [1usize, 2, 4] {
-                let vectorized = solve(true, threads, signals);
-                let scalar = solve(false, threads, signals);
-                for got in [&vectorized, &scalar] {
-                    prop_assert!(*got == reference, "profile differs from reference");
-                    for i in 0..got.speeds.len() {
-                        prop_assert_eq!(
-                            got.speeds[i].value().to_bits(),
-                            reference.speeds[i].value().to_bits()
-                        );
-                        prop_assert_eq!(
-                            got.times[i].value().to_bits(),
-                            reference.times[i].value().to_bits()
-                        );
-                        prop_assert_eq!(
-                            got.stations[i].value().to_bits(),
-                            reference.stations[i].value().to_bits()
-                        );
-                    }
+            let reference = solve(false, signals);
+            let vectorized = solve(true, signals);
+            let scalar = solve(false, signals);
+            for got in [&vectorized, &scalar] {
+                prop_assert!(*got == reference, "profile differs from reference");
+                for i in 0..got.speeds.len() {
                     prop_assert_eq!(
-                        got.total_energy.value().to_bits(),
-                        reference.total_energy.value().to_bits()
+                        got.speeds[i].value().to_bits(),
+                        reference.speeds[i].value().to_bits()
                     );
-                    // Work counters never depend on dispatch or threads.
                     prop_assert_eq!(
-                        got.metrics.states_expanded,
-                        reference.metrics.states_expanded
+                        got.times[i].value().to_bits(),
+                        reference.times[i].value().to_bits()
                     );
-                    prop_assert_eq!(got.metrics.states_pruned, reference.metrics.states_pruned);
-                    prop_assert_eq!(got.metrics.rows_skipped, reference.metrics.rows_skipped);
+                    prop_assert_eq!(
+                        got.stations[i].value().to_bits(),
+                        reference.stations[i].value().to_bits()
+                    );
                 }
-                // The scalar config truly ran the scalar path.
-                prop_assert_eq!(scalar.metrics.simd_rows, 0);
+                prop_assert_eq!(
+                    got.total_energy.value().to_bits(),
+                    reference.total_energy.value().to_bits()
+                );
+                // Work counters never depend on dispatch.
+                prop_assert_eq!(
+                    got.metrics.states_expanded,
+                    reference.metrics.states_expanded
+                );
+                prop_assert_eq!(got.metrics.states_pruned, reference.metrics.states_pruned);
+                prop_assert_eq!(got.metrics.rows_skipped, reference.metrics.rows_skipped);
             }
+            // The scalar config truly ran the scalar path.
+            prop_assert_eq!(scalar.metrics.simd_rows, 0);
         }
 
         /// Sparse-reset contract: one arena reused across a *sequence* of
@@ -381,7 +376,7 @@ mod simd_and_repair_equivalence {
         /// Tentpole #2 contract: a warm-started window refresh (retention
         /// solve, then an incremental repair after a random window shift,
         /// then a zero-diff re-push) returns plans **bit-identical** to
-        /// from-scratch solves at every step, for 1/2/4 threads.
+        /// from-scratch solves at every step.
         #[test]
         fn window_refresh_repair_matches_scratch(
             length in 700.0f64..1500.0,
@@ -394,69 +389,67 @@ mod simd_and_repair_equivalence {
             shift in -6.0f64..6.0,
         ) {
             let road = graded_road(length, &[0.0, g1, g2], sign_frac);
-            for threads in [1usize, 2, 4] {
-                let opt = DpOptimizer::new(
-                    EnergyModel::new(VehicleParams::spark_ev()),
-                    DpConfig { threads, ..DpConfig::default() },
-                )
+            let opt = DpOptimizer::new(
+                EnergyModel::new(VehicleParams::spark_ev()),
+                DpConfig::default(),
+            )
+            .unwrap();
+            let free = opt.optimize(&road, &[]).unwrap();
+            let pos = Meters::new((frac * length / 20.0).round() * 20.0);
+            let t0 = free.arrival_time_at(pos) + Seconds::new(delay);
+            let window_at = |s: f64| SignalConstraint {
+                position: pos,
+                windows: vec![TimeWindow {
+                    start: t0 + Seconds::new(s),
+                    end: t0 + Seconds::new(s + width),
+                }],
+            };
+            let w0 = [window_at(0.0)];
+            let w1 = [window_at(shift)];
+            let mut arena = SolverArena::new();
+
+            // First refresh has nothing retained: full retention solve.
+            let first = opt
+                .optimize_windows_refresh(&road, &w0, StartState::default(), &mut arena)
                 .unwrap();
-                let free = opt.optimize(&road, &[]).unwrap();
-                let pos = Meters::new((frac * length / 20.0).round() * 20.0);
-                let t0 = free.arrival_time_at(pos) + Seconds::new(delay);
-                let window_at = |s: f64| SignalConstraint {
-                    position: pos,
-                    windows: vec![TimeWindow {
-                        start: t0 + Seconds::new(s),
-                        end: t0 + Seconds::new(s + width),
-                    }],
-                };
-                let w0 = [window_at(0.0)];
-                let w1 = [window_at(shift)];
-                let mut arena = SolverArena::new();
+            prop_assert_eq!(first.metrics.repair_full_resolves, 1);
+            let scratch0 = opt.optimize(&road, &w0).unwrap();
+            prop_assert_eq!(&first, &scratch0);
 
-                // First refresh has nothing retained: full retention solve.
-                let first = opt
-                    .optimize_windows_refresh(&road, &w0, StartState::default(), &mut arena)
-                    .unwrap();
-                prop_assert_eq!(first.metrics.repair_full_resolves, 1);
-                let scratch0 = opt.optimize(&road, &w0).unwrap();
-                prop_assert_eq!(&first, &scratch0);
-
-                // Shifted windows: repaired (or re-solved) plan is
-                // bit-identical to solving w1 from scratch.
-                let repaired = opt
-                    .optimize_windows_refresh(&road, &w1, StartState::default(), &mut arena)
-                    .unwrap();
-                let scratch1 = opt.optimize(&road, &w1).unwrap();
-                prop_assert_eq!(&repaired, &scratch1);
-                for i in 0..repaired.speeds.len() {
-                    prop_assert_eq!(
-                        repaired.speeds[i].value().to_bits(),
-                        scratch1.speeds[i].value().to_bits()
-                    );
-                    prop_assert_eq!(
-                        repaired.times[i].value().to_bits(),
-                        scratch1.times[i].value().to_bits()
-                    );
-                }
+            // Shifted windows: repaired (or re-solved) plan is
+            // bit-identical to solving w1 from scratch.
+            let repaired = opt
+                .optimize_windows_refresh(&road, &w1, StartState::default(), &mut arena)
+                .unwrap();
+            let scratch1 = opt.optimize(&road, &w1).unwrap();
+            prop_assert_eq!(&repaired, &scratch1);
+            for i in 0..repaired.speeds.len() {
                 prop_assert_eq!(
-                    repaired.total_energy.value().to_bits(),
-                    scratch1.total_energy.value().to_bits()
+                    repaired.speeds[i].value().to_bits(),
+                    scratch1.speeds[i].value().to_bits()
                 );
-                // Exactly one of {repair hit, full re-solve} happened.
                 prop_assert_eq!(
-                    repaired.metrics.repair_hits + repaired.metrics.repair_full_resolves,
-                    1
+                    repaired.times[i].value().to_bits(),
+                    scratch1.times[i].value().to_bits()
                 );
-
-                // Re-pushing identical windows is a zero-diff cache hit.
-                let cached = opt
-                    .optimize_windows_refresh(&road, &w1, StartState::default(), &mut arena)
-                    .unwrap();
-                prop_assert_eq!(cached.metrics.repair_hits, 1);
-                prop_assert_eq!(cached.metrics.repair_full_resolves, 0);
-                prop_assert_eq!(&cached, &scratch1);
             }
+            prop_assert_eq!(
+                repaired.total_energy.value().to_bits(),
+                scratch1.total_energy.value().to_bits()
+            );
+            // Exactly one of {repair hit, full re-solve} happened.
+            prop_assert_eq!(
+                repaired.metrics.repair_hits + repaired.metrics.repair_full_resolves,
+                1
+            );
+
+            // Re-pushing identical windows is a zero-diff cache hit.
+            let cached = opt
+                .optimize_windows_refresh(&road, &w1, StartState::default(), &mut arena)
+                .unwrap();
+            prop_assert_eq!(cached.metrics.repair_hits, 1);
+            prop_assert_eq!(cached.metrics.repair_full_resolves, 0);
+            prop_assert_eq!(&cached, &scratch1);
         }
     }
 }

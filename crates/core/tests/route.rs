@@ -1,12 +1,12 @@
 //! Exactness of the energy-optimal router.
 //!
 //! The router's performance layers — admissible `emin` pruning, edge-plan
-//! memoization, batched frontier evaluation, multi-threaded oracle — are
-//! all claimed to be *work* optimizations only. These properties check the
-//! claim the strong way: on randomized small graphs the routed answer must
-//! be **bit-identical** (`f64::to_bits`, not approximate equality) to
-//! exhaustive enumeration of every simple path, under every combination of
-//! 1/2/4 oracle threads, lower bounds on/off, plan memo on/off, and
+//! memoization, batched frontier evaluation over one oracle worker per
+//! core — are all claimed to be *work* optimizations only. These
+//! properties check the claim the strong way: on randomized small graphs
+//! the routed answer must be **bit-identical** (`f64::to_bits`, not
+//! approximate equality) to exhaustive enumeration of every simple path,
+//! under every combination of lower bounds on/off, plan memo on/off, and
 //! batched frontier on/off.
 //!
 //! The generated corridors are short (60–160 m), which makes them flat
@@ -32,12 +32,11 @@ fn short_template() -> CorridorTemplate {
     }
 }
 
-fn router(threads: usize, heuristic: bool, memo: bool, batch: bool) -> Router {
+fn router(heuristic: bool, memo: bool, batch: bool) -> Router {
     let optimizer = DpOptimizer::new(
         EnergyModel::new(VehicleParams::spark_ev()),
         DpConfig {
             horizon: Seconds::new(300.0),
-            threads,
             ..DpConfig::default()
         },
     )
@@ -105,21 +104,16 @@ fn simple_paths(graph: &RoadGraph, origin: NodeId, dest: NodeId) -> Vec<Vec<Edge
     out
 }
 
-/// `(threads, heuristic, memo, batch_frontier)` — the full feature matrix
-/// single-threaded, plus the defaults and an everything-off ablation at
-/// higher thread counts.
-const CONFIGS: &[(usize, bool, bool, bool)] = &[
-    (1, true, true, true),
-    (1, false, true, true),
-    (1, true, false, true),
-    (1, true, true, false),
-    (1, false, false, true),
-    (1, false, true, false),
-    (1, true, false, false),
-    (1, false, false, false),
-    (2, true, true, true),
-    (4, true, true, true),
-    (2, false, false, false),
+/// `(heuristic, memo, batch_frontier)` — the full feature matrix.
+const CONFIGS: &[(bool, bool, bool)] = &[
+    (true, true, true),
+    (false, true, true),
+    (true, false, true),
+    (true, true, false),
+    (false, false, true),
+    (false, true, false),
+    (true, false, false),
+    (false, false, false),
 ];
 
 proptest! {
@@ -143,7 +137,7 @@ proptest! {
         // Reference: price every simple path through the same oracle and
         // route model, keep the cheapest (ties to the lexicographically
         // smallest edge sequence — the router's documented tie-break).
-        let mut pricer = router(1, true, true, true);
+        let mut pricer = router(true, true, true);
         let mut best: Option<velopt_core::route::RoutePlan> = None;
         for path in simple_paths(&graph, origin, dest) {
             let Ok(priced) = pricer.price_path(&graph, &path, depart) else {
@@ -161,12 +155,12 @@ proptest! {
         }
 
         let query = RouteQuery { origin, dest, depart };
-        for &(threads, heuristic, memo, batch) in CONFIGS {
-            let mut r = router(threads, heuristic, memo, batch);
+        for &(heuristic, memo, batch) in CONFIGS {
+            let mut r = router(heuristic, memo, batch);
             match (&best, r.plan(&graph, query)) {
                 (Some(want), Ok(got)) => {
                     prop_assert_eq!(&got.edges, &want.edges,
-                        "route mismatch under {:?}", (threads, heuristic, memo, batch));
+                        "route mismatch under {:?}", (heuristic, memo, batch));
                     prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
                     prop_assert_eq!(
                         got.total_energy.value().to_bits(),
@@ -195,7 +189,7 @@ proptest! {
                 (want, got) => prop_assert!(
                     false,
                     "feasibility disagreement under {:?}: reference {:?}, router {:?}",
-                    (threads, heuristic, memo, batch),
+                    (heuristic, memo, batch),
                     want.as_ref().map(|b| &b.edges),
                     got.map(|p| p.edges)
                 ),
@@ -214,7 +208,7 @@ proptest! {
             dest: NodeId(3),
             depart: Seconds::new(depart),
         };
-        let mut r = router(2, true, true, true);
+        let mut r = router(true, true, true);
         let first = r.plan(&graph, query);
         let second = r.plan(&graph, query);
         match (first, second) {

@@ -60,14 +60,12 @@ pub struct TrainMetrics {
     pub scratch_reuse_hits: u64,
     /// Scratch geometries that required fresh allocations.
     pub scratch_allocations: u64,
-    /// Wall time in the forward/backward chunk fan-out.
+    /// Wall time in the per-chunk forward/backward passes.
     pub compute_seconds: f64,
     /// Wall time reducing chunk gradients and applying momentum updates.
     pub update_seconds: f64,
     /// Wall time in the final full-dataset MSE evaluation.
     pub eval_seconds: f64,
-    /// Worker threads used for chunk fan-out (1 = sequential).
-    pub threads_used: usize,
 }
 
 impl TrainMetrics {
@@ -77,8 +75,8 @@ impl TrainMetrics {
     }
 
     /// Accumulates another run's metrics into this one (counters and
-    /// times add, thread count takes the maximum). Used to aggregate the
-    /// SAE's pretraining stages and fine-tune into one record.
+    /// times add). Used to aggregate the SAE's pretraining stages and
+    /// fine-tune into one record.
     pub fn absorb(&mut self, other: &TrainMetrics) {
         self.epochs += other.epochs;
         self.batches += other.batches;
@@ -89,7 +87,6 @@ impl TrainMetrics {
         self.compute_seconds += other.compute_seconds;
         self.update_seconds += other.update_seconds;
         self.eval_seconds += other.eval_seconds;
-        self.threads_used = self.threads_used.max(other.threads_used);
     }
 
     /// Publishes this run's counters and phase timings to the global
@@ -111,10 +108,9 @@ impl TrainMetrics {
     }
 }
 
-/// Private per-chunk scratch: one worker's complete state for a
-/// [`GRAD_CHUNK`]-sample slice of a mini-batch. Fully disjoint between
-/// chunks, so the fan-out needs no synchronization beyond the chunk
-/// partition itself.
+/// Private per-chunk scratch: the complete forward/backward state for a
+/// [`GRAD_CHUNK`]-sample slice of a mini-batch. Each chunk keeps its own
+/// gradient partials until the tree reduction combines them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChunkScratch {
     /// Per layer boundary: `GRAD_CHUNK × dims[l]` activations
@@ -328,7 +324,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_accumulates_and_maxes_threads() {
+    fn absorb_accumulates() {
         let mut a = TrainMetrics {
             epochs: 2,
             batches: 10,
@@ -339,7 +335,6 @@ mod tests {
             compute_seconds: 0.5,
             update_seconds: 0.25,
             eval_seconds: 0.05,
-            threads_used: 2,
         };
         let b = TrainMetrics {
             epochs: 1,
@@ -351,7 +346,6 @@ mod tests {
             compute_seconds: 0.1,
             update_seconds: 0.1,
             eval_seconds: 0.01,
-            threads_used: 4,
         };
         a.absorb(&b);
         assert_eq!(a.epochs, 3);
@@ -360,7 +354,6 @@ mod tests {
         assert_eq!(a.gemm_flops, 1500);
         assert_eq!(a.scratch_reuse_hits, 10);
         assert_eq!(a.scratch_allocations, 1);
-        assert_eq!(a.threads_used, 4);
         assert!((a.total_seconds() - 1.01).abs() < 1e-12);
     }
 

@@ -242,11 +242,11 @@ pub const MR: usize = 4;
 pub const NR: usize = 8;
 
 /// Samples per gradient chunk. This is the unit of the fixed-order tree
-/// reduction: a mini-batch is cut into `ceil(len / GRAD_CHUNK)` chunks
-/// *independent of the thread count*, each chunk accumulates its samples
-/// in ascending order, and the per-chunk sums are combined by
-/// [`tree_reduce`]. Threads only decide which worker computes which
-/// chunk, so trained weights are bit-identical for any thread count.
+/// reduction: a mini-batch is cut into `ceil(len / GRAD_CHUNK)` chunks,
+/// each chunk accumulates its samples in ascending order, and the
+/// per-chunk sums are combined by [`tree_reduce`]. The partition fixes
+/// the floating-point summation order, so changing this constant changes
+/// the trained weights.
 pub const GRAD_CHUNK: usize = 8;
 
 /// Packs `weights` (row-major `out_dim × in_dim`) into `packed`
@@ -528,10 +528,9 @@ pub fn accumulate_grads(
 
 /// Pairwise stride-doubling reduction: folds `items[i + stride]` into
 /// `items[i]` for `stride = 1, 2, 4, …`, leaving the total in
-/// `items[0]`. The combine order is a pure function of `items.len()` —
-/// never of the thread count that produced the items — which is the
-/// second half of the trainer's determinism argument (the first half is
-/// the fixed [`GRAD_CHUNK`] partition).
+/// `items[0]`. The combine order is a pure function of `items.len()`,
+/// which is the second half of the trainer's determinism argument (the
+/// first half is the fixed [`GRAD_CHUNK`] partition).
 pub fn tree_reduce<T>(items: &mut [T], add: impl Fn(&mut T, &T)) {
     let n = items.len();
     let mut stride = 1;

@@ -12,9 +12,9 @@
 //!   incident dips (the substitution is documented in `DESIGN.md`),
 //! * [`nn`] — a small, from-scratch dense neural network (sigmoid/linear
 //!   layers, mini-batch SGD with momentum) running on the cache-blocked
-//!   [`gemm`] kernels, with deterministic data-parallel training
-//!   ([`nn::SgdConfig::batch_size`] / [`nn::SgdConfig::threads`]) and
-//!   reusable scratch ([`TrainArena`], [`BatchScratch`]),
+//!   [`gemm`] kernels, with deterministic mini-batch training
+//!   ([`nn::SgdConfig::batch_size`]) and reusable scratch
+//!   ([`TrainArena`], [`BatchScratch`]),
 //! * [`Sae`] — greedy layer-wise autoencoder pretraining followed by
 //!   supervised fine-tuning, exactly the SAE recipe of \[10\], with
 //!   [`TrainMetrics`] describing the work done,

@@ -8,15 +8,13 @@
 //! The hot paths run on the flat, cache-blocked kernels of the internal
 //! `gemm` module: [`Network::forward_batch_into`] pushes a whole batch of
 //! rows through packed-transpose matmuls, and [`Network::train_with`]
-//! accumulates mini-batch gradients in a reusable [`TrainArena`], fanning
-//! chunks of [`gemm::GRAD_CHUNK`] samples out over
-//! [`SgdConfig::threads`] workers. Gradients are combined by a
-//! fixed-order tree reduction over a chunk partition that never depends
-//! on the thread count, so trained weights are **bit-identical for any
-//! `threads` setting** — the same determinism guarantee the DP solver
-//! advertises. With the default `batch_size: 1` the mini-batch path
-//! reproduces classic per-sample SGD exactly (a 1-sample gradient average
-//! is the gradient itself, bitwise).
+//! accumulates mini-batch gradients in a reusable [`TrainArena`], one
+//! chunk of [`gemm::GRAD_CHUNK`] samples at a time. Gradients are combined
+//! by a fixed-order tree reduction over that chunk partition, so the
+//! arithmetic (and the trained weights) depend only on the batch geometry.
+//! Training runs on the calling thread. With the default `batch_size: 1`
+//! the mini-batch path reproduces classic per-sample SGD exactly (a
+//! 1-sample gradient average is the gradient itself, bitwise).
 //!
 //! # Examples
 //!
@@ -50,7 +48,6 @@ use crate::arena::{ChunkScratch, InferenceScratch, TrainArena, TrainMetrics};
 use crate::gemm::{self, GRAD_CHUNK};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use velopt_common::par::{effective_threads, team_scope, Team};
 use velopt_common::rng::{shuffle, SplitMix64};
 use velopt_common::{Error, Result};
 
@@ -195,11 +192,6 @@ pub struct SgdConfig {
     /// update frequency for kernel throughput. `0` is treated as `1`.
     #[serde(default)]
     pub batch_size: usize,
-    /// Worker threads for the gradient-chunk fan-out; `0` means one per
-    /// available core. The trained weights are bit-identical for every
-    /// setting — threads only decide who computes which chunk.
-    #[serde(default)]
-    pub threads: usize,
 }
 
 impl Default for SgdConfig {
@@ -209,7 +201,6 @@ impl Default for SgdConfig {
             learning_rate: 0.05,
             momentum: 0.9,
             batch_size: 1,
-            threads: 1,
         }
     }
 }
@@ -444,11 +435,10 @@ impl Network {
     /// [`SgdConfig::batch_size`]. A mini-batch is cut into fixed
     /// [`gemm::GRAD_CHUNK`]-sample chunks; each chunk forwards its
     /// samples, back-propagates, and accumulates private gradient
-    /// partials (fanned out over [`SgdConfig::threads`] workers), and the
-    /// partials are combined by a fixed-order tree reduction before one
-    /// averaged momentum update. Because the chunk partition and the
-    /// reduction order depend only on the batch geometry, the trained
-    /// weights are bit-identical for any thread count.
+    /// partials, and the partials are combined by a fixed-order tree
+    /// reduction before one averaged momentum update. The chunk partition
+    /// and the reduction order depend only on the batch geometry, which
+    /// fixes the floating-point arithmetic of every update.
     ///
     /// # Errors
     ///
@@ -465,15 +455,11 @@ impl Network {
         validate_dataset(inputs, targets, self.in_dim(), self.out_dim())?;
         let n = inputs.len();
         let batch_size = cfg.batch_size.max(1).min(n);
-        let threads = effective_threads(cfg.threads);
         let dims = self.boundary_dims();
         let scratch_baseline = (arena.reuse_hits(), arena.allocations());
         arena.ensure(&dims, batch_size.div_ceil(GRAD_CHUNK));
 
-        let mut metrics = TrainMetrics {
-            threads_used: threads,
-            ..TrainMetrics::default()
-        };
+        let mut metrics = TrainMetrics::default();
 
         let arena_chunks = &mut arena.chunks;
         let arena_packed = &mut arena.packed;
@@ -481,30 +467,27 @@ impl Network {
         arena_order.clear();
         arena_order.extend(0..n);
 
-        team_scope(threads, |team| {
-            for _ in 0..cfg.epochs {
-                shuffle(arena_order, rng);
-                for batch_idxs in arena_order.chunks(batch_size) {
-                    let flops = run_batch(
-                        &mut self.layers,
-                        &mut self.velocity_w,
-                        &mut self.velocity_b,
-                        arena_chunks,
-                        arena_packed,
-                        inputs,
-                        targets,
-                        batch_idxs,
-                        cfg,
-                        team,
-                        &mut metrics,
-                    );
-                    metrics.gemm_flops += flops;
-                    metrics.batches += 1;
-                    metrics.samples += batch_idxs.len() as u64;
-                }
-                metrics.epochs += 1;
+        for _ in 0..cfg.epochs {
+            shuffle(arena_order, rng);
+            for batch_idxs in arena_order.chunks(batch_size) {
+                let flops = run_batch(
+                    &mut self.layers,
+                    &mut self.velocity_w,
+                    &mut self.velocity_b,
+                    arena_chunks,
+                    arena_packed,
+                    inputs,
+                    targets,
+                    batch_idxs,
+                    cfg,
+                    &mut metrics,
+                );
+                metrics.gemm_flops += flops;
+                metrics.batches += 1;
+                metrics.samples += batch_idxs.len() as u64;
             }
-        });
+            metrics.epochs += 1;
+        }
 
         let t_eval = Instant::now();
         let mse = self.mse(inputs, targets)?;
@@ -520,8 +503,8 @@ impl Network {
     }
 }
 
-/// One mini-batch: pack, chunk fan-out, tree reduction, momentum update.
-/// Returns the batch's gemm FLOP count (summed in chunk order).
+/// One mini-batch: pack, per-chunk forward/backward, tree reduction,
+/// momentum update. Returns the batch's gemm FLOP count.
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     layers: &mut [Dense],
@@ -533,7 +516,6 @@ fn run_batch(
     targets: &[&[f64]],
     batch_idxs: &[usize],
     cfg: &SgdConfig,
-    team: &Team<'_>,
     metrics: &mut TrainMetrics,
 ) -> u64 {
     let bl = batch_idxs.len();
@@ -543,12 +525,10 @@ fn run_batch(
     for (l, layer) in layers.iter().enumerate() {
         gemm::pack_transpose(&layer.weights, layer.in_dim, layer.out_dim, &mut packed[l]);
     }
-    let layers_ref: &[Dense] = layers;
-    let packed_ref: &[Vec<f64>] = packed;
-    let chunk_flops = team.map_chunks(&mut chunks[..n_chunks], 1, |ci, cs| {
-        let idxs = &batch_idxs[ci * GRAD_CHUNK..(ci * GRAD_CHUNK + GRAD_CHUNK).min(bl)];
-        chunk_forward_backward(layers_ref, packed_ref, inputs, targets, idxs, &mut cs[0])
-    });
+    let mut flops = 0;
+    for (cs, idxs) in chunks.iter_mut().zip(batch_idxs.chunks(GRAD_CHUNK)) {
+        flops += chunk_forward_backward(layers, packed, inputs, targets, idxs, cs);
+    }
     metrics.compute_seconds += t_compute.elapsed().as_secs_f64();
 
     let t_update = Instant::now();
@@ -584,9 +564,7 @@ fn run_batch(
         );
     }
     metrics.update_seconds += t_update.elapsed().as_secs_f64();
-
-    // Summed in chunk order, so the total is deterministic too.
-    chunk_flops.into_iter().sum()
+    flops
 }
 
 /// Forward + backward + gradient accumulation for one chunk's samples,
@@ -845,7 +823,6 @@ mod tests {
             learning_rate: 0.1,
             momentum: 0.9,
             batch_size: 10,
-            threads: 2,
         };
         let mut arena = TrainArena::new();
         let (after, metrics) = net
@@ -856,50 +833,9 @@ mod tests {
         assert_eq!(metrics.batches, 2000 * 4); // 40 samples / batch 10
         assert_eq!(metrics.samples, 2000 * 40);
         assert!(metrics.gemm_flops > 0);
-        assert_eq!(metrics.threads_used, 2);
         // One geometry allocation, then every batch reuses it.
         assert_eq!(metrics.scratch_allocations, 1);
         assert_eq!(metrics.scratch_reuse_hits, 0); // ensure ran once pre-warm
-    }
-
-    #[test]
-    fn batch_size_one_matches_any_batch_partition_determinism() {
-        // Same seed, same data: batch_size=1 twice must agree bitwise, and
-        // a 2-thread run of a batched config must agree with its 1-thread
-        // twin (the full property test sweeps random shapes).
-        let data = || {
-            let mut rng = SplitMix64::new(3);
-            let xs: Vec<[f64; 2]> = (0..23)
-                .map(|_| [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
-                .collect();
-            let ys: Vec<[f64; 1]> = xs.iter().map(|x| [x[0] * 0.3 - x[1]]).collect();
-            (xs, ys)
-        };
-        let run = |batch_size: usize, threads: usize| {
-            let (xs, ys) = data();
-            let inputs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
-            let targets: Vec<&[f64]> = ys.iter().map(|y| y.as_slice()).collect();
-            let mut rng = SplitMix64::new(11);
-            let mut net = Network::new(vec![
-                Dense::random(2, 4, Activation::Sigmoid, &mut rng),
-                Dense::random(4, 1, Activation::Linear, &mut rng),
-            ]);
-            let cfg = SgdConfig {
-                epochs: 30,
-                learning_rate: 0.05,
-                momentum: 0.9,
-                batch_size,
-                threads,
-            };
-            net.train(&inputs, &targets, &cfg, &mut rng).unwrap();
-            net.layers()
-                .iter()
-                .flat_map(|l| l.weights().iter().chain(l.biases()).map(|v| v.to_bits()))
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(run(1, 1), run(1, 2));
-        assert_eq!(run(10, 1), run(10, 2));
-        assert_eq!(run(10, 1), run(10, 4));
     }
 
     #[test]

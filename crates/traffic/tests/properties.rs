@@ -100,13 +100,6 @@ fn random_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn weight_bits(net: &Network) -> Vec<u64> {
-    net.layers()
-        .iter()
-        .flat_map(|l| l.weights().iter().chain(l.biases()).map(|v| v.to_bits()))
-        .collect()
-}
-
 /// A deliberately naive per-sample SGD trainer mirroring the historical
 /// scalar path: forward one sample, backprop, update immediately. The
 /// mini-batch engine at `batch_size: 1` must reproduce it bit for bit.
@@ -234,39 +227,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Trained weights are bit-identical for 1, 2, and 4 worker threads:
-    /// the gradient-chunk partition and reduction order are fixed, so
-    /// threads only decide who computes which chunk.
-    #[test]
-    fn trained_weights_are_thread_invariant(
-        seed in any::<u64>(),
-        in_dim in 1usize..6,
-        hidden in prop::collection::vec(1usize..6, 1..3),
-        n in 3usize..25,
-        batch_size in 1usize..12,
-    ) {
-        let inputs = random_rows(n, in_dim, seed ^ 0x1111);
-        let targets = random_rows(n, 1, seed ^ 0x2222);
-        let input_refs: Vec<&[f64]> = inputs.iter().map(|r| r.as_slice()).collect();
-        let target_refs: Vec<&[f64]> = targets.iter().map(|r| r.as_slice()).collect();
-        let mut bits = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let mut net = build_net(in_dim, &hidden, 1, seed);
-            let cfg = SgdConfig {
-                epochs: 3,
-                learning_rate: 0.05,
-                momentum: 0.9,
-                batch_size,
-                threads,
-            };
-            let mut rng = SplitMix64::new(seed ^ 0x3333);
-            net.train(&input_refs, &target_refs, &cfg, &mut rng).unwrap();
-            bits.push(weight_bits(&net));
-        }
-        prop_assert_eq!(&bits[0], &bits[1], "1 vs 2 threads");
-        prop_assert_eq!(&bits[0], &bits[2], "1 vs 4 threads");
-    }
-
     /// `batch_size: 1` reproduces naive per-sample SGD bit for bit —
     /// the historical scalar trainer is a special case of the batch
     /// engine, not an approximation.
@@ -286,7 +246,6 @@ proptest! {
             learning_rate: 0.05,
             momentum: 0.9,
             batch_size: 1,
-            threads: 1,
         };
 
         let mut net = build_net(in_dim, &hidden, 1, seed);

@@ -69,12 +69,11 @@ fn main() -> Result<()> {
                 let m = &p.metrics;
                 println!(
                     " {i:>2}  trip {:>5.1} s  energy {:>7.1} mAh  \
-                     (solver: {} states, {:.0} ms relax, {} thread(s))",
+                     (solver: {} states, {:.0} ms relax)",
                     p.trip_time.value(),
                     p.total_energy.to_milliamp_hours(),
                     m.states_expanded,
-                    m.relax_seconds * 1e3,
-                    m.threads_used
+                    m.relax_seconds * 1e3
                 );
             }
             Err(e) => println!(" {i:>2}  rejected: {e}"),
