@@ -18,8 +18,8 @@
 //!     scenario's steady-state buffer reuse falls below the 90% floor,
 //!     when the sharded network steps fewer vehicles per round than the
 //!     baseline (the scenario silently shrank), when the co-simulation
-//!     storm's coalesce hits, batch fill, or 2x speedup over singles
-//!     dispatch fall below their floors (coalescing disengaged), or when
+//!     storm's coalesce hits or batch fill fall below their floors
+//!     (coalescing disengaged), or when
 //!     the DP rows' SIMD/repair same-run speedups or the refresh row's
 //!     repair hits per tick fall below their floors (the vectorized
 //!     kernels or incremental repair disengaged), or when the routing

@@ -1,13 +1,36 @@
 //! The in-vehicle client side of the vehicular cloud.
+//!
+//! A trip request is a send and a receive: [`CloudClient::request`] is
+//! [`CloudClient::send`] followed by [`CloudClient::receive`]. A caller
+//! driving many vehicles — the fleet co-simulation's replan wave — encodes
+//! each distinct request once as a [`TripFrame`], sends it on every
+//! vehicle's connection, and only then reads the replies, so the whole wave
+//! is in flight together without a thread per vehicle.
 
 use crate::protocol::{
     decode_hello, decode_profile, encode_hello, read_frame, tags, write_frame, BatchPlanRequest,
     BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, RouteNetRequest,
     RouteNetResponse, TripRequest,
 };
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use velopt_common::{Error, Result};
 use velopt_core::dp::OptimizedProfile;
+
+/// A trip request encoded once as a complete `REQ_TRIP` frame, ready to be
+/// sent on any number of connections.
+#[derive(Debug, Clone)]
+pub struct TripFrame(Vec<u8>);
+
+impl TripFrame {
+    /// Encodes `trip` with its frame header.
+    pub fn new(trip: &TripRequest) -> Self {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, tags::REQ_TRIP, &trip.encode())
+            .expect("writing to a Vec cannot fail");
+        Self(frame)
+    }
+}
 
 /// A blocking cloud client ("the EV's modem").
 ///
@@ -60,7 +83,28 @@ impl CloudClient {
     /// request is rejected (bad geometry, infeasible trip), and
     /// [`Error::Io`] on transport failures.
     pub fn request(&mut self, trip: &TripRequest) -> Result<OptimizedProfile> {
-        write_frame(&mut self.stream, tags::REQ_TRIP, &trip.encode())?;
+        self.send(&TripFrame::new(trip))?;
+        self.receive()
+    }
+
+    /// Uploads a trip without waiting for its answer; collect the answer
+    /// with [`Self::receive`]. Requests sent on one connection are
+    /// answered in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] on transport failures.
+    pub fn send(&mut self, trip: &TripFrame) -> Result<()> {
+        self.stream.write_all(&trip.0)?;
+        Ok(())
+    }
+
+    /// Waits for the answer to the oldest trip [`Self::send`] uploaded.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::request`].
+    pub fn receive(&mut self) -> Result<OptimizedProfile> {
         let (tag, mut payload) = read_frame(&mut self.stream)?
             .ok_or_else(|| Error::protocol("server closed the connection"))?;
         match tag {
@@ -271,9 +315,9 @@ mod tests {
             assert_eq!(profile.window_violations, 0);
         }
         assert_eq!(server.stats().served(), 6);
-        // Concurrent identical requests may stampede past the cache (both
-        // miss before either inserts), so no lower bound holds on the first
-        // wave — but a second wave of the same trips must hit every time.
+        // Concurrent identical requests single-flight, but a follower is
+        // not a cache hit, so no lower bound on hits holds on the first
+        // wave — a second wave of the same trips must hit every time.
         let hits_before = server.stats().cache_hits();
         let mut client = CloudClient::connect(addr).unwrap();
         for i in 0..3 {
@@ -285,27 +329,78 @@ mod tests {
         server.shutdown();
     }
 
+    /// A queue-aware trip on a seeded template corridor.
+    fn corridor_trip(seed: u64, length: (f64, f64), max_grade_percent: f64) -> TripRequest {
+        let template = velopt_road::CorridorTemplate {
+            length,
+            max_grade_percent,
+            ..velopt_road::CorridorTemplate::default()
+        };
+        let road = template.generate(seed).unwrap();
+        let rates =
+            vec![velopt_common::units::VehiclesPerHour::new(900.0); road.traffic_lights().len()];
+        TripRequest {
+            road,
+            rates,
+            ..TripRequest::us25_at(40.0)
+        }
+    }
+
+    fn plan_bits(p: &OptimizedProfile) -> Vec<u64> {
+        let mut bits: Vec<u64> = p.stations.iter().map(|s| s.value().to_bits()).collect();
+        bits.extend(p.speeds.iter().map(|v| v.value().to_bits()));
+        bits.extend(p.times.iter().map(|t| t.value().to_bits()));
+        bits.extend([
+            p.total_energy.value().to_bits(),
+            p.trip_time.value().to_bits(),
+            p.window_violations as u64,
+        ]);
+        bits
+    }
+
+    /// Interleaved trips on corridors of different lengths and grades: the
+    /// one pooled arena of a single-worker server changes shape between
+    /// solves, yet every served plan equals a cold in-process
+    /// `optimize_from` down to the bit, and the batch answers match.
     #[test]
     fn batch_round_trip_matches_single_requests() {
-        let server = CloudServer::spawn(2).unwrap();
+        let server = CloudServer::spawn(1).unwrap();
         let mut client = CloudClient::connect(server.addr()).unwrap();
         let trips = [
             TripRequest::us25_at(0.0),
+            corridor_trip(5, (600.0, 900.0), 0.0),
             TripRequest::us25_at(60.0),
+            corridor_trip(6, (3000.0, 4000.0), 4.0),
             TripRequest::us25_at(120.0),
         ];
         let singles: Vec<_> = trips.iter().map(|t| client.request(t).unwrap()).collect();
+        let cold = crate::planner::corridor_optimizer().unwrap();
+        for (trip, single) in trips.iter().zip(&singles) {
+            let signals = velopt_core::windows::queue_aware_constraints(
+                &trip.road,
+                &trip.rates,
+                trip.queue,
+                cold.config().horizon,
+            )
+            .unwrap();
+            let start = velopt_core::dp::StartState {
+                time: trip.departure,
+                ..Default::default()
+            };
+            let reference = cold.optimize_from(&trip.road, &signals, start).unwrap();
+            assert_eq!(plan_bits(single), plan_bits(&reference));
+        }
         let batched = client.plan_batch(&trips).unwrap();
         assert_eq!(batched.len(), trips.len());
         for (single, result) in singles.iter().zip(&batched) {
-            assert_eq!(result.as_ref().unwrap(), single);
+            assert_eq!(plan_bits(result.as_ref().unwrap()), plan_bits(single));
         }
         // Profiles over the wire carry their solver metrics.
         assert!(batched[0].as_ref().unwrap().metrics.states_expanded > 0);
-        // The three singles warmed the cache; the whole batch hit it.
+        // The singles warmed the cache; the whole batch hit it.
         let (served, hits) = client.stats().unwrap();
-        assert_eq!(served, 6);
-        assert_eq!(hits, 3);
+        assert_eq!(served, 10);
+        assert_eq!(hits, 5);
         assert_eq!(server.stats().batches(), 1);
         server.shutdown();
     }

@@ -19,14 +19,17 @@
 //!   decoded requests run on a separate compute-worker pool and the
 //!   encoded responses flow back to the owning shard through an eventfd
 //!   wake pipe. Responses are encoded once into pooled buffers
-//!   (zero-copy framing), and a request-keyed **plan cache** (identical
-//!   trips are common: every EV entering the corridor in the same signal
-//!   cycle with the same demand gets the same plan) stores the encoded
-//!   frame too, so repeat trips skip both the solve *and* the encode.
-//!   Concurrency scales with file descriptors, not threads; tune it with
-//!   [`ServerConfig`],
+//!   (zero-copy framing), and a request-keyed, byte-bounded **plan cache**
+//!   (identical trips are common: every EV entering the corridor in the
+//!   same signal cycle with the same demand gets the same plan) stores the
+//!   encoded frame, so repeat trips skip both the solve *and* the encode.
+//!   Identical requests that race one miss share one solve
+//!   (single-flight), and every solve runs on one optimizer built at
+//!   spawn over a pool of warm solver arenas. Concurrency scales with
+//!   file descriptors, not threads; tune it with [`ServerConfig`],
 //! * [`CloudClient`] — the in-vehicle side: connect, upload the trip,
-//!   receive the profile.
+//!   receive the profile; a fleet gateway can send a [`TripFrame`] on many
+//!   connections before reading any reply.
 //!
 //! Beyond trip planning, the service forecasts traffic itself:
 //! `REQ_PREDICT_BATCH`/`RESP_PREDICT_BATCH` frames carry a
@@ -59,13 +62,15 @@
 //! # }
 //! ```
 
+mod cache;
 mod client;
 mod coalesce;
+mod planner;
 pub mod protocol;
 mod reactor;
 mod server;
 
-pub use client::CloudClient;
+pub use client::{CloudClient, TripFrame};
 pub use protocol::{
     CloudResponse, PredictBatchRequest, PredictBatchResponse, PredictQuery, RouteNetRequest,
     RouteNetResponse, TripRequest,

@@ -5,10 +5,21 @@
 //! SAE predictions run on a separate compute worker pool. Concurrency
 //! scales with file descriptors, not threads: thousands of idle connections
 //! cost nothing, and `compute_workers` bounds CPU-bound work only.
+//!
+//! The server builds its optimizer once at spawn ([`crate::planner`]):
+//! every solve runs on a pooled warm arena, and every `REQ_TRIP` goes
+//! through one single-flight in-flight table ([`crate::coalesce`]), so
+//! identical requests racing one miss share one solve. Everything the
+//! server keeps is bounded by constants: the arena pool by
+//! `compute_workers` and the lattice budget and class cap it enforces, the
+//! plan and route frame caches by bytes ([`crate::cache`]).
 
+use crate::cache::{FrameCache, PLAN_CACHE_BYTES, ROUTE_CACHE_BYTES};
+use crate::coalesce::Coalescer;
+use crate::planner::{check_lattice, Planner};
 use crate::protocol::{
-    encode_frame_into, encode_profile, tags, BatchPlanRequest, BatchPlanResponse,
-    PredictBatchRequest, PredictBatchResponse, RouteNetRequest, RouteNetResponse, TripRequest,
+    decode_profile, encode_frame_into, encode_profile, tags, BatchPlanRequest, BatchPlanResponse,
+    PredictBatchRequest, PredictBatchResponse, RouteNetRequest, RouteNetResponse,
 };
 use crate::reactor::{Acceptor, BufferPool, FrameBuf, Job, Shard, ShardHandle, ShardMsg};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -21,11 +32,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use velopt_common::{Error, Result};
-use velopt_core::batch::PlanRequest;
-use velopt_core::dp::{DpConfig, DpOptimizer, SignalConstraint, StartState};
+use velopt_core::dp::{DpConfig, DpOptimizer, OptimizedProfile};
 use velopt_core::route::{RouteConfig, RouteMetrics, RouteQuery, Router};
-use velopt_core::windows::{green_only_constraints, queue_aware_constraints};
-use velopt_ev_energy::{EnergyModel, RegenPolicy, VehicleParams};
 use velopt_road::NodeId;
 use velopt_traffic::nn::SgdConfig;
 use velopt_traffic::{
@@ -95,9 +103,11 @@ pub struct ServerStats {
     coalesce_hits: AtomicU64,
     coalesce_flights: AtomicU64,
     batch_flushes: AtomicU64,
+    plan_evictions: AtomicU64,
+    route_evictions: AtomicU64,
     /// Per-tenant `(served, rejected)` buckets, keyed by the tenant id the
     /// connection declared via `REQ_HELLO` (0 = anonymous). A plain mutex:
-    /// touched once per coalesced response, never on the solver hot path.
+    /// touched once per answered trip, never on the solver hot path.
     tenants: std::sync::Mutex<HashMap<u32, (u64, u64)>>,
 }
 
@@ -210,14 +220,18 @@ impl ServerStats {
             .fetch_add(metrics.lb_cache_misses, Ordering::Relaxed);
     }
 
-    /// Trips that piggybacked on an identical in-flight request in the
-    /// coalescing window — each hit is a DP solve that never ran.
+    /// Trips answered as single-flight followers: each waited on an
+    /// identical in-flight request's solve instead of running its own, so
+    /// each hit is a DP solve that never ran. Followers are not plan-cache
+    /// hits.
     pub fn coalesce_hits(&self) -> u64 {
         self.coalesce_hits.load(Ordering::Relaxed)
     }
 
-    /// Distinct single-flight solves the coalescer dispatched (the
-    /// denominator for the dedupe ratio: `hits / (hits + flights)`).
+    /// Fresh solves led through the in-flight table: one per trip that
+    /// missed the cache with nothing identical in flight, and passed
+    /// validation (the denominator for the dedupe ratio:
+    /// `hits / (hits + flights)`).
     pub fn coalesce_flights(&self) -> u64 {
         self.coalesce_flights.load(Ordering::Relaxed)
     }
@@ -227,9 +241,20 @@ impl ServerStats {
         self.batch_flushes.load(Ordering::Relaxed)
     }
 
-    /// Plans served to `tenant` through the coalescing path (cache hits
-    /// and fan-outs both count; a tenant is whatever id the connection
-    /// declared via `REQ_HELLO`, 0 = anonymous).
+    /// Plan-cache entries evicted to keep the cache within its byte budget.
+    pub fn plan_cache_evictions(&self) -> u64 {
+        self.plan_evictions.load(Ordering::Relaxed)
+    }
+
+    /// Route-frame-cache entries evicted to keep the cache within its byte
+    /// budget.
+    pub fn route_cache_evictions(&self) -> u64 {
+        self.route_evictions.load(Ordering::Relaxed)
+    }
+
+    /// Plans served to `tenant` (cache hits, followers and leaders all
+    /// count; a tenant is whatever id the connection declared via
+    /// `REQ_HELLO`, 0 = anonymous).
     pub fn tenant_served(&self, tenant: u32) -> u64 {
         self.tenants
             .lock()
@@ -403,7 +428,7 @@ impl ServerStats {
         )
     }
 
-    /// `n` more trips answered with a profile (coalescer fan-out path).
+    /// `n` more trips answered with a profile.
     pub(crate) fn record_served(&self, n: u64) {
         self.served.fetch_add(n, Ordering::Relaxed);
     }
@@ -415,21 +440,38 @@ impl ServerStats {
         telemetry::add("cloud.plan.encode_skipped", n);
     }
 
-    /// One coalescing window flushed: `waiters` requests collapsed onto
-    /// `groups` distinct keys, of which `flights` needed a fresh solve
-    /// (the rest were answered by a late cache hit at flush time).
-    pub(crate) fn record_coalesce_flush(&self, waiters: u64, groups: u64, flights: u64) {
-        self.coalesce_hits
-            .fetch_add(waiters - groups, Ordering::Relaxed);
-        self.coalesce_flights.fetch_add(flights, Ordering::Relaxed);
+    /// `n` fresh solves led through the in-flight table.
+    pub(crate) fn record_flights(&self, n: u64) {
+        self.coalesce_flights.fetch_add(n, Ordering::Relaxed);
+        telemetry::add("cloud.coalesce.flights", n);
+    }
+
+    /// `n` followers answered by their leader's landing.
+    pub(crate) fn record_followers(&self, n: u64) {
+        self.coalesce_hits.fetch_add(n, Ordering::Relaxed);
+        telemetry::add("cloud.coalesce.hits", n);
+    }
+
+    /// One coalescing window flushed, `flights` of its keys needing a
+    /// fresh solve (the rest were answered by a late cache hit).
+    pub(crate) fn record_flush(&self, flights: u64) {
+        self.record_flights(flights);
         self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        telemetry::add("cloud.coalesce.hits", waiters - groups);
-        telemetry::add("cloud.coalesce.flights", flights);
         telemetry::add("cloud.batch.flushes", 1);
         telemetry::observe("cloud.batch.size", flights as f64);
     }
 
-    /// One plan delivered to `tenant` through the coalescing path.
+    pub(crate) fn record_plan_evictions(&self, n: u64) {
+        self.plan_evictions.fetch_add(n, Ordering::Relaxed);
+        telemetry::add("cloud.plan.evictions", n);
+    }
+
+    fn record_route_evictions(&self, n: u64) {
+        self.route_evictions.fetch_add(n, Ordering::Relaxed);
+        telemetry::add("cloud.route.evictions", n);
+    }
+
+    /// One plan delivered to `tenant`.
     pub(crate) fn record_tenant_served(&self, tenant: u32) {
         self.tenants
             .lock()
@@ -451,18 +493,6 @@ impl ServerStats {
     }
 }
 
-/// A cached plan: the decoded profile (for batch responses and handler
-/// callers) plus its complete `RESP_PROFILE` frame encoding — header, tag
-/// and payload — so repeat hits are served by cloning the `Bytes` (an `Arc`
-/// bump) instead of re-encoding the profile per request.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedPlan {
-    pub(crate) profile: velopt_core::dp::OptimizedProfile,
-    pub(crate) frame: Bytes,
-}
-
-pub(crate) type PlanCache = RwLock<HashMap<Vec<u8>, CachedPlan>>;
-
 /// The shared routing tier. One process-wide [`Router`] serves every
 /// `REQ_ROUTE`: its edge-plan memo and certified lower-bound cache are
 /// keyed on `(corridor signature, departure bin)`, so two fleet queries
@@ -476,14 +506,18 @@ pub(crate) struct RouteService {
     /// caches rather than racing cold ones, and the per-edge DP solves
     /// inside one search already fan out over the compute cores.
     router: Mutex<Router>,
-    frames: RwLock<HashMap<Vec<u8>, Bytes>>,
+    /// The router's DP configuration, for the lattice check.
+    config: DpConfig,
+    frames: FrameCache,
 }
 
 impl RouteService {
-    pub(crate) fn new() -> Result<Self> {
+    pub(crate) fn new(optimizer: DpOptimizer) -> Result<Self> {
+        let config = *optimizer.config();
         Ok(Self {
-            router: Mutex::new(Router::new(corridor_optimizer()?, RouteConfig::default())?),
-            frames: RwLock::new(HashMap::new()),
+            router: Mutex::new(Router::new(optimizer, RouteConfig::default())?),
+            config,
+            frames: FrameCache::new(ROUTE_CACHE_BYTES),
         })
     }
 }
@@ -509,11 +543,13 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Response buffers each shard's pool retains for reuse.
     pub buffer_pool_capacity: usize,
-    /// How long a `REQ_TRIP` may wait in the coalescing window for
-    /// identical or near-simultaneous requests before the window is
-    /// flushed to the batch solver. `Duration::ZERO` (the default)
-    /// disables coalescing entirely: every trip dispatches as a single
-    /// solve exactly as before.
+    /// How long a `REQ_TRIP` that leads a new solve may wait in the
+    /// coalescing window for near-simultaneous requests before the window
+    /// is flushed to the batch solver. Identical requests single-flight
+    /// whatever this is: a miss whose key is already being solved waits
+    /// for that solve. `Duration::ZERO` (the default) turns off only the
+    /// batching and the tenant admission: a leader solves inline on its
+    /// worker.
     pub coalesce_window: std::time::Duration,
     /// Flush the coalescing window as soon as it holds this many waiting
     /// requests, without waiting out `coalesce_window` (must be ≥ 1 when
@@ -554,8 +590,9 @@ pub struct CloudServer {
     acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    coalescer: Option<Arc<crate::coalesce::Coalescer>>,
+    desk: Arc<Coalescer>,
     flusher: Option<JoinHandle<()>>,
+    planner: Arc<Planner>,
 }
 
 impl CloudServer {
@@ -605,9 +642,12 @@ impl CloudServer {
         let addr = listener.local_addr()?;
         let stats = Arc::new(ServerStats::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let cache: Arc<PlanCache> = Arc::new(RwLock::new(HashMap::new()));
+        let cache = Arc::new(FrameCache::new(PLAN_CACHE_BYTES));
         let predictors: Arc<PredictorCache> = Arc::new(RwLock::new(HashMap::new()));
-        let routes = Arc::new(RouteService::new()?);
+        // The one optimizer construction of the server's life: every solve
+        // runs on it, on a pooled warm arena.
+        let planner = Arc::new(Planner::new(config.compute_workers)?);
+        let routes = Arc::new(RouteService::new(planner.optimizer().clone())?);
 
         // Compute-pool channel: shards produce decoded frames, workers
         // consume them. Unbounded so a shard thread can never block on
@@ -639,26 +679,23 @@ impl CloudServer {
         }
         let handles = Arc::new(handles);
 
-        // The coalescing layer sits between the workers and the DP solver:
-        // workers enqueue `REQ_TRIP` jobs into its window instead of
-        // solving them one at a time, and a dedicated flusher thread
-        // handles timeout-triggered flushes (size-triggered flushes run
-        // inline on the worker that filled the window).
-        let coalescer = if config.coalesce_window > std::time::Duration::ZERO {
-            Some(Arc::new(crate::coalesce::Coalescer::new(
-                config.coalesce_window,
-                config.batch_max,
-                config.tenant_max_inflight,
-                Arc::clone(&handles),
-                Arc::clone(&stats),
-                Arc::clone(&cache),
-            )))
-        } else {
-            None
-        };
-        let flusher = coalescer.as_ref().map(|c| {
-            let c = Arc::clone(c);
-            std::thread::spawn(move || c.run_flusher())
+        // Every `REQ_TRIP` goes through the trip desk's in-flight table.
+        // With a coalescing window, leaders wait there to be batched and a
+        // dedicated flusher thread handles timeout-triggered flushes
+        // (size-triggered flushes run inline on the worker that filled the
+        // window).
+        let desk = Arc::new(Coalescer::new(
+            config.coalesce_window,
+            config.batch_max,
+            config.tenant_max_inflight,
+            Arc::clone(&handles),
+            Arc::clone(&stats),
+            Arc::clone(&cache),
+            Arc::clone(&planner),
+        ));
+        let flusher = desk.batches().then(|| {
+            let desk = Arc::clone(&desk);
+            std::thread::spawn(move || desk.run_flusher())
         });
 
         let accept_poller = Poller::new()?;
@@ -690,23 +727,16 @@ impl CloudServer {
         let worker_threads: Vec<JoinHandle<()>> = (0..config.compute_workers)
             .map(|_| {
                 let jobs = jobs_rx.clone();
-                let handles = Arc::clone(&handles);
-                let stats = Arc::clone(&stats);
-                let cache = Arc::clone(&cache);
-                let predictors = Arc::clone(&predictors);
-                let routes = Arc::clone(&routes);
-                let coalescer = coalescer.clone();
-                std::thread::spawn(move || {
-                    run_worker(
-                        jobs,
-                        &handles,
-                        &stats,
-                        &cache,
-                        &predictors,
-                        &routes,
-                        coalescer,
-                    )
-                })
+                let ctx = WorkerCtx {
+                    shards: Arc::clone(&handles),
+                    stats: Arc::clone(&stats),
+                    cache: Arc::clone(&cache),
+                    planner: Arc::clone(&planner),
+                    predictors: Arc::clone(&predictors),
+                    routes: Arc::clone(&routes),
+                    desk: Arc::clone(&desk),
+                };
+                std::thread::spawn(move || ctx.run(jobs))
             })
             .collect();
 
@@ -730,8 +760,9 @@ impl CloudServer {
             acceptor: Some(acceptor),
             shards: shard_threads,
             workers: worker_threads,
-            coalescer,
+            desk,
             flusher,
+            planner,
         })
     }
 
@@ -778,12 +809,12 @@ impl CloudServer {
         // Workers are gone, so nothing can enqueue into the coalescing
         // window anymore; stop the flusher last. Still-parked waiters
         // belong to connections the shards already shed.
-        if let Some(c) = self.coalescer.take() {
-            c.stop();
-        }
+        self.desk.stop();
         if let Some(h) = self.flusher.take() {
             let _ = h.join();
         }
+        // No solve can run anymore: give the warm arenas' memory back.
+        self.planner.release();
     }
 }
 
@@ -809,120 +840,100 @@ impl AsRawFdCompat for TcpListener {
     }
 }
 
-/// Compute-worker body: take a decoded frame, produce its encoded response
-/// frame, hand it back to the owning shard.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    jobs: Receiver<Job>,
-    shards: &[ShardHandle],
-    stats: &ServerStats,
-    cache: &PlanCache,
-    predictors: &PredictorCache,
-    routes: &RouteService,
-    coalescer: Option<Arc<crate::coalesce::Coalescer>>,
-) {
-    while let Ok(job) = jobs.recv() {
-        if job.tag == tags::REQ_TRIP {
-            // With coalescing enabled, trips route through the window:
-            // the coalescer answers cache hits immediately and fans a
-            // single batch solve out to every waiter otherwise.
-            if let Some(c) = &coalescer {
-                c.submit(job);
-                continue;
-            }
-        }
-        let shard = &shards[job.shard];
-        let request_span = telemetry::span("cloud.request_seconds");
-        let frame = respond(
-            job.tag,
-            job.payload,
-            stats,
-            cache,
-            predictors,
-            routes,
-            &shard.pool,
-        );
-        drop(request_span);
-        let delivered = shard
-            .tx
-            .send(ShardMsg::Response {
-                conn: job.conn,
-                gen: job.gen,
-                frame,
-            })
-            .is_ok();
-        if delivered {
-            let _ = shard.waker.wake();
-        }
-        // If the shard is gone (shutdown), the response is dropped with it.
-    }
+/// What a compute worker serves requests with: the shared caches, the warm
+/// planner, and the trip desk every `REQ_TRIP` goes through.
+struct WorkerCtx {
+    shards: Arc<Vec<ShardHandle>>,
+    stats: Arc<ServerStats>,
+    cache: Arc<FrameCache>,
+    planner: Arc<Planner>,
+    predictors: Arc<PredictorCache>,
+    routes: Arc<RouteService>,
+    desk: Arc<Coalescer>,
 }
 
-/// Builds the complete response frame for one request frame. Every path
-/// returns wire-ready bytes — header, tag, payload — bit-identical to what
-/// the old blocking server produced with `write_frame`.
-fn respond(
-    tag: u8,
-    mut payload: Bytes,
-    stats: &ServerStats,
-    cache: &PlanCache,
-    predictors: &PredictorCache,
-    routes: &RouteService,
-    pool: &BufferPool,
-) -> FrameBuf {
-    match tag {
-        tags::REQ_TRIP => {
-            let key = payload.to_vec();
-            match handle_trip(&mut payload, &key, stats, cache) {
-                Ok(plan) => FrameBuf::Shared(plan.frame),
-                Err(e) => error_frame(stats, pool, &e.to_string()),
+impl WorkerCtx {
+    /// Compute-worker body: take a decoded frame and produce its response.
+    /// A trip goes to the desk, which answers it (now, or when its flight
+    /// lands); every other frame is answered here and handed back to the
+    /// owning shard.
+    fn run(self, jobs: Receiver<Job>) {
+        while let Ok(job) = jobs.recv() {
+            let request_span = telemetry::span("cloud.request_seconds");
+            if job.tag == tags::REQ_TRIP {
+                self.desk.submit(job);
+                continue;
             }
+            let shard = &self.shards[job.shard];
+            let frame = self.respond(job.tag, job.payload, &shard.pool);
+            drop(request_span);
+            let delivered = shard
+                .tx
+                .send(ShardMsg::Response {
+                    conn: job.conn,
+                    gen: job.gen,
+                    frame,
+                })
+                .is_ok();
+            if delivered {
+                let _ = shard.waker.wake();
+            }
+            // If the shard is gone (shutdown), the response is dropped with it.
         }
-        tags::REQ_ROUTE => {
-            let key = payload.to_vec();
-            match handle_route(&mut payload, &key, stats, routes) {
+    }
+
+    /// Builds the complete response frame for one non-trip request frame.
+    /// Every path returns wire-ready bytes — header, tag, payload.
+    fn respond(&self, tag: u8, mut payload: Bytes, pool: &BufferPool) -> FrameBuf {
+        let stats = &self.stats;
+        match tag {
+            tags::REQ_ROUTE => match handle_route(&mut payload, stats, &self.routes) {
                 Ok(frame) => FrameBuf::Shared(frame),
                 Err(e) => error_frame(stats, pool, &e.to_string()),
+            },
+            tags::REQ_BATCH => {
+                match handle_batch(&mut payload, stats, &self.cache, &self.planner) {
+                    Ok(response) => {
+                        let mut buf = pool.acquire();
+                        let encode_span = telemetry::span("cloud.encode_seconds");
+                        encode_frame_into(&mut buf, tags::RESP_BATCH, |b| response.encode_into(b));
+                        drop(encode_span);
+                        FrameBuf::Pooled(buf)
+                    }
+                    Err(e) => error_frame(stats, pool, &e.to_string()),
+                }
             }
-        }
-        tags::REQ_BATCH => match handle_batch(&mut payload, stats, cache) {
-            Ok(response) => {
-                let mut buf = pool.acquire();
-                let encode_span = telemetry::span("cloud.encode_seconds");
-                encode_frame_into(&mut buf, tags::RESP_BATCH, |b| response.encode_into(b));
-                drop(encode_span);
-                FrameBuf::Pooled(buf)
+            tags::REQ_PREDICT_BATCH => {
+                match handle_predict_batch(&mut payload, stats, &self.predictors) {
+                    Ok(response) => {
+                        let mut buf = pool.acquire();
+                        let encode_span = telemetry::span("cloud.encode_seconds");
+                        encode_frame_into(&mut buf, tags::RESP_PREDICT_BATCH, |b| {
+                            response.encode_into(b)
+                        });
+                        drop(encode_span);
+                        FrameBuf::Pooled(buf)
+                    }
+                    Err(e) => error_frame(stats, pool, &e.to_string()),
+                }
             }
-            Err(e) => error_frame(stats, pool, &e.to_string()),
-        },
-        tags::REQ_PREDICT_BATCH => match handle_predict_batch(&mut payload, stats, predictors) {
-            Ok(response) => {
+            tags::REQ_STATS => {
                 let mut buf = pool.acquire();
-                let encode_span = telemetry::span("cloud.encode_seconds");
-                encode_frame_into(&mut buf, tags::RESP_PREDICT_BATCH, |b| {
-                    response.encode_into(b)
+                encode_frame_into(&mut buf, tags::RESP_STATS, |b| {
+                    b.put_u64(stats.served());
+                    b.put_u64(stats.cache_hits());
                 });
-                drop(encode_span);
                 FrameBuf::Pooled(buf)
             }
-            Err(e) => error_frame(stats, pool, &e.to_string()),
-        },
-        tags::REQ_STATS => {
-            let mut buf = pool.acquire();
-            encode_frame_into(&mut buf, tags::RESP_STATS, |b| {
-                b.put_u64(stats.served());
-                b.put_u64(stats.cache_hits());
-            });
-            FrameBuf::Pooled(buf)
+            tags::REQ_TELEMETRY => {
+                let mut buf = pool.acquire();
+                encode_frame_into(&mut buf, tags::RESP_TELEMETRY, |b| {
+                    b.extend_from_slice(telemetry::snapshot_json().as_bytes())
+                });
+                FrameBuf::Pooled(buf)
+            }
+            other => error_frame(stats, pool, &format!("unknown request tag {other}")),
         }
-        tags::REQ_TELEMETRY => {
-            let mut buf = pool.acquire();
-            encode_frame_into(&mut buf, tags::RESP_TELEMETRY, |b| {
-                b.extend_from_slice(telemetry::snapshot_json().as_bytes())
-            });
-            FrameBuf::Pooled(buf)
-        }
-        other => error_frame(stats, pool, &format!("unknown request tag {other}")),
     }
 }
 
@@ -935,34 +946,8 @@ pub(crate) fn error_frame(stats: &ServerStats, pool: &BufferPool, message: &str)
     FrameBuf::Pooled(buf)
 }
 
-/// The optimizer every connection plans with: the same physically-grounded
-/// model the local pipeline uses.
-pub(crate) fn corridor_optimizer() -> Result<DpOptimizer> {
-    let energy = EnergyModel::with_regen(
-        VehicleParams::spark_ev(),
-        RegenPolicy::Limited {
-            efficiency: 0.6,
-            cutoff: velopt_common::units::MetersPerSecond::new(1.5),
-        },
-    );
-    DpOptimizer::new(energy, DpConfig::default())
-}
-
-/// Validates a trip and builds its per-signal arrival windows.
-pub(crate) fn trip_constraints(
-    trip: &TripRequest,
-    config: &DpConfig,
-) -> Result<Vec<SignalConstraint>> {
-    trip.validated()?;
-    if trip.queue_aware {
-        queue_aware_constraints(&trip.road, &trip.rates, trip.queue, config.horizon)
-    } else {
-        Ok(green_only_constraints(&trip.road, config.horizon))
-    }
-}
-
 /// Encodes a profile's complete `RESP_PROFILE` frame once, for the cache.
-pub(crate) fn plan_frame(profile: &velopt_core::dp::OptimizedProfile) -> Bytes {
+pub(crate) fn plan_frame(profile: &OptimizedProfile) -> Bytes {
     let encode_span = telemetry::span("cloud.encode_seconds");
     let mut buf = BytesMut::new();
     encode_frame_into(&mut buf, tags::RESP_PROFILE, |b| encode_profile(profile, b));
@@ -970,64 +955,26 @@ pub(crate) fn plan_frame(profile: &velopt_core::dp::OptimizedProfile) -> Bytes {
     buf.freeze()
 }
 
-fn handle_trip(
-    payload: &mut Bytes,
-    key: &[u8],
-    stats: &ServerStats,
-    cache: &PlanCache,
-) -> Result<CachedPlan> {
-    if let Some(hit) = cache.read().get(key) {
-        stats.served.fetch_add(1, Ordering::Relaxed);
-        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        stats.plan_encode_skipped.fetch_add(1, Ordering::Relaxed);
-        telemetry::add("cloud.plan.encode_skipped", 1);
-        return Ok(hit.clone());
-    }
-    let decode_span = telemetry::span("cloud.decode_seconds");
-    let request = TripRequest::decode(payload)?;
-    drop(decode_span);
-    let optimizer = corridor_optimizer()?;
-    let constraints = trip_constraints(&request, optimizer.config())?;
-    let plan_span = telemetry::span("cloud.plan_seconds");
-    let profile = optimizer.optimize_from(
-        &request.road,
-        &constraints,
-        StartState {
-            time: request.departure,
-            ..StartState::default()
-        },
-    )?;
-    drop(plan_span);
-    stats.record_solve(&profile.metrics);
-    let plan = CachedPlan {
-        frame: plan_frame(&profile),
-        profile,
-    };
-    cache.write().insert(key.to_vec(), plan.clone());
-    stats.served.fetch_add(1, Ordering::Relaxed);
-    Ok(plan)
-}
-
 /// Answers one `REQ_ROUTE`. Repeat queries (byte-identical requests) are
-/// served by cloning the cached `RESP_ROUTE` frame; fresh queries rebuild
-/// the graph, run the A* search on the shared router — whose edge-plan
-/// memo and lower-bound cache persist across every query the server has
-/// seen — and join the frame cache on the way out.
-fn handle_route(
-    payload: &mut Bytes,
-    key: &[u8],
-    stats: &ServerStats,
-    routes: &RouteService,
-) -> Result<Bytes> {
-    if let Some(hit) = routes.frames.read().get(key) {
+/// served by cloning the cached `RESP_ROUTE` frame; fresh queries pass the
+/// lattice check on every edge, rebuild the graph, run the A* search on
+/// the shared router — whose edge-plan memo and lower-bound cache persist
+/// across every query the server has seen — and join the frame cache on
+/// the way out.
+fn handle_route(payload: &mut Bytes, stats: &ServerStats, routes: &RouteService) -> Result<Bytes> {
+    let key = payload.clone();
+    if let Some(hit) = routes.frames.get(&key) {
         stats.routes_served.fetch_add(1, Ordering::Relaxed);
         stats.route_cache_hits.fetch_add(1, Ordering::Relaxed);
         telemetry::add("cloud.route.cache_hits", 1);
-        return Ok(hit.clone());
+        return Ok(hit);
     }
     let decode_span = telemetry::span("cloud.decode_seconds");
     let request = RouteNetRequest::decode(payload)?;
     drop(decode_span);
+    for (_, _, road) in &request.edges {
+        check_lattice(road, &routes.config)?;
+    }
     let graph = request.to_graph()?;
     let query = RouteQuery {
         origin: NodeId(request.origin),
@@ -1044,94 +991,79 @@ fn handle_route(
     encode_frame_into(&mut buf, tags::RESP_ROUTE, |b| response.encode_into(b));
     drop(encode_span);
     let frame = buf.freeze();
-    routes.frames.write().insert(key.to_vec(), frame.clone());
+    stats.record_route_evictions(routes.frames.insert(&key, frame.clone()));
     stats.routes_served.fetch_add(1, Ordering::Relaxed);
     Ok(frame)
 }
 
+/// The profile inside a cached `RESP_PROFILE` frame.
+fn cached_profile(frame: &Bytes) -> std::result::Result<OptimizedProfile, String> {
+    decode_profile(&mut frame.slice(5..)).map_err(|e| e.to_string())
+}
+
 /// Plans a whole batch in one go: cached trips are answered immediately,
-/// the misses fan out over the cores via
-/// [`DpOptimizer::optimize_batch`], and per-trip failures come back as
-/// error entries in request order (they never sink the batch).
+/// the misses fan out over the cores on pooled arenas, and per-trip
+/// failures come back as error entries in request order (they never sink
+/// the batch).
 fn handle_batch(
     payload: &mut Bytes,
     stats: &ServerStats,
-    cache: &PlanCache,
+    cache: &FrameCache,
+    planner: &Planner,
 ) -> Result<BatchPlanResponse> {
     let decode_span = telemetry::span("cloud.decode_seconds");
     let batch = BatchPlanRequest::decode(payload)?;
     drop(decode_span);
     stats.batches.fetch_add(1, Ordering::Relaxed);
     let n = batch.trips.len();
-    let mut results: Vec<Option<std::result::Result<velopt_core::dp::OptimizedProfile, String>>> =
+    let mut results: Vec<Option<std::result::Result<OptimizedProfile, String>>> =
         (0..n).map(|_| None).collect();
 
     // Cache pass first — a batch member's key is its canonical encoding,
     // the same bytes a single `REQ_TRIP` for that trip would carry.
-    let keys: Vec<Vec<u8>> = batch.trips.iter().map(|t| t.encode().to_vec()).collect();
-    {
-        let cache = cache.read();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(hit) = cache.get(key) {
-                stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                results[i] = Some(Ok(hit.profile.clone()));
-            }
+    let keys: Vec<Bytes> = batch.trips.iter().map(|t| t.encode()).collect();
+    for (i, key) in keys.iter().enumerate() {
+        if let Some(hit) = cache.get(key) {
+            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            results[i] = Some(cached_profile(&hit));
         }
     }
 
-    // Validate the misses and build their arrival windows; invalid trips
-    // become error entries right here.
-    let optimizer = corridor_optimizer()?;
-    let mut prepared: Vec<(usize, Vec<SignalConstraint>)> = Vec::new();
+    // Admit the misses; invalid trips become error entries right here.
+    let mut admitted = Vec::new();
+    let mut members = Vec::new();
     for (i, trip) in batch.trips.iter().enumerate() {
         if results[i].is_some() {
             continue;
         }
-        match trip_constraints(trip, optimizer.config()) {
-            Ok(constraints) => prepared.push((i, constraints)),
+        match planner.admit(trip) {
+            Ok(trip) => {
+                admitted.push(trip);
+                members.push(i);
+            }
             Err(e) => results[i] = Some(Err(e.to_string())),
         }
     }
 
-    let requests: Vec<PlanRequest<'_>> = prepared
-        .iter()
-        .map(|(i, constraints)| PlanRequest {
-            road: &batch.trips[*i].road,
-            signals: constraints,
-            start: StartState {
-                time: batch.trips[*i].departure,
-                ..StartState::default()
-            },
-        })
-        .collect();
     let plan_span = telemetry::span("cloud.plan_seconds");
-    let planned_batch = optimizer.optimize_batch(&requests);
+    let planned_batch = planner.solve_batch(&admitted);
     drop(plan_span);
-    for ((i, _), planned) in prepared.iter().zip(planned_batch) {
+    for (&i, planned) in members.iter().zip(planned_batch) {
         match planned {
             Ok(profile) => {
                 stats.record_solve(&profile.metrics);
                 // Fresh batch members join the plan cache with their frame
                 // encoding, so a later single REQ_TRIP for the same trip is
                 // a zero-encode hit.
-                cache.write().insert(
-                    keys[*i].clone(),
-                    CachedPlan {
-                        frame: plan_frame(&profile),
-                        profile: profile.clone(),
-                    },
-                );
-                results[*i] = Some(Ok(profile));
+                stats.record_plan_evictions(cache.insert(&keys[i], plan_frame(&profile)));
+                results[i] = Some(Ok(profile));
             }
-            Err(e) => results[*i] = Some(Err(e.to_string())),
+            Err(e) => results[i] = Some(Err(e.to_string())),
         }
     }
     stats.served.fetch_add(n as u64, Ordering::Relaxed);
     Ok(BatchPlanResponse {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every batch member answered"))
-            .collect(),
+        results: results.into_iter().flatten().collect(),
     })
 }
 
@@ -1231,6 +1163,13 @@ fn handle_predict_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::testing::TestDesk;
+    use crate::planner::corridor_optimizer;
+    use crate::protocol::TripRequest;
+
+    fn route_service() -> RouteService {
+        RouteService::new(corridor_optimizer().unwrap()).unwrap()
+    }
 
     #[test]
     fn zero_workers_rejected() {
@@ -1268,58 +1207,13 @@ mod tests {
     }
 
     #[test]
-    fn trip_handler_caches_by_request_bytes() {
-        let stats = ServerStats::default();
-        let cache: PlanCache = RwLock::new(HashMap::new());
-        let req = TripRequest::us25_at(0.0);
-        let encoded = req.encode();
-        let key = encoded.to_vec();
-
-        let mut payload = encoded.clone();
-        let first = handle_trip(&mut payload, &key, &stats, &cache).unwrap();
-        assert_eq!(stats.served(), 1);
-        assert_eq!(stats.cache_hits(), 0);
-        assert_eq!(stats.plan_encode_skipped(), 0);
-
-        let mut payload = encoded.clone();
-        let second = handle_trip(&mut payload, &key, &stats, &cache).unwrap();
-        assert_eq!(stats.served(), 2);
-        assert_eq!(stats.cache_hits(), 1);
-        assert_eq!(stats.plan_encode_skipped(), 1);
-        assert_eq!(first.profile, second.profile);
-        // The hit serves the exact cached frame bytes (no re-encode).
-        assert_eq!(first.frame, second.frame);
-        // Only the fresh solve contributed solver counters.
-        let (expanded, _) = stats.solver_states();
-        assert_eq!(expanded, first.profile.metrics.states_expanded);
-    }
-
-    #[test]
-    fn cached_frame_is_the_wire_encoding() {
-        // The cached frame must be byte-identical to what `write_frame`
-        // would produce for the same profile — that is the zero-copy hit
-        // path's correctness condition.
-        let stats = ServerStats::default();
-        let cache: PlanCache = RwLock::new(HashMap::new());
-        let encoded = TripRequest::us25_at(0.0).encode();
-        let plan = handle_trip(&mut encoded.clone(), &encoded.to_vec(), &stats, &cache).unwrap();
-        let mut payload = BytesMut::new();
-        encode_profile(&plan.profile, &mut payload);
-        let mut expected = Vec::new();
-        crate::protocol::write_frame(&mut expected, tags::RESP_PROFILE, &payload).unwrap();
-        assert_eq!(&plan.frame[..], &expected[..]);
-    }
-
-    #[test]
     fn batch_handler_mixes_cache_fresh_and_errors() {
-        let stats = ServerStats::default();
-        let cache: PlanCache = RwLock::new(HashMap::new());
+        let t = TestDesk::new(std::time::Duration::ZERO);
+        let stats = &t.stats;
 
         // Prime the cache with the t=0 trip through the single-trip path.
-        let seed = TripRequest::us25_at(0.0);
-        let encoded = seed.encode();
-        let cached_plan =
-            handle_trip(&mut encoded.clone(), &encoded.to_vec(), &stats, &cache).unwrap();
+        let frame = t.trip(0, &TripRequest::us25_at(0.0).encode());
+        let cached_plan = decode_profile(&mut Bytes::from(frame[5..].to_vec())).unwrap();
 
         let mut invalid = TripRequest::us25_at(30.0);
         invalid.rates.pop(); // arity mismatch
@@ -1331,10 +1225,10 @@ mod tests {
             ],
         };
         let mut payload = batch.encode();
-        let response = handle_batch(&mut payload, &stats, &cache).unwrap();
+        let response = handle_batch(&mut payload, stats, &t.cache, &t.planner).unwrap();
         assert_eq!(response.results.len(), 3);
         // Member 0 came from the cache (same plan, one more hit).
-        assert_eq!(response.results[0].as_ref().unwrap(), &cached_plan.profile);
+        assert_eq!(response.results[0].as_ref().unwrap(), &cached_plan);
         assert_eq!(stats.cache_hits(), 1);
         // Member 1 failed alone.
         assert!(response.results[1].as_ref().unwrap_err().contains("rates"));
@@ -1342,10 +1236,9 @@ mod tests {
         assert!(response.results[2].is_ok());
         assert_eq!(stats.served(), 1 + 3);
         assert_eq!(stats.batches(), 1);
-        let key = TripRequest::us25_at(60.0).encode().to_vec();
-        let entry = cache.read().get(&key).cloned().unwrap();
-        assert_eq!(&entry.profile, response.results[2].as_ref().unwrap());
-        assert!(!entry.frame.is_empty());
+        let key = TripRequest::us25_at(60.0).encode();
+        let entry = cached_profile(&t.cache.get(&key).unwrap()).unwrap();
+        assert_eq!(&entry, response.results[2].as_ref().unwrap());
     }
 
     #[test]
@@ -1409,30 +1302,23 @@ mod tests {
 
     #[test]
     fn batch_equals_sequential_trip_requests() {
-        let stats = ServerStats::default();
-        let cache: PlanCache = RwLock::new(HashMap::new());
+        let t = TestDesk::new(std::time::Duration::ZERO);
         let trips = vec![TripRequest::us25_at(0.0), TripRequest::us25_at(45.0)];
 
         let singles: Vec<_> = trips
             .iter()
-            .map(|t| {
-                let fresh_cache: PlanCache = RwLock::new(HashMap::new());
-                let encoded = t.encode();
-                handle_trip(
-                    &mut encoded.clone(),
-                    &encoded.to_vec(),
-                    &stats,
-                    &fresh_cache,
-                )
-                .unwrap()
+            .map(|trip| {
+                let fresh = TestDesk::new(std::time::Duration::ZERO);
+                let frame = fresh.trip(0, &trip.encode());
+                decode_profile(&mut Bytes::from(frame[5..].to_vec())).unwrap()
             })
             .collect();
 
         let batch = BatchPlanRequest { trips };
         let mut payload = batch.encode();
-        let response = handle_batch(&mut payload, &stats, &cache).unwrap();
+        let response = handle_batch(&mut payload, &t.stats, &t.cache, &t.planner).unwrap();
         for (single, batched) in singles.iter().zip(&response.results) {
-            assert_eq!(batched.as_ref().unwrap(), &single.profile);
+            assert_eq!(batched.as_ref().unwrap(), single);
         }
     }
 
@@ -1465,7 +1351,7 @@ mod tests {
     fn route_handler_caches_by_request_bytes() {
         use velopt_common::units::Seconds;
         let stats = ServerStats::default();
-        let routes = RouteService::new().unwrap();
+        let routes = route_service();
         let request = RouteNetRequest::from_graph(
             &demo_route_graph(0),
             NodeId(0),
@@ -1473,9 +1359,8 @@ mod tests {
             Seconds::new(10.0),
         );
         let encoded = request.encode();
-        let key = encoded.to_vec();
 
-        let first = handle_route(&mut encoded.clone(), &key, &stats, &routes).unwrap();
+        let first = handle_route(&mut encoded.clone(), &stats, &routes).unwrap();
         assert_eq!(stats.routes(), 1);
         assert_eq!(stats.route_cache_hits(), 0);
         let fresh = stats.route_search();
@@ -1495,7 +1380,7 @@ mod tests {
             .all(|w| w[1].value() >= w[0].value()));
 
         // The repeat query clones the cached frame: no search ran.
-        let second = handle_route(&mut encoded.clone(), &key, &stats, &routes).unwrap();
+        let second = handle_route(&mut encoded.clone(), &stats, &routes).unwrap();
         assert_eq!(first, second);
         assert_eq!(stats.routes(), 2);
         assert_eq!(stats.route_cache_hits(), 1);
@@ -1506,11 +1391,11 @@ mod tests {
     fn shared_router_memoizes_edge_plans_across_requests() {
         use velopt_common::units::Seconds;
         let stats = ServerStats::default();
-        let routes = RouteService::new().unwrap();
+        let routes = route_service();
         let depart = Seconds::new(10.0);
         let warm = RouteNetRequest::from_graph(&demo_route_graph(0), NodeId(0), NodeId(2), depart);
         let encoded = warm.encode();
-        handle_route(&mut encoded.clone(), &encoded.to_vec(), &stats, &routes).unwrap();
+        handle_route(&mut encoded.clone(), &stats, &routes).unwrap();
         let after_warm = stats.route_search();
         assert!(after_warm.oracle_calls > 0);
 
@@ -1521,7 +1406,7 @@ mod tests {
         let padded =
             RouteNetRequest::from_graph(&demo_route_graph(1), NodeId(0), NodeId(2), depart);
         let encoded = padded.encode();
-        handle_route(&mut encoded.clone(), &encoded.to_vec(), &stats, &routes).unwrap();
+        handle_route(&mut encoded.clone(), &stats, &routes).unwrap();
         assert_eq!(stats.route_cache_hits(), 0, "distinct bytes, fresh search");
         let after_padded = stats.route_search();
         assert_eq!(after_padded.oracle_calls, after_warm.oracle_calls);
@@ -1532,7 +1417,7 @@ mod tests {
     fn route_handler_rejects_malformed_queries() {
         use velopt_common::units::Seconds;
         let stats = ServerStats::default();
-        let routes = RouteService::new().unwrap();
+        let routes = route_service();
         let mut request = RouteNetRequest::from_graph(
             &demo_route_graph(0),
             NodeId(0),
@@ -1541,10 +1426,19 @@ mod tests {
         );
         request.dest = 0; // origin == dest
         let encoded = request.encode();
-        let err =
-            handle_route(&mut encoded.clone(), &encoded.to_vec(), &stats, &routes).unwrap_err();
+        let err = handle_route(&mut encoded.clone(), &stats, &routes).unwrap_err();
         assert!(err.to_string().contains("coincide"), "{err}");
+        // An edge the server cannot afford to plan is refused before any
+        // search: the lattice check runs on the route path too.
+        request.dest = 2;
+        request.edges[0].2 =
+            velopt_road::RoadBuilder::new(velopt_common::units::Meters::new(f64::INFINITY))
+                .build()
+                .unwrap();
+        let encoded = request.encode();
+        let err = handle_route(&mut encoded.clone(), &stats, &routes).unwrap_err();
+        assert!(err.to_string().contains("not finite"), "{err}");
         assert_eq!(stats.routes(), 0);
-        assert!(routes.frames.read().is_empty(), "errors are not cached");
+        assert!(routes.frames.is_empty(), "errors are not cached");
     }
 }

@@ -337,3 +337,47 @@ fn shutdown_sheds_live_connections() {
         "client must see EOF after shutdown"
     );
 }
+
+/// The trust boundary refuses lattices the server cannot afford. Each of
+/// these small payloads decodes and validates as a trip, yet an exact DP
+/// over it would need ~1e11 states or more — an infinite corridor's
+/// station grid never even ends. Each is answered with an error frame
+/// naming the cause, before any planning, and the same connection's next
+/// valid trip is planned.
+#[test]
+fn unaffordable_lattices_get_error_frames_and_the_connection_survives() {
+    use velopt_common::units::{Meters, MetersPerSecond};
+    let trip = |length: f64, upper: f64| {
+        let road = velopt_road::RoadBuilder::new(Meters::new(length))
+            .default_limits(MetersPerSecond::new(5.0), MetersPerSecond::new(upper))
+            .build()
+            .unwrap();
+        TripRequest {
+            road,
+            rates: Vec::new(),
+            ..TripRequest::us25_at(0.0)
+        }
+        .encode()
+    };
+    let server = CloudServer::spawn(1).unwrap();
+    let mut stream = connect(server.addr());
+    for (payload, cause) in [
+        (trip(1e9, 20.0), "budget"),
+        (trip(f64::INFINITY, 20.0), "not finite"),
+        (trip(1000.0, 1e12), "speed grid"),
+    ] {
+        let (tag, message) = round_trip(&mut stream, tags::REQ_TRIP, &payload);
+        assert_eq!(tag, tags::RESP_ERROR);
+        let message = String::from_utf8_lossy(&message);
+        assert!(message.contains(cause), "{message}");
+    }
+    assert_eq!(server.stats().error_responses(), 3);
+    assert_eq!(server.stats().coalesce_flights(), 0, "nothing was planned");
+    let (tag, _) = round_trip(
+        &mut stream,
+        tags::REQ_TRIP,
+        &TripRequest::us25_at(0.0).encode(),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+    server.shutdown();
+}

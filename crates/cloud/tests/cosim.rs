@@ -1,8 +1,9 @@
 //! Co-simulation serving tests: the request-coalescing layer under the
 //! correlated load the fleet driver produces — single-flight dedupe of a
-//! replan storm, batch flushes on count and on timeout, per-tenant
+//! replan storm with and without a coalescing window (and a storm of an
+//! invalid trip), batch flushes on count and on timeout, per-tenant
 //! admission fairness, tenant stats attribution, and bit-identity of
-//! coalesced plans against uncoalesced serving.
+//! coalesced plans against a window-0 server.
 //!
 //! This file is the `cargo test -p velopt-cloud --test cosim` CI gate.
 
@@ -443,5 +444,102 @@ fn cloud_client_round_trips_through_the_coalescer() {
     assert_eq!(stats.cache_hits(), 1);
     assert_eq!(stats.tenant_served(4), 2);
     assert_eq!(stats.coalesce_flights(), 1);
+    server.shutdown();
+}
+
+/// Runs one storm: `clients` connections each send `payload` once, all
+/// writes released together by a barrier, and every response is returned.
+fn storm(addr: SocketAddr, clients: usize, payload: &[u8]) -> Vec<(u8, Vec<u8>)> {
+    let barrier = Arc::new(Barrier::new(clients));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                scope.spawn(move || {
+                    let mut stream = connect(addr);
+                    barrier.wait();
+                    round_trip(&mut stream, tags::REQ_TRIP, payload)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// Single-flight needs no coalescing window: a storm of identical trips
+/// against a window-0 server runs exactly one DP solve. Every other
+/// request either waited on that solve as a follower or, arriving after it
+/// landed, hit the cache; all of them receive the leader's exact frame.
+#[test]
+fn window_zero_storm_is_single_flighted() {
+    const VEHICLES: usize = 8;
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let frames = storm(
+        server.addr(),
+        VEHICLES,
+        &TripRequest::us25_at(75.0).encode(),
+    );
+    for (tag, payload) in &frames {
+        assert_eq!(*tag, tags::RESP_PROFILE);
+        assert_eq!(
+            payload, &frames[0].1,
+            "every waiter gets the leader's frame"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.coalesce_flights(), 1, "exactly one fresh solve");
+    assert_eq!(
+        stats.coalesce_hits() + stats.cache_hits(),
+        VEHICLES as u64 - 1
+    );
+    assert_eq!(stats.served(), VEHICLES as u64);
+    assert_eq!(stats.batch_flushes(), 0, "no window, no batching");
+    let (expanded, _) = stats.solver_states();
+    let mut bytes = bytes::Bytes::from(frames[0].1.clone());
+    let plan = decode_profile(&mut bytes).unwrap();
+    assert_eq!(expanded, plan.metrics.states_expanded, "one solve's work");
+    server.shutdown();
+}
+
+/// A storm of one invalid trip: its leader fails validation and every
+/// follower receives the same framed error; nothing is cached, no waiter
+/// hangs, and the server then answers a valid trip.
+#[test]
+fn window_zero_storm_of_an_invalid_trip_fails_every_waiter() {
+    const VEHICLES: usize = 6;
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut invalid = TripRequest::us25_at(75.0);
+    invalid.rates.pop(); // arity mismatch
+    let frames = storm(server.addr(), VEHICLES, &invalid.encode());
+    for (tag, payload) in &frames {
+        assert_eq!(*tag, tags::RESP_ERROR);
+        assert!(
+            String::from_utf8_lossy(payload).contains("rates"),
+            "{}",
+            String::from_utf8_lossy(payload)
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.error_responses(), VEHICLES as u64);
+    assert_eq!(stats.served(), 0);
+    assert_eq!(stats.cache_hits(), 0);
+    assert_eq!(stats.coalesce_flights(), 0, "nothing reached the solver");
+
+    let mut stream = connect(server.addr());
+    let (tag, _) = round_trip(
+        &mut stream,
+        tags::REQ_TRIP,
+        &TripRequest::us25_at(75.0).encode(),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert_eq!(server.stats().served(), 1);
     server.shutdown();
 }

@@ -13,10 +13,11 @@
 //! 2. **replans** every vehicle whose corridor's `T_q` windows shifted —
 //!    a phase flip restarts the queue clock, so all of that corridor's
 //!    vehicles re-request at once (the correlated storm the cloud's
-//!    coalescing layer exists for); each vehicle is its own
-//!    [`CloudClient`] connection, greeted with
-//!    the corridor index as its tenant id, and the wave is issued
-//!    concurrently so identical requests are in flight together,
+//!    single-flight table exists for); each vehicle is its own
+//!    [`CloudClient`] connection, greeted with the corridor index as its
+//!    tenant id. Each corridor's request is encoded once, and every
+//!    vehicle's request is written before any reply is read, so identical
+//!    requests are in flight together without a thread per vehicle,
 //! 3. **feeds back** each returned profile as a TraCI speed command for
 //!    the vehicle's current position.
 //!
@@ -33,7 +34,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use velopt_cloud::{CloudClient, TripRequest};
+use velopt_cloud::{CloudClient, TripFrame, TripRequest};
 use velopt_common::units::{Seconds, VehiclesPerHour};
 use velopt_common::Result;
 use velopt_core::dp::OptimizedProfile;
@@ -327,25 +328,26 @@ impl FleetDriver {
         }
     }
 
-    /// Issues the wave's plan requests concurrently (one thread per
-    /// vehicle, each on its own connection — the storm the coalescer
-    /// sees) and feeds the profiles back as speed commands, all in one
-    /// TraCI message.
+    /// Issues the wave's plan requests and feeds the profiles back as
+    /// speed commands, all in one TraCI message. Every flight's request is
+    /// written, each on its vehicle's own connection, before any reply is
+    /// read, so the whole wave is in flight together — the storm the
+    /// cloud's single-flight table sees — without a thread per vehicle.
     fn replan(&mut self, wave: Vec<Flight>) -> Result<()> {
         if wave.is_empty() {
             return Ok(());
         }
-        // Per-corridor requests are built once and shared byte-for-byte.
-        let requests: HashMap<usize, TripRequest> = wave
+        // Per-corridor requests are encoded once and shared byte-for-byte.
+        let frames: HashMap<usize, TripFrame> = wave
             .iter()
             .map(|&(_, c, _)| c)
             .collect::<HashSet<_>>()
             .into_iter()
-            .map(|c| (c, self.corridor_request(c)))
+            .map(|c| (c, TripFrame::new(&self.corridor_request(c))))
             .collect();
 
         // Detach each planning connection (opening it on first use) so the
-        // scoped threads own them mutably without aliasing the map.
+        // wave owns them while it is in flight.
         let mut flights: Vec<(Flight, Pilot)> = Vec::with_capacity(wave.len());
         for (id, corridor, position) in wave {
             let tenant = if self.config.tenant_per_corridor {
@@ -376,22 +378,19 @@ impl FleetDriver {
 
         self.stats.replans += flights.len() as u64;
         telemetry::add("cosim.replans", flights.len() as u64);
-        let results: Vec<(Flight, Pilot, Result<OptimizedProfile>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = flights
-                .into_iter()
-                .map(|(flight, mut pilot)| {
-                    let request = &requests[&flight.1];
-                    scope.spawn(move || {
-                        let outcome = pilot.client.request(request);
-                        (flight, pilot, outcome)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("replan thread panicked"))
-                .collect()
-        });
+        // A failed send or receive is that flight's outcome alone.
+        let sent: Vec<Result<()>> = flights
+            .iter_mut()
+            .map(|(flight, pilot)| pilot.client.send(&frames[&flight.1]))
+            .collect();
+        let results: Vec<(Flight, Pilot, Result<OptimizedProfile>)> = flights
+            .into_iter()
+            .zip(sent)
+            .map(|((flight, mut pilot), sent)| {
+                let outcome = sent.and_then(|()| pilot.client.receive());
+                (flight, pilot, outcome)
+            })
+            .collect();
 
         // Message 3: the wave's speed commands.
         let mut commands = Vec::new();

@@ -4,8 +4,9 @@
 //! Each EV uploads its trip (corridor, departure time, predicted arrival
 //! rates) over TCP; the cloud runs the queue-aware DP on a worker pool and
 //! answers with the profile. EVs departing in the same signal cycle with
-//! the same demand get byte-identical requests, so the cloud's plan cache
-//! absorbs most of the fleet's load.
+//! the same demand get byte-identical requests, so the cloud solves each
+//! once: requests racing that solve wait for it, later ones hit the plan
+//! cache.
 //!
 //! ```sh
 //! cargo run --release --example vehicular_cloud
@@ -48,10 +49,13 @@ fn main() -> Result<()> {
 
     let mut client = CloudClient::connect(addr)?;
     let (served, hits) = client.stats()?;
+    let stats = server.stats();
     println!(
-        "\ncloud served {served} requests; {hits} from the plan cache \
-         ({:.0}% — only one real optimization per distinct departure cycle)",
-        100.0 * hits as f64 / served as f64
+        "\ncloud served {served} requests: {} optimizations (one per distinct \
+         departure cycle), {} shared an identical in-flight solve, {hits} from \
+         the plan cache",
+        stats.coalesce_flights(),
+        stats.coalesce_hits(),
     );
 
     // The fleet-gateway path: instead of one connection per EV, a gateway
