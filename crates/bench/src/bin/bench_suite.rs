@@ -11,27 +11,13 @@
 //! bench-suite --check BASELINE [--current PATH] [--tolerance T] [--warn-only]
 //!     Compare a report (a fresh run, or --current PATH) against BASELINE.
 //!     A scenario regresses when its median wall time exceeds the baseline
-//!     median by strictly more than T (default 0.15 = +15%), or when its
-//!     deterministic work counters (states expanded per iteration, energy
-//!     evaluations, gemm FLOPs and scratch allocations per iteration)
-//!     exceed the baseline's by more than T, when the cloud serving
-//!     scenario's steady-state buffer reuse falls below the 90% floor,
-//!     when the sharded network steps fewer vehicles per round than the
-//!     baseline (the scenario silently shrank), when the co-simulation
-//!     storm's coalesce hits or batch fill fall below their floors
-//!     (coalescing disengaged), or when
-//!     the DP rows' SIMD/repair same-run speedups or the refresh row's
-//!     repair hits per tick fall below their floors (the vectorized
-//!     kernels or incremental repair disengaged), or when the routing
-//!     row's oracle calls grow past the baseline or its same-run oracle
-//!     ratio over featureless Dijkstra falls below the 5x floor (the
-//!     certified emin bounds or plan memo disengaged).
+//!     median by strictly more than T (default 0.15 = +15%, plus 2 ms), or
+//!     when it fails a row of the gate table `velopt_bench::suite::GATES`
+//!     at tolerance T.
 //!
 //! bench-suite --check-work BASELINE [--current PATH] [--warn-only]
-//!     Work counters only, at zero tolerance: wall time is ignored, so the
-//!     gate is immune to runner noise. Pins the solver's states-expanded
-//!     reduction and the traffic kernels' FLOP count and zero-allocation
-//!     steady state against the committed baseline. Combines with --check.
+//!     The gate table alone, at zero tolerance: wall time is ignored, so the
+//!     gate is immune to runner noise. Combines with --check.
 //! ```
 //!
 //! Exit codes: `0` success (or regression under `--warn-only`), `1`
@@ -136,91 +122,16 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             std::fs::write(&args.out, report.to_json())
                 .map_err(|e| format!("cannot write {:?}: {e}", args.out))?;
             for s in &report.scenarios {
-                if s.vehicles_stepped > 0 {
-                    // Throughput: vehicle-steps per wall second at the
-                    // median round (each round is one simulated second).
-                    let per_round = s.vehicles_stepped as f64 / s.iterations.max(1) as f64;
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p95 {:>9.4}s  stepped {:>10}  \
-                         handoffs {:>6}  veh-steps/s {:>12.0}",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p95,
-                        s.vehicles_stepped,
-                        s.network_handoffs,
-                        per_round / s.wall_seconds.p50.max(1e-12),
-                    );
-                } else if s.batch_flushes > 0 {
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p95 {:>9.4}s  hits {:>6}  \
-                         flights {:>5}  fill {:>5.1}  speedup {:>5.2}x",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p95,
-                        s.coalesce_hits,
-                        s.coalesce_flights,
-                        s.batch_fill(),
-                        s.storm_speedup,
-                    );
-                } else if s.buf_reuse + s.buf_alloc > 0 {
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p95 {:>9.4}s  p99 {:>9.4}s  \
-                         buf reuse {:>5.1}%  encode skipped {:>6}",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p95,
-                        s.wall_seconds.p99,
-                        s.buffer_reuse_rate() * 100.0,
-                        s.plan_encode_skipped,
-                    );
-                } else if s.gemm_flops > 0 {
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p90 {:>9.4}s  flops {:>12}  \
-                         reuse {:>6}  allocs {:>5}",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p90,
-                        s.gemm_flops,
-                        s.scratch_reuse_hits,
-                        s.scratch_allocations,
-                    );
-                } else if s.route_oracle_calls > 0 {
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p90 {:>9.4}s  oracle {:>7}  \
-                         pruned {:>7}  memo hits {:>6}  ratio {:>5.2}x",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p90,
-                        s.route_oracle_calls,
-                        s.route_edges_pruned,
-                        s.route_plan_memo_hits,
-                        s.route_oracle_ratio,
-                    );
-                } else if s.simd_speedup > 0.0 || s.repair_speedup > 0.0 {
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p90 {:>9.4}s  expanded {:>10}  \
-                         simd rows {:>10}  repairs {:>4}  speedup {:>5.2}x",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p90,
-                        s.states_expanded,
-                        s.simd_rows,
-                        s.repair_hits,
-                        s.simd_speedup.max(s.repair_speedup),
-                    );
-                } else {
-                    eprintln!(
-                        "  {:<24} p50 {:>9.4}s  p90 {:>9.4}s  expanded {:>10}  \
-                         reuse {:>6}  evals {:>7}  memo {:>5.1}%",
-                        s.name,
-                        s.wall_seconds.p50,
-                        s.wall_seconds.p90,
-                        s.states_expanded,
-                        s.arena_reuse_hits,
-                        s.energy_evals,
-                        s.memo_hit_rate() * 100.0,
-                    );
-                }
+                let tail = s.wall.tail.map_or(String::new(), |(pct, secs)| {
+                    format!("  p{pct} {secs:>9.4}s")
+                });
+                eprintln!(
+                    "  {:<24} p50 {:>9.4}s{tail}  n={}",
+                    s.name, s.wall.p50, s.iterations
+                );
+                let counters: Vec<String> =
+                    s.counters.iter().map(|(k, v)| format!("{k} {v}")).collect();
+                eprintln!("      {}", counters.join("  "));
             }
             eprintln!("report written to {}", args.out);
             report

@@ -1,5 +1,5 @@
-//! Shared harness code for the figure-regeneration binaries and the
-//! Criterion benchmarks.
+//! Shared harness code for the figure-regeneration binaries, and the
+//! [`suite`] behind `bench-suite`, the per-layer perf gate.
 //!
 //! Every figure of the paper's evaluation (§III) has a binary in
 //! `src/bin/` that regenerates its data series as TSV on stdout:

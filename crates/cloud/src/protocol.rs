@@ -568,6 +568,10 @@ pub const MAX_ROUTE_NODES: usize = 4096;
 /// Ceiling on route-graph edge counts.
 pub const MAX_ROUTE_EDGES: usize = 16_384;
 
+/// Bytes of the smallest encoded route edge: two endpoints and a road with
+/// no speed zones, stop signs, lights or grade knots.
+const MIN_ROUTE_EDGE_BYTES: usize = 2 * 4 + 3 * 8 + 4 * 4;
+
 /// A routing query uploaded by an EV: the road graph (junctions plus
 /// directed corridor edges) and the `origin → dest` trip to plan across it.
 ///
@@ -688,6 +692,9 @@ impl RouteNetRequest {
         let dest = take_u32(buf)?;
         let depart = Seconds::new(take_f64(buf)?);
         let n = bounded_count(buf, MAX_ROUTE_EDGES)?;
+        if n > buf.remaining() / MIN_ROUTE_EDGE_BYTES {
+            return Err(Error::protocol("implausible route edge count"));
+        }
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
             let from = take_u32(buf)?;
@@ -1366,6 +1373,15 @@ mod tests {
         buf.put_u32(1_000_000_000);
         let mut bytes = buf.freeze();
         assert!(RouteNetRequest::decode(&mut bytes).is_err());
+        // An edge count within the ceiling but past the bytes present is
+        // refused before any edge slot is reserved.
+        let encoded = demo_route_request().encode();
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&encoded[..20]);
+        buf.put_u32(MAX_ROUTE_EDGES as u32);
+        buf.extend_from_slice(&encoded[24..]);
+        let err = RouteNetRequest::decode(&mut buf.freeze()).unwrap_err();
+        assert!(err.to_string().contains("implausible"), "{err}");
         // Response claiming more edges than the payload carries.
         let mut buf = BytesMut::new();
         buf.put_u32(10_000);

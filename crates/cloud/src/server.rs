@@ -1002,9 +1002,11 @@ fn cached_profile(frame: &Bytes) -> std::result::Result<OptimizedProfile, String
 }
 
 /// Plans a whole batch in one go: cached trips are answered immediately,
-/// the misses fan out over the cores on pooled arenas, and per-trip
+/// each distinct miss fans out over the cores on pooled arenas, and per-trip
 /// failures come back as error entries in request order (they never sink
-/// the batch).
+/// the batch). A member whose request bytes repeat an earlier miss of the
+/// same batch is answered with a clone of that member's result, plan or
+/// error, and counts as a coalesce hit, like a single-flight follower.
 fn handle_batch(
     payload: &mut Bytes,
     stats: &ServerStats,
@@ -1029,13 +1031,21 @@ fn handle_batch(
         }
     }
 
-    // Admit the misses; invalid trips become error entries right here.
+    // Admit each distinct miss once; invalid trips become error entries
+    // right here, and repeats wait on their first occurrence.
     let mut admitted = Vec::new();
     let mut members = Vec::new();
+    let mut first: HashMap<&[u8], usize> = HashMap::new();
+    let mut repeats = Vec::new();
     for (i, trip) in batch.trips.iter().enumerate() {
         if results[i].is_some() {
             continue;
         }
+        if let Some(&leader) = first.get(&keys[i][..]) {
+            repeats.push((i, leader));
+            continue;
+        }
+        first.insert(&keys[i][..], i);
         match planner.admit(trip) {
             Ok(trip) => {
                 admitted.push(trip);
@@ -1061,6 +1071,10 @@ fn handle_batch(
             Err(e) => results[i] = Some(Err(e.to_string())),
         }
     }
+    for &(i, leader) in &repeats {
+        results[i] = results[leader].clone();
+    }
+    stats.record_followers(repeats.len() as u64);
     stats.served.fetch_add(n as u64, Ordering::Relaxed);
     Ok(BatchPlanResponse {
         results: results.into_iter().flatten().collect(),
@@ -1300,26 +1314,56 @@ mod tests {
         assert!(predictors.read().is_empty(), "nothing trained or cached");
     }
 
+    /// A batch `[A, B, A, C, B, A]` to a fresh server solves each distinct
+    /// trip once: the repeats are coalesce hits answered with their first
+    /// occurrence's plan, and every member keeps the bits of a cold solve.
     #[test]
     fn batch_equals_sequential_trip_requests() {
+        use velopt_core::dp::StartState;
         let t = TestDesk::new(std::time::Duration::ZERO);
-        let trips = vec![TripRequest::us25_at(0.0), TripRequest::us25_at(45.0)];
+        let distinct = [0.0, 45.0, 90.0].map(TripRequest::us25_at);
+        let cold = corridor_optimizer().unwrap();
+        let singles = distinct.clone().map(|trip| {
+            let horizon = cold.config().horizon;
+            let signals = velopt_core::windows::queue_aware_constraints(
+                &trip.road,
+                &trip.rates,
+                trip.queue,
+                horizon,
+            )
+            .unwrap();
+            let start = StartState {
+                time: trip.departure,
+                ..StartState::default()
+            };
+            cold.optimize_from(&trip.road, &signals, start).unwrap()
+        });
+        let bits = |p: &OptimizedProfile| -> Vec<u64> {
+            let stations = p.stations.iter().map(|x| x.value());
+            let speeds = p.speeds.iter().map(|v| v.value());
+            let times = p.times.iter().map(|t| t.value());
+            let totals = [p.total_energy.value(), p.trip_time.value()];
+            stations
+                .chain(speeds)
+                .chain(times)
+                .chain(totals)
+                .map(f64::to_bits)
+                .collect()
+        };
 
-        let singles: Vec<_> = trips
-            .iter()
-            .map(|trip| {
-                let fresh = TestDesk::new(std::time::Duration::ZERO);
-                let frame = fresh.trip(0, &trip.encode());
-                decode_profile(&mut Bytes::from(frame[5..].to_vec())).unwrap()
-            })
-            .collect();
-
-        let batch = BatchPlanRequest { trips };
-        let mut payload = batch.encode();
+        let order = [0, 1, 0, 2, 1, 0];
+        let trips = order.map(|k| distinct[k].clone()).to_vec();
+        let mut payload = BatchPlanRequest { trips }.encode();
         let response = handle_batch(&mut payload, &t.stats, &t.cache, &t.planner).unwrap();
-        for (single, batched) in singles.iter().zip(&response.results) {
-            assert_eq!(batched.as_ref().unwrap(), single);
+        for (&k, member) in order.iter().zip(&response.results) {
+            assert_eq!(bits(member.as_ref().unwrap()), bits(&singles[k]));
         }
+        let solved = |f: fn(&OptimizedProfile) -> u64| singles.iter().map(f).sum::<u64>();
+        let expanded = solved(|p| p.metrics.states_expanded);
+        let pruned = solved(|p| p.metrics.states_pruned);
+        assert_eq!(t.stats.solver_states(), (expanded, pruned));
+        assert_eq!(t.stats.coalesce_hits(), 3);
+        assert_eq!(t.stats.served(), 6);
     }
 
     /// A 3-junction diamond whose corridors come from a small class pool,

@@ -3,9 +3,12 @@
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use velopt_cloud::protocol::{
-    decode_profile, encode_profile, read_frame, write_frame, BatchPlanResponse, TripRequest,
+    decode_hello, decode_profile, encode_hello, encode_profile, read_frame, write_frame,
+    BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, PredictQuery, RouteNetRequest,
+    RouteNetResponse, TripRequest, MAX_PREDICT_HORIZONS, MAX_ROUTE_EDGES,
 };
 use velopt_common::units::{AmpereHours, Meters, MetersPerSecond, Seconds, VehiclesPerHour};
+use velopt_common::Result;
 use velopt_core::dp::OptimizedProfile;
 use velopt_core::metrics::SolverMetrics;
 use velopt_queue::QueueParams;
@@ -93,6 +96,140 @@ fn batch_strategy() -> impl Strategy<Value = BatchPlanResponse> {
         "[ -~À-ÿ]{0,40}".prop_map(Err::<OptimizedProfile, String>),
     ];
     prop::collection::vec(entry, 0..6).prop_map(|results| BatchPlanResponse { results })
+}
+
+/// One random valid value of each frame beside trips, profiles and batch
+/// responses: a hello, a route query and answer, and a forecast batch and
+/// answer.
+#[derive(Debug, Clone)]
+struct Frames {
+    tenant: u32,
+    route_request: RouteNetRequest,
+    route_response: RouteNetResponse,
+    predict_request: PredictBatchRequest,
+    predict_response: PredictBatchResponse,
+}
+
+/// A frame decoder under test: `true` when the payload decoded.
+type Decoder = fn(&mut Bytes) -> bool;
+
+const HELLO: Decoder = |b| decode_hello(b).is_ok();
+const ROUTE_REQUEST: Decoder = |b| RouteNetRequest::decode(b).is_ok();
+const ROUTE_RESPONSE: Decoder = |b| RouteNetResponse::decode(b).is_ok();
+const PREDICT_REQUEST: Decoder = |b| PredictBatchRequest::decode(b).is_ok();
+const PREDICT_RESPONSE: Decoder = |b| PredictBatchResponse::decode(b).is_ok();
+
+impl Frames {
+    /// Each frame's payload with its decoder.
+    fn payloads(&self) -> [(Bytes, Decoder); 5] {
+        [
+            (Bytes::copy_from_slice(&encode_hello(self.tenant)), HELLO),
+            (self.route_request.encode(), ROUTE_REQUEST),
+            (self.route_response.encode(), ROUTE_RESPONSE),
+            (self.predict_request.encode(), PREDICT_REQUEST),
+            (self.predict_response.encode(), PREDICT_RESPONSE),
+        ]
+    }
+}
+
+fn frames_strategy() -> impl Strategy<Value = Frames> {
+    let edge = (any::<u32>(), any::<u32>(), any::<u64>());
+    let route_request = (
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        any_f64(),
+        prop::collection::vec(edge, 0..3),
+    )
+        .prop_map(|((nodes, origin, dest), depart, edges)| RouteNetRequest {
+            nodes,
+            edges: edges
+                .into_iter()
+                .map(|(from, to, seed)| {
+                    let road = CorridorTemplate::default().generate(seed).unwrap();
+                    (from, to, road)
+                })
+                .collect(),
+            origin,
+            dest,
+            depart: Seconds::new(depart),
+        });
+    let route_response = (
+        prop::collection::vec(any::<u32>(), 1..8),
+        (any_f64(), any_f64(), any_f64(), any_f64()),
+        any::<u32>(),
+        prop::collection::vec((any_f64(), any_f64(), any_f64()), 1..24),
+    )
+        .prop_map(
+            |(edges, (cost, energy, depart, arrival), violations, points)| RouteNetResponse {
+                edges,
+                cost,
+                total_energy: AmpereHours::new(energy),
+                depart: Seconds::new(depart),
+                arrival: Seconds::new(arrival),
+                window_violations: violations,
+                stations: points.iter().map(|p| Meters::new(p.0)).collect(),
+                speeds: points.iter().map(|p| MetersPerSecond::new(p.1)).collect(),
+                times: points.iter().map(|p| Seconds::new(p.2)).collect(),
+            },
+        );
+    // Every query of a batch carries the same lag count.
+    let queries = (
+        1usize..9,
+        prop::collection::vec((any::<u64>(), prop::collection::vec(any_f64(), 8..9)), 0..5),
+    )
+        .prop_map(|(lags, queries)| {
+            queries
+                .into_iter()
+                .map(|(hour_index, history)| PredictQuery {
+                    history: history[..lags].to_vec(),
+                    hour_index,
+                })
+                .collect()
+        });
+    let predict_request = (
+        (any::<u64>(), 1u32..53, 0..=MAX_PREDICT_HORIZONS as u32),
+        queries,
+    )
+        .prop_map(
+            |((station_seed, train_weeks, horizons), queries)| PredictBatchRequest {
+                station_seed,
+                train_weeks,
+                horizons,
+                queries,
+            },
+        );
+    let predict_response =
+        (0usize..7, prop::collection::vec(any_f64(), 0..30)).prop_map(|(horizons, values)| {
+            PredictBatchResponse {
+                volumes: values
+                    .chunks_exact(horizons.max(1))
+                    .map(|row| row[..horizons].to_vec())
+                    .collect(),
+            }
+        });
+    (
+        any::<u32>(),
+        route_request,
+        route_response,
+        predict_request,
+        predict_response,
+    )
+        .prop_map(
+            |(tenant, route_request, route_response, predict_request, predict_response)| Frames {
+                tenant,
+                route_request,
+                route_response,
+                predict_request,
+                predict_response,
+            },
+        )
+}
+
+/// Whether `value` survives encode → decode with the payload fully consumed
+/// and re-encodes to the same bytes, so every field kept its bits.
+fn round_trips<T>(value: &T, encode: fn(&T) -> Bytes, decode: fn(&mut Bytes) -> Result<T>) -> bool {
+    let payload = encode(value);
+    let mut rest = payload.clone();
+    decode(&mut rest).is_ok_and(|back| rest.is_empty() && encode(&back) == payload)
 }
 
 /// Every field of a profile as raw bits. The metrics are destructured
@@ -200,11 +337,13 @@ proptest! {
         prop_assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
-    /// Garbage bytes never panic the request decoder (errors are fine).
+    /// Garbage bytes never panic the request decoders (errors are fine).
     #[test]
     fn decoder_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..512)) {
-        let mut bytes = Bytes::from(garbage);
-        let _ = TripRequest::decode(&mut bytes);
+        let _ = TripRequest::decode(&mut Bytes::from(garbage.clone()));
+        for decodes in [HELLO, ROUTE_REQUEST, PREDICT_REQUEST] {
+            decodes(&mut Bytes::from(garbage.clone()));
+        }
     }
 
     /// Truncating a valid request at any point yields an error, not a panic
@@ -247,43 +386,83 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a valid profile or batch payload is an error.
+    /// Hellos, route queries and answers, and forecast batches and answers
+    /// round-trip bit for bit, each decoder consuming its whole payload; a
+    /// hello is exactly its four bytes.
     #[test]
-    fn every_strict_prefix_is_rejected(batch in batch_strategy()) {
+    fn hello_route_and_predict_frames_round_trip(frames in frames_strategy()) {
+        prop_assert_eq!(decode_hello(&encode_hello(frames.tenant)).unwrap(), frames.tenant);
+        prop_assert!(decode_hello(&[0; 5]).is_err());
+        let f = &frames;
+        prop_assert!(round_trips(&f.route_request, RouteNetRequest::encode, RouteNetRequest::decode));
+        let back = RouteNetRequest::decode(&mut f.route_request.encode()).unwrap();
+        prop_assert_eq!(&back.edges, &f.route_request.edges);
+        prop_assert!(round_trips(&f.route_response, RouteNetResponse::encode, RouteNetResponse::decode));
+        prop_assert!(round_trips(
+            &f.predict_request,
+            PredictBatchRequest::encode,
+            PredictBatchRequest::decode
+        ));
+        prop_assert!(round_trips(
+            &f.predict_response,
+            PredictBatchResponse::encode,
+            PredictBatchResponse::decode
+        ));
+    }
+
+    /// Every strict prefix of a valid payload is an error: profiles, batch
+    /// responses, hellos, route queries and answers, forecast batches and
+    /// answers. A route query whose edge count outruns its bytes is refused
+    /// before any edge is reserved.
+    #[test]
+    fn every_strict_prefix_is_rejected(batch in batch_strategy(), frames in frames_strategy()) {
+        const PROFILE: Decoder = |b| decode_profile(b).is_ok();
+        const BATCH: Decoder = |b| BatchPlanResponse::decode(b).is_ok();
         let payloads = batch
             .results
             .iter()
             .filter_map(|r| r.as_ref().ok())
-            .map(|p| (encoded_profile(p), true))
-            .chain([(batch.encode(), false)]);
-        for (payload, is_profile) in payloads {
+            .map(|p| (encoded_profile(p), PROFILE))
+            .chain([(batch.encode(), BATCH)])
+            .chain(frames.payloads());
+        for (payload, decodes) in payloads {
             for cut in 0..payload.len() {
-                let mut prefix = payload.slice(0..cut);
-                let rejected = if is_profile {
-                    decode_profile(&mut prefix).is_err()
-                } else {
-                    BatchPlanResponse::decode(&mut prefix).is_err()
-                };
-                prop_assert!(rejected, "prefix of {} / {} bytes decoded", cut, payload.len());
+                let decoded = decodes(&mut payload.slice(0..cut));
+                prop_assert!(!decoded, "prefix of {} / {} bytes decoded", cut, payload.len());
             }
         }
+        let mut inflated = frames.route_request.encode().to_vec();
+        inflated[20..24].copy_from_slice(&(MAX_ROUTE_EDGES as u32).to_be_bytes());
+        let err = RouteNetRequest::decode(&mut Bytes::from(inflated)).unwrap_err();
+        prop_assert!(err.to_string().contains("implausible"), "{}", err);
     }
 
-    /// Random bytes never panic the profile or batch-response decoders.
+    /// Random bytes never panic the response decoders.
     #[test]
     fn response_decoders_never_panic(garbage in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_profile(&mut Bytes::from(garbage.clone()));
-        let _ = BatchPlanResponse::decode(&mut Bytes::from(garbage));
+        let _ = BatchPlanResponse::decode(&mut Bytes::from(garbage.clone()));
+        for decodes in [ROUTE_RESPONSE, PREDICT_RESPONSE] {
+            decodes(&mut Bytes::from(garbage.clone()));
+        }
     }
 
     /// A single flipped bit anywhere in a valid payload never panics the
-    /// decoder (it may decode to a different value or fail).
+    /// decoder (it may decode to a different value or fail). Besides the
+    /// responses, this covers the hello, route and forecast requests.
     #[test]
-    fn bit_flipped_responses_never_panic(batch in batch_strategy(), bit in any::<usize>()) {
+    fn bit_flipped_responses_never_panic(
+        batch in batch_strategy(),
+        frames in frames_strategy(),
+        bit in any::<usize>(),
+    ) {
         let encoded = batch.encode();
         let _ = BatchPlanResponse::decode(&mut flip_bit(&encoded, bit));
         for profile in batch.results.iter().filter_map(|r| r.as_ref().ok()) {
             let _ = decode_profile(&mut flip_bit(&encoded_profile(profile), bit));
+        }
+        for (payload, decodes) in frames.payloads() {
+            decodes(&mut flip_bit(&payload, bit));
         }
     }
 }

@@ -60,11 +60,13 @@ fn main() -> Result<()> {
 
     // The fleet-gateway path: instead of one connection per EV, a gateway
     // aggregates the next wave into a single batch frame. The cloud plans
-    // the batch concurrently and answers in request order; members whose
-    // trips match earlier singles are served from the same plan cache.
+    // the batch's distinct trips concurrently and answers in request order;
+    // members whose trips match earlier singles are served from the same
+    // plan cache, and repeats within the batch share one solve.
     let wave: Vec<TripRequest> = (0..6)
         .map(|i| TripRequest::us25_at((i % 3) as f64 * 60.0 + 30.0))
         .collect();
+    let (repeats_before, cached_before) = (stats.coalesce_hits(), stats.cache_hits());
     let results = client.plan_batch(&wave)?;
     println!("\ngateway batch of {} trips:", wave.len());
     for (i, result) in results.iter().enumerate() {
@@ -83,6 +85,13 @@ fn main() -> Result<()> {
             Err(e) => println!(" {i:>2}  rejected: {e}"),
         }
     }
+    let repeats = stats.coalesce_hits() - repeats_before;
+    let cached = stats.cache_hits() - cached_before;
+    println!(
+        "batch: {} fresh solves, {repeats} repeats of an earlier member, {cached} from the \
+         plan cache",
+        wave.len() as u64 - repeats - cached
+    );
     let (served, hits) = client.stats()?;
     println!("cloud totals: served {served}, cache hits {hits}");
     server.shutdown();
