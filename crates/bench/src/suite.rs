@@ -1116,17 +1116,18 @@ fn interleave<T>(
     Ok((samples, speedup))
 }
 
-/// Times the sharded multi-corridor microsimulation: a seeded chain of
+/// Times the multi-corridor microsimulation: a seeded chain of
 /// `network_corridors` dense arterial corridors (roughly 20 signals each),
-/// each with its own arrival process and seeded [`VehicleMix`], stepped in
-/// lockstep on all cores. After an untimed warm-up each timed round
-/// advances one simulated second, so throughput is `vehicles_stepped /
-/// iterations / p50` vehicle-steps per second. The counters are deltas
-/// across the timed rounds and, because the network is bit-identical at
-/// any shard count and under either dispatch, machine-invariant. The
-/// forced-scalar and auto-dispatch twins give `microsim_simd_speedup`,
-/// diluted below the step-engine ratio by the dispatch-invariant shard
-/// scheduling, junction routing and injection scans.
+/// each with its own arrival process and seeded [`VehicleMix`]. The chain
+/// is one junction component, so the network is one stepping group and
+/// steps on the calling thread whatever the core count. After an untimed
+/// warm-up each timed round advances one simulated second, so throughput
+/// is `vehicles_stepped / iterations / p50` vehicle-steps per second. The
+/// counters are deltas across the timed rounds and, because the network is
+/// bit-identical at any shard count and under either dispatch,
+/// machine-invariant. The forced-scalar and auto-dispatch twins give
+/// `microsim_simd_speedup`, diluted below the step-engine ratio by the
+/// dispatch-invariant junction routing and injection scans.
 fn microsim_network(spec: &MatrixSpec) -> Result<ScenarioResult> {
     let template = CorridorTemplate {
         length: (2500.0, 4500.0),

@@ -22,8 +22,8 @@
 //! * **Measurement** — per-step ego telemetry, stopped-queue probes at each
 //!   light, and induction-loop detectors.
 //! * **Networks** ([`Network`]) — corridors joined at junctions into a
-//!   sharded, deterministically parallel multi-corridor simulation whose
-//!   results are bit-identical at any shard count.
+//!   multi-corridor simulation stepped in parallel by junction component,
+//!   whose results are bit-identical at any shard count.
 //!
 //! # Examples
 //!

@@ -1,29 +1,42 @@
-//! A sharded, deterministic multi-corridor network simulation.
+//! A deterministic multi-corridor network simulation, stepped in parallel
+//! by junction component.
 //!
 //! A [`Network`] joins single-corridor [`Simulation`]s at junctions: a
 //! vehicle whose rear bumper clears the downstream end of corridor `i` is
 //! packaged as a [`Handoff`] boundary message and re-injected at the head of
 //! `downstream(i)` on the next tick (or leaves the network when there is no
-//! downstream corridor). Corridors are partitioned into fixed contiguous
-//! chunks over a thread team ([`velopt_common::par::map_chunks`]) that steps
-//! them in lockstep.
+//! downstream corridor).
+//!
+//! # Stepping groups
+//!
+//! A handoff only ever follows a `downstream` link, so corridors that no
+//! junction connects never exchange a vehicle. [`Network::new`] cuts the
+//! corridor list at every index that no junction crosses and deals the
+//! resulting contiguous ranges into at most `shards` groups, fixed for the
+//! network's life. [`Network::run_until`] opens one thread scope per call
+//! and steps each group through every tick of the call on one thread: it
+//! spawns groups − 1 threads, and the calling thread steps the last group.
+//! A one-group network, a one-shard network and a one-tick call (such as
+//! [`Network::step`]) step on the calling thread and spawn nothing.
 //!
 //! # Determinism
 //!
-//! An N-shard run is bit-identical to a 1-shard run at any thread count:
+//! An N-shard run is bit-identical to a 1-shard run:
 //!
 //! * Within one tick, corridors are **independent** — each cell drains its
 //!   own junction queue and steps its own `Simulation` with its own
 //!   [`SplitMix64`] stream (seeded deterministically from the corridor
-//!   index), so the chunk geometry cannot change any cell's state.
-//! * Boundary messages are routed **after** the parallel phase, on the
-//!   calling thread, in ascending source-corridor order (per-chunk outboxes
-//!   come back in chunk order, and cells are processed in order within a
-//!   chunk), so junction queues receive identical contents in identical
-//!   order regardless of shard count.
-//! * Aggregate statistics fold per-chunk counters in chunk order, and trace
-//!   hashes mix `f64::to_bits` exactly, so even the observability surface is
-//!   reproducible bit-for-bit.
+//!   index), so which thread steps a cell cannot change its state.
+//! * After each tick a group routes its staged boundary messages in
+//!   ascending source-corridor order. Every source feeding a junction
+//!   queue lies in the queue's own group, so each queue receives the same
+//!   messages in the same order as one pass over the whole network would
+//!   deliver.
+//! * Every group advances its clock by the same `time += dt` accumulation
+//!   from the same start, so trace times agree bit for bit. Aggregate
+//!   counters are per-corridor integers summed in corridor order, and trace
+//!   hashes mix `f64::to_bits` exactly, so even the observability surface
+//!   is reproducible bit for bit.
 
 use crate::arena::StepMetrics;
 use crate::config::SimConfig;
@@ -31,6 +44,7 @@ use crate::sim::{EgoSnapshot, Handoff, Simulation};
 use crate::vehicle::{VehicleId, VehicleKind};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 use velopt_common::par;
 use velopt_common::rng::SplitMix64;
 use velopt_common::units::{Meters, MetersPerSecond, Seconds, VehiclesPerHour};
@@ -138,16 +152,30 @@ struct Cell {
     /// Handoffs delivered but not yet admitted (head-of-line blocking:
     /// vehicles enter the new corridor in arrival order).
     pending: VecDeque<Handoff>,
-    /// This tick's outgoing boundary messages, staged by the parallel phase
-    /// for the sequential router. Drained every tick; the `Vec` capacity is
-    /// the reused outbox buffer (no per-tick message allocation).
+    /// This tick's outgoing boundary messages, staged by the step for the
+    /// group's router. Drained every tick; the `Vec` capacity is the reused
+    /// outbox buffer (no per-tick message allocation).
     staged: Vec<Handoff>,
-    /// Vehicle count this cell stepped on the last tick (folded into
-    /// `vehicles_stepped` by the sequential phase).
-    stepped_last_tick: u64,
+    /// Vehicle-steps this cell has executed.
+    vehicles_stepped: u64,
+    /// Boundary messages this cell has handed to its downstream corridor.
+    handoffs: u64,
+    /// Vehicles that left the network at this cell's end.
+    departed: u64,
 }
 
-/// A network of corridors stepping in lockstep on a sharded thread team.
+/// The ego's whereabouts: the one piece of network state a stepping group
+/// updates outside its own cells.
+#[derive(Debug, Clone, Default)]
+struct EgoTrack {
+    /// The corridor the ego is on (or queued to enter); `None` before spawn
+    /// and after the ego leaves the network.
+    cell: Option<usize>,
+    trace: Vec<NetworkTracePoint>,
+    finished_at: Option<Seconds>,
+}
+
+/// A network of corridors, stepped in parallel by junction component.
 ///
 /// # Examples
 ///
@@ -169,26 +197,23 @@ struct Cell {
 #[derive(Debug, Clone)]
 pub struct Network {
     cells: Vec<Cell>,
+    /// Contiguous corridor ranges, in order, that no junction crosses; each
+    /// is stepped by one thread. Fixed at construction.
+    groups: Vec<Range<usize>>,
     shards: usize,
     dt: Seconds,
     time: Seconds,
-    departed: u64,
-    handoffs: u64,
-    vehicles_stepped: u64,
     ego_id: Option<VehicleId>,
-    /// The corridor the ego is on (or queued to enter); `None` before spawn
-    /// and after the ego leaves the network.
-    ego_cell: Option<usize>,
-    ego_trace: Vec<NetworkTracePoint>,
-    ego_finished_at: Option<Seconds>,
+    ego: EgoTrack,
 }
 
 impl Network {
     /// Builds a network from corridor specs.
     ///
-    /// `shards` is the worker-team size stepping the corridors (`0` = one
-    /// per available core). The shard count never changes results — only
-    /// wall-clock time.
+    /// `shards` caps the number of stepping groups, each a run of whole
+    /// junction components that one thread steps (`0` = one per available
+    /// core). The shard count never changes results — only wall-clock
+    /// time.
     ///
     /// # Errors
     ///
@@ -250,21 +275,21 @@ impl Network {
                 downstream: spec.downstream,
                 pending: VecDeque::new(),
                 staged: Vec::new(),
-                stepped_last_tick: 0,
+                vehicles_stepped: 0,
+                handoffs: 0,
+                departed: 0,
             });
         }
+        let shards = par::effective_threads(shards);
+        let downstream: Vec<Option<usize>> = cells.iter().map(|c| c.downstream).collect();
         Ok(Self {
             cells,
-            shards: par::effective_threads(shards),
+            groups: stepping_groups(&downstream, shards),
+            shards,
             dt: config.dt,
             time: Seconds::ZERO,
-            departed: 0,
-            handoffs: 0,
-            vehicles_stepped: 0,
             ego_id: None,
-            ego_cell: None,
-            ego_trace: Vec::new(),
-            ego_finished_at: None,
+            ego: EgoTrack::default(),
         })
     }
 
@@ -273,7 +298,8 @@ impl Network {
         self.cells.len()
     }
 
-    /// The worker-team size stepping the corridors.
+    /// The cap on stepping groups (threads per [`Network::run_until`]
+    /// call).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -314,15 +340,18 @@ impl Network {
         let mut s = NetworkStats {
             vehicles: 0,
             corridor_completions: 0,
-            departed: self.departed,
-            handoffs: self.handoffs,
+            departed: 0,
+            handoffs: 0,
             emergency_brakes: 0,
-            vehicles_stepped: self.vehicles_stepped,
+            vehicles_stepped: 0,
         };
         for cell in &self.cells {
             s.vehicles += cell.sim.vehicle_count() as u64 + cell.pending.len() as u64;
             s.corridor_completions += cell.sim.completed();
+            s.departed += cell.departed;
+            s.handoffs += cell.handoffs;
             s.emergency_brakes += cell.sim.emergency_brakes();
+            s.vehicles_stepped += cell.vehicles_stepped;
         }
         s
     }
@@ -356,8 +385,8 @@ impl Network {
             .ok_or_else(|| Error::invalid_input("corridor index out of range"))?;
         let id = cell.sim.spawn_ego(speed)?;
         self.ego_id = Some(id);
-        self.ego_cell = Some(corridor);
-        self.ego_trace.push(NetworkTracePoint {
+        self.ego.cell = Some(corridor);
+        self.ego.trace.push(NetworkTracePoint {
             time: self.time,
             corridor,
             position: Meters::ZERO,
@@ -369,12 +398,12 @@ impl Network {
     /// The ego's current state, if it is on some corridor (not queued at a
     /// junction).
     pub fn ego(&self) -> Option<EgoSnapshot> {
-        self.cells[self.ego_cell?].sim.ego()
+        self.cells[self.ego.cell?].sim.ego()
     }
 
     /// The corridor the ego is on or queued to enter.
     pub fn ego_corridor(&self) -> Option<usize> {
-        self.ego_cell
+        self.ego.cell
     }
 
     /// The ego's network-wide vehicle id, if one was spawned.
@@ -391,7 +420,7 @@ impl Network {
     /// Returns [`Error::InvalidInput`] if no ego is active or the command is
     /// negative.
     pub fn set_ego_command(&mut self, command: Option<MetersPerSecond>) -> Result<()> {
-        let Some(cell_idx) = self.ego_cell else {
+        let Some(cell_idx) = self.ego.cell else {
             return Err(Error::invalid_input("no ego vehicle active"));
         };
         if let Some(c) = command {
@@ -454,83 +483,25 @@ impl Network {
     /// The recorded ego trajectory through the network (one sample per tick
     /// the ego spent on a corridor).
     pub fn ego_trace(&self) -> &[NetworkTracePoint] {
-        &self.ego_trace
+        &self.ego.trace
     }
 
     /// The time at which the ego left the network, if it has.
     pub fn ego_finished_at(&self) -> Option<Seconds> {
-        self.ego_finished_at
+        self.ego.finished_at
     }
 
     /// Advances every corridor by one tick and routes junction boundary
-    /// messages.
+    /// messages, on the calling thread.
     pub fn step(&mut self) {
-        let n = self.cells.len();
-        let shards = self.shards.min(n).max(1);
-        let chunk_len = n.div_ceil(shards);
-        // Parallel phase: each cell admits queued junction arrivals, steps,
-        // and stages its outgoing boundary messages into its own pooled
-        // outbox. Cells share nothing, so the chunk geometry cannot change
-        // any cell's state, and the buffers' capacities carry across ticks
-        // (no per-tick message allocation once warm).
-        par::map_chunks(&mut self.cells, chunk_len, shards, |_, cells| {
-            for cell in cells.iter_mut() {
-                while let Some(h) = cell.pending.front() {
-                    if cell.sim.receive(h) {
-                        cell.pending.pop_front();
-                    } else {
-                        break; // head-of-line: keep arrival order at the junction
-                    }
-                }
-                cell.stepped_last_tick = cell.sim.vehicle_count() as u64;
-                cell.sim.step();
-                cell.sim.drain_exits_into(&mut cell.staged);
-            }
-        });
-        self.time += self.dt;
-        // Sequential routing phase, in ascending source-corridor order.
-        // Chunks partition the cells contiguously and in order, so this is
-        // exactly the order the per-chunk outboxes used to be folded in:
-        // identical queue contents and order at any shard count.
-        for ci in 0..n {
-            self.vehicles_stepped += self.cells[ci].stepped_last_tick;
-            let mut staged = std::mem::take(&mut self.cells[ci].staged);
-            let dest = self.cells[ci].downstream;
-            for h in staged.drain(..) {
-                match dest {
-                    Some(d) => {
-                        if h.kind == VehicleKind::Ego {
-                            self.ego_cell = Some(d);
-                        }
-                        self.cells[d].pending.push_back(h);
-                        self.handoffs += 1;
-                    }
-                    None => {
-                        self.departed += 1;
-                        if h.kind == VehicleKind::Ego {
-                            self.ego_cell = None;
-                            self.ego_finished_at = Some(self.time);
-                        }
-                    }
-                }
-            }
-            // Hand the (now empty) outbox back so its capacity is reused.
-            self.cells[ci].staged = staged;
-        }
-        // Ego telemetry (skipped while the ego waits in a junction queue).
-        if let Some(cell_idx) = self.ego_cell {
-            if let Some(e) = self.cells[cell_idx].sim.ego() {
-                self.ego_trace.push(NetworkTracePoint {
-                    time: self.time,
-                    corridor: cell_idx,
-                    position: e.position,
-                    speed: e.speed,
-                });
-            }
-        }
+        self.advance(1);
     }
 
     /// Runs until `t` (inclusive of the last partial step boundary).
+    ///
+    /// Each stepping group advances through every tick of the call on one
+    /// thread: the call spawns groups − 1 threads and steps the last group
+    /// itself, or spawns none when there is one group or one tick.
     ///
     /// # Errors
     ///
@@ -540,10 +511,38 @@ impl Network {
         if t + self.dt < self.time {
             return Err(Error::invalid_input("cannot run backwards in time"));
         }
-        while self.time < t {
-            self.step();
+        let (mut clock, mut ticks) = (self.time, 0);
+        while clock < t {
+            clock += self.dt;
+            ticks += 1;
         }
+        self.advance(ticks);
         Ok(())
+    }
+
+    /// Steps every group through `ticks` ticks. Handoffs never leave a
+    /// group, so the groups share nothing but the ego's track, which only
+    /// the group holding the ego receives.
+    fn advance(&mut self, ticks: u64) {
+        let (start, dt) = (self.time, self.dt);
+        if ticks <= 1 || self.groups.len() == 1 {
+            // The whole network is one closed group too.
+            self.time = step_group(&mut self.cells, 0, start, dt, ticks, Some(&mut self.ego));
+            return;
+        }
+        let mut ego = Some(&mut self.ego);
+        self.time = std::thread::scope(|scope| {
+            let (last, spawned) = self.groups.split_last().expect("a network has a group");
+            let mut rest = self.cells.as_mut_slice();
+            for range in spawned {
+                let (group, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                let track = ego.take_if(|e| e.cell.is_some_and(|c| range.contains(&c)));
+                let base = range.start;
+                scope.spawn(move || step_group(group, base, start, dt, ticks, track));
+            }
+            step_group(rest, last.start, start, dt, ticks, ego)
+        });
     }
 
     /// A 64-bit digest of the complete dynamic state (time, every vehicle on
@@ -581,7 +580,7 @@ impl Network {
     /// A 64-bit digest of the ego trace (`f64::to_bits` of every sample).
     pub fn ego_trace_hash(&self) -> u64 {
         let mut h = 0x000E_6071_2ACE_u64;
-        for p in &self.ego_trace {
+        for p in &self.ego.trace {
             h = mix64(h, p.time.value().to_bits());
             h = mix64(h, p.corridor as u64);
             h = mix64(h, p.position.value().to_bits());
@@ -589,6 +588,111 @@ impl Network {
         }
         h
     }
+}
+
+/// Cuts corridors `0..n` at every index that no junction crosses — no
+/// `downstream` link joins a corridor before the cut to one after it, in
+/// either direction — and deals the resulting contiguous ranges into at
+/// most `shards` groups: a range joins group `start * shards / n`.
+/// Components that interleave in index order fall into one range.
+fn stepping_groups(downstream: &[Option<usize>], shards: usize) -> Vec<Range<usize>> {
+    let n = downstream.len();
+    let shards = shards.clamp(1, n);
+    // far[a]: the highest corridor a junction with lower end `a` reaches
+    // (`a` itself if none); a cut before k is open once every junction
+    // starting below k ends below k.
+    let mut far: Vec<usize> = (0..n).collect();
+    for (i, d) in downstream.iter().enumerate() {
+        if let Some(d) = *d {
+            let (a, b) = (i.min(d), i.max(d));
+            far[a] = far[a].max(b);
+        }
+    }
+    let deal = |start: usize| start * shards / n;
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    let (mut reach, mut start) = (0, 0);
+    for k in 1..=n {
+        reach = reach.max(far[k - 1]);
+        if reach >= k {
+            continue; // a junction crosses the cut between k - 1 and k
+        }
+        match groups.last_mut() {
+            Some(last) if deal(last.start) == deal(start) => last.end = k,
+            _ => groups.push(start..k),
+        }
+        start = k;
+    }
+    groups
+}
+
+/// Steps one group of cells — `cells[0]` is corridor `base` — through
+/// `ticks` ticks from `time`, and returns the group's clock afterwards.
+/// Each tick every cell admits its head-of-line junction arrivals, steps
+/// and stages its exits; then the group routes the staged handoffs in
+/// ascending source-corridor order onto its own cells' queues. `ego` is the
+/// ego's track if the ego is in this group.
+fn step_group(
+    cells: &mut [Cell],
+    base: usize,
+    mut time: Seconds,
+    dt: Seconds,
+    ticks: u64,
+    mut ego: Option<&mut EgoTrack>,
+) -> Seconds {
+    for _ in 0..ticks {
+        for cell in cells.iter_mut() {
+            while let Some(h) = cell.pending.front() {
+                if cell.sim.receive(h) {
+                    cell.pending.pop_front();
+                } else {
+                    break; // head-of-line: keep arrival order at the junction
+                }
+            }
+            cell.vehicles_stepped += cell.sim.vehicle_count() as u64;
+            cell.sim.step();
+            cell.sim.drain_exits_into(&mut cell.staged);
+        }
+        time += dt;
+        for ci in 0..cells.len() {
+            // Take the outbox so its capacity is handed back, empty, below.
+            let mut staged = std::mem::take(&mut cells[ci].staged);
+            let dest = cells[ci].downstream;
+            for h in staged.drain(..) {
+                let track = ego.as_deref_mut().filter(|_| h.kind == VehicleKind::Ego);
+                match dest {
+                    Some(d) => {
+                        if let Some(e) = track {
+                            e.cell = Some(d);
+                        }
+                        cells[d - base].pending.push_back(h);
+                        cells[ci].handoffs += 1;
+                    }
+                    None => {
+                        if let Some(e) = track {
+                            e.cell = None;
+                            e.finished_at = Some(time);
+                        }
+                        cells[ci].departed += 1;
+                    }
+                }
+            }
+            cells[ci].staged = staged;
+        }
+        // Ego telemetry (skipped while the ego waits in a junction queue).
+        if let Some(e) = ego.as_deref_mut() {
+            if let Some(c) = e.cell {
+                if let Some(s) = cells[c - base].sim.ego() {
+                    e.trace.push(NetworkTracePoint {
+                        time,
+                        corridor: c,
+                        position: s.position,
+                        speed: s.speed,
+                    });
+                }
+            }
+        }
+    }
+    time
 }
 
 /// SplitMix64-style avalanche combiner for the state digests.
@@ -730,6 +834,32 @@ mod tests {
             idm_fraction: 0.0,
         });
         assert!(Network::new(vec![bad], 1, SimConfig::default()).is_err());
+    }
+
+    #[test]
+    fn groups_follow_junction_components() {
+        let chains = |count: usize, len: usize| -> Vec<Option<usize>> {
+            (0..count * len)
+                .map(|i| ((i + 1) % len != 0).then_some(i + 1))
+                .collect()
+        };
+        // Eight chains of four, as `network_sim` builds them.
+        let eight = chains(8, 4);
+        assert_eq!(stepping_groups(&eight, 1), vec![0..32]);
+        assert_eq!(stepping_groups(&eight, 2), vec![0..16, 16..32]);
+        assert_eq!(stepping_groups(&eight, 3), vec![0..12, 12..24, 24..32]);
+        let eight_groups: Vec<_> = (0..8).map(|c| c * 4..c * 4 + 4).collect();
+        assert_eq!(stepping_groups(&eight, 8), eight_groups);
+        assert_eq!(stepping_groups(&eight, 64), eight_groups);
+        // One chain is one group at any shard count.
+        assert_eq!(stepping_groups(&chains(1, 12), 4), vec![0..12]);
+        // A backward link ties its ends together just as a forward one
+        // does, and components that interleave in index order merge.
+        let tangled = [None, Some(0), Some(4), None, None, Some(3), None];
+        assert_eq!(stepping_groups(&tangled, 7), vec![0..2, 2..6, 6..7]);
+        // A fan-in merge is one component.
+        let merge = [Some(2), Some(2), None, None];
+        assert_eq!(stepping_groups(&merge, 4), vec![0..3, 3..4]);
     }
 
     #[test]

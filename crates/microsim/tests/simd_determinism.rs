@@ -4,53 +4,20 @@
 //! invariance, this one pins *dispatch* invariance — an auto-dispatch run
 //! (AVX2 lane kernels where the host supports them) is `f64::to_bits`
 //! identical to a forced-scalar (`simd: false`) run, at 1, 2, and 4 shards,
-//! on arbitrary random networks, seeds, and traffic mixes. Together the two
-//! suites give the full matrix: {scalar, simd} × {1, 2, 4 shards} all
-//! produce one bit pattern.
+//! on the random junction graphs of `support/mod.rs`, seeds, and traffic
+//! mixes. Together the two suites give the full matrix: {scalar, simd} ×
+//! {1, 2, 4 shards} all produce one bit pattern.
+
+mod support;
 
 use proptest::prelude::*;
-use velopt_common::units::{Meters, MetersPerSecond, Seconds, VehiclesPerHour};
-use velopt_microsim::{CorridorSpec, Network, NetworkStats, SimConfig};
-use velopt_road::CorridorTemplate;
-
-/// A seeded random chain network (same shape as `network_determinism.rs`),
-/// with a traffic mix that exercises every scalar-pass flavor: dawdling
-/// Krauss passengers, trucks, and IDM followers.
-fn chain_network(corridors: usize, seed: u64, rate: f64) -> Vec<CorridorSpec> {
-    let template = CorridorTemplate {
-        length: (1500.0, 3000.0),
-        ..CorridorTemplate::default()
-    };
-    (0..corridors)
-        .map(|i| {
-            let road = template
-                .generate(seed ^ (0x51D0_0000 + i as u64))
-                .expect("template is valid");
-            let mut spec = if i + 1 < corridors {
-                CorridorSpec::through(road, i + 1)
-            } else {
-                CorridorSpec::terminal(road)
-            };
-            if i == 0 {
-                spec.arrival_rate = VehiclesPerHour::new(rate);
-                spec.side_entries
-                    .push((Meters::new(600.0), VehiclesPerHour::new(rate / 2.0)));
-            }
-            spec.detectors.push(Meters::new(450.0));
-            spec
-        })
-        .collect()
-}
+use support::Layout;
+use velopt_common::units::{MetersPerSecond, Seconds};
+use velopt_microsim::{Network, NetworkStats, SimConfig};
 
 /// Runs the network with the given dispatch knob and returns its complete
 /// observability surface.
-fn run(
-    corridors: usize,
-    seed: u64,
-    rate: f64,
-    shards: usize,
-    simd: bool,
-) -> (u64, u64, NetworkStats, u64) {
+fn run(seed: u64, rate: f64, shards: usize, simd: bool) -> (u64, u64, NetworkStats, u64) {
     let config = SimConfig {
         seed,
         straight_ratio: 0.9,
@@ -59,8 +26,11 @@ fn run(
         simd,
         ..SimConfig::default()
     };
-    let mut net = Network::new(chain_network(corridors, seed, rate), shards, config).unwrap();
-    net.spawn_ego(0, MetersPerSecond::new(5.0)).unwrap();
+    let layout = Layout::random(seed);
+    let specs = layout.specs(seed, 0x51D0_0000, rate);
+    let mut net = Network::new(specs, shards, config).unwrap();
+    net.spawn_ego(layout.ego, MetersPerSecond::new(5.0))
+        .unwrap();
     net.run_until(Seconds::new(300.0)).unwrap();
     (
         net.ego_trace_hash(),
@@ -79,12 +49,11 @@ proptest! {
     #[test]
     fn scalar_and_simd_dispatch_are_bit_identical(
         seed in any::<u64>(),
-        corridors in 2usize..5,
         rate in 300.0f64..900.0,
     ) {
-        let (th_s, sh_s, stats_s, lanes_s) = run(corridors, seed, rate, 1, false);
+        let (th_s, sh_s, stats_s, lanes_s) = run(seed, rate, 1, false);
         for shards in [1usize, 2, 4] {
-            let (th_a, sh_a, stats_a, lanes_a) = run(corridors, seed, rate, shards, true);
+            let (th_a, sh_a, stats_a, lanes_a) = run(seed, rate, shards, true);
             prop_assert_eq!(th_s, th_a, "trace hash diverged at {} shards", shards);
             prop_assert_eq!(sh_s, sh_a, "state hash diverged at {} shards", shards);
             prop_assert_eq!(stats_s, stats_a);
@@ -100,8 +69,8 @@ proptest! {
 /// fast and reproducibly even outside proptest.
 #[test]
 fn fixed_seed_dispatch_bit_identity() {
-    let scalar = run(3, 0x00AD_BEEF, 700.0, 1, false);
+    let scalar = run(0x00AD_BEEF, 700.0, 1, false);
     for shards in [1usize, 2, 4] {
-        assert_eq!(scalar, run(3, 0x00AD_BEEF, 700.0, shards, true));
+        assert_eq!(scalar, run(0x00AD_BEEF, 700.0, shards, true));
     }
 }

@@ -72,6 +72,11 @@ pub mod ids {
 /// checked before the body is allocated.
 pub const MAX_MESSAGE_LEN: usize = 64 * 1024 * 1024;
 
+/// Deepest nesting of compound values either side decodes. SUMO's
+/// compounds nest a level or two; the cap keeps a peer's deeply nested
+/// value from overflowing the decoding thread's stack.
+pub const MAX_COMPOUND_DEPTH: usize = 16;
+
 /// Type codes for [`TraciValue`].
 mod type_codes {
     pub const POSITION_2D: u8 = 0x01;
@@ -155,14 +160,15 @@ impl TraciValue {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Protocol`] on truncation or an unknown type code.
+    /// Returns [`Error::Protocol`] on truncation, an unknown type code, or
+    /// compounds nested more than [`MAX_COMPOUND_DEPTH`] deep.
     pub fn decode(buf: &mut Bytes) -> Result<TraciValue> {
-        let code = take_u8(buf)?;
-        Self::decode_payload(code, buf)
+        Self::decode_nested(buf, 0)
     }
 
-    fn decode_payload(code: u8, buf: &mut Bytes) -> Result<TraciValue> {
-        match code {
+    /// Decodes one value inside `depth` enclosing compounds.
+    fn decode_nested(buf: &mut Bytes, depth: usize) -> Result<TraciValue> {
+        match take_u8(buf)? {
             type_codes::TYPE_UBYTE => Ok(TraciValue::UByte(take_u8(buf)?)),
             type_codes::TYPE_BYTE => Ok(TraciValue::Byte(take_u8(buf)? as i8)),
             type_codes::TYPE_INTEGER => Ok(TraciValue::Integer(take_i32(buf)?)),
@@ -188,6 +194,11 @@ impl TraciValue {
                 Ok(TraciValue::Position2D(x, y))
             }
             type_codes::TYPE_COMPOUND => {
+                if depth == MAX_COMPOUND_DEPTH {
+                    return Err(Error::protocol(format!(
+                        "compound values nest deeper than {MAX_COMPOUND_DEPTH} levels"
+                    )));
+                }
                 let n = take_i32(buf)?;
                 // Every item needs at least a type byte; bound the count by
                 // the bytes actually present before allocating.
@@ -196,7 +207,7 @@ impl TraciValue {
                 }
                 let mut items = Vec::with_capacity(n as usize);
                 for _ in 0..n {
-                    items.push(TraciValue::decode(buf)?);
+                    items.push(Self::decode_nested(buf, depth + 1)?);
                 }
                 Ok(TraciValue::Compound(items))
             }
@@ -729,6 +740,39 @@ mod tests {
         assert_eq!(TraciValue::String("x".into()).as_string().unwrap(), "x");
         assert_eq!(TraciValue::Integer(5).as_integer().unwrap(), 5);
         assert!(TraciValue::Integer(5).as_double().is_err());
+    }
+
+    /// `levels` one-item compounds around a double.
+    fn nested(levels: usize) -> BytesMut {
+        let mut buf = BytesMut::new();
+        for _ in 0..levels {
+            buf.put_u8(type_codes::TYPE_COMPOUND);
+            buf.put_i32(1);
+        }
+        TraciValue::Double(1.5).encode(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn compound_nesting_is_capped() {
+        let mut at_cap = nested(MAX_COMPOUND_DEPTH).freeze();
+        let mut value = TraciValue::decode(&mut at_cap).unwrap();
+        for _ in 0..MAX_COMPOUND_DEPTH {
+            let TraciValue::Compound(mut items) = value else {
+                panic!("expected a compound");
+            };
+            value = items.pop().unwrap();
+        }
+        assert_eq!(value, TraciValue::Double(1.5));
+        // One level deeper is refused, and so is a nesting deep enough
+        // (~500 KB) to overflow a 2 MiB stack if decoding recursed per level.
+        for levels in [MAX_COMPOUND_DEPTH + 1, 100_000] {
+            let err = TraciValue::decode(&mut nested(levels).freeze()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Protocol(m) if m.contains("nest deeper")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -462,6 +462,46 @@ mod tests {
         server.join();
     }
 
+    /// A `setSpeed` whose value nests compounds past the cap — one level
+    /// past it, and deep enough to overflow the serving thread's 2 MiB
+    /// stack if decoding recursed per level — is refused with an error
+    /// status, and the same connection's next command is answered.
+    #[test]
+    fn over_deep_set_speed_is_refused_and_the_connection_survives() {
+        use crate::protocol::{ids, MAX_COMPOUND_DEPTH};
+
+        let server = server();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        for levels in [MAX_COMPOUND_DEPTH + 1, 100_000] {
+            let mut payload = BytesMut::new();
+            payload.put_u8(ids::VAR_SPEED);
+            put_string(&mut payload, "veh0");
+            for _ in 0..levels {
+                payload.put_u8(0x0F); // TYPE_COMPOUND
+                payload.put_i32(1);
+            }
+            TraciValue::Double(3.0).encode(&mut payload);
+            let set = Command::new(ids::CMD_SET_VEHICLE_VARIABLE, payload.freeze());
+            write_message(&mut raw, &[set]).unwrap();
+            let reply = read_message(&mut raw).unwrap();
+            assert_eq!(reply.len(), 1);
+            let status = Status::from_command(&reply[0]).unwrap();
+            assert_eq!(status.result, ids::RTYPE_ERR);
+            assert!(status.description.contains("nest deeper"), "{status:?}");
+
+            let time = Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "");
+            write_message(&mut raw, &[time]).unwrap();
+            let reply = read_message(&mut raw).unwrap();
+            assert_eq!(
+                Status::from_command(&reply[0]).unwrap().result,
+                ids::RTYPE_OK
+            );
+        }
+        write_message(&mut raw, &[Command::new(ids::CMD_CLOSE, Vec::<u8>::new())]).unwrap();
+        read_message(&mut raw).unwrap();
+        server.join();
+    }
+
     #[test]
     fn explicit_shutdown_is_idempotent() {
         let mut server = server();

@@ -1,41 +1,149 @@
-//! Property-based tests: the wire format round-trips arbitrary values, and
-//! a pipelined message is answered exactly as its commands one by one.
+//! Property-based tests: the wire format round-trips arbitrary values, the
+//! decoders reject truncated and mutated bytes without panicking, and a
+//! pipelined message is answered exactly as its commands one by one.
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use velopt_common::units::{Meters, Seconds, VehiclesPerHour};
 use velopt_microsim::{CorridorSpec, Network, SimConfig};
 use velopt_road::Road;
 use velopt_traci::protocol::{
-    decode_message_body, encode_message, ids, put_string, Command, Reply, Status, TraciValue,
+    decode_message_body, encode_message, ids, put_string, read_message, Command, Reply, Status,
+    TraciValue, MAX_COMPOUND_DEPTH,
 };
 use velopt_traci::{TraciBackend, TraciClient, TraciServer};
 
-/// Strategy for arbitrary (bounded-depth) TraCI values.
+/// Strategy for arbitrary (bounded-depth) TraCI values; doubles take any
+/// bit pattern, NaNs and infinities included.
 fn arb_value() -> impl Strategy<Value = TraciValue> {
     let leaf = prop_oneof![
         any::<u8>().prop_map(TraciValue::UByte),
         any::<i8>().prop_map(TraciValue::Byte),
         any::<i32>().prop_map(TraciValue::Integer),
-        (-1e12f64..1e12).prop_map(TraciValue::Double),
+        any::<u64>().prop_map(|b| TraciValue::Double(f64::from_bits(b))),
         "[a-zA-Z0-9_ ]{0,32}".prop_map(TraciValue::String),
         prop::collection::vec("[a-z0-9]{0,8}", 0..5).prop_map(TraciValue::StringList),
-        ((-1e6f64..1e6), (-1e6f64..1e6)).prop_map(|(x, y)| TraciValue::Position2D(x, y)),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(x, y)| TraciValue::Position2D(f64::from_bits(x), f64::from_bits(y))),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop::collection::vec(inner, 0..4).prop_map(TraciValue::Compound)
     })
 }
 
+fn encoded(value: &TraciValue) -> Bytes {
+    let mut buf = BytesMut::new();
+    value.encode(&mut buf);
+    buf.freeze()
+}
+
+fn arb_commands() -> impl Strategy<Value = Vec<Command>> {
+    prop::collection::vec(
+        (any::<u8>(), prop::collection::vec(any::<u8>(), 0..300)),
+        0..6,
+    )
+    .prop_map(|cmds| {
+        cmds.into_iter()
+            .map(|(id, p)| Command::new(id, p))
+            .collect()
+    })
+}
+
+/// `levels` one-item compound headers in front of `inner`.
+fn nest(levels: usize, inner: &[u8]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(levels * 5 + inner.len());
+    for _ in 0..levels {
+        buf.put_u8(0x0F); // TYPE_COMPOUND
+        buf.put_i32(1);
+    }
+    buf.put_slice(inner);
+    buf.freeze()
+}
+
+/// Runs every decoder over `bytes`; each may fail, none may panic.
+fn decode_everything(bytes: &Bytes) {
+    let _ = TraciValue::decode(&mut bytes.clone());
+    let _ = Command::decode(&mut bytes.clone());
+    let _ = decode_message_body(bytes.clone());
+}
+
+/// Every single-bit flip of `bytes`, each run through every decoder.
+fn flip_every_bit(bytes: &Bytes) {
+    let mut copy = bytes.to_vec();
+    for bit in 0..copy.len() * 8 {
+        copy[bit / 8] ^= 1 << (bit % 8);
+        decode_everything(&Bytes::from(copy.clone()));
+        copy[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
 proptest! {
+    /// Values round-trip, every double compared by `to_bits`.
     #[test]
     fn value_round_trip(v in arb_value()) {
-        let mut buf = BytesMut::new();
-        v.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = encoded(&v);
         let back = TraciValue::decode(&mut bytes).unwrap();
-        prop_assert_eq!(back, v);
+        prop_assert_eq!(bits(&back), bits(&v));
         prop_assert!(bytes.is_empty());
+    }
+
+    /// Every strict prefix of a value or command encoding is an error.
+    #[test]
+    fn truncated_values_and_commands_are_rejected(
+        v in arb_value(),
+        id in any::<u8>(),
+        payload in prop::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let value = encoded(&v);
+        for cut in 0..value.len() {
+            prop_assert!(TraciValue::decode(&mut value.slice(..cut)).is_err(), "cut {}", cut);
+        }
+        let mut buf = BytesMut::new();
+        Command::new(id, payload).encode(&mut buf);
+        let command = buf.freeze();
+        for cut in 0..command.len() {
+            prop_assert!(Command::decode(&mut command.slice(..cut)).is_err(), "cut {}", cut);
+        }
+    }
+
+    /// A strict prefix of a message body decodes only where it ends on a
+    /// command boundary, and then to exactly the commands before it; a
+    /// strict prefix of the whole message, length header included, is an
+    /// error.
+    #[test]
+    fn truncated_messages_are_rejected(cmds in arb_commands()) {
+        let msg = encode_message(&cmds);
+        let body = msg.slice(4..);
+        let mut boundaries = vec![0];
+        for cmd in &cmds {
+            let mut buf = BytesMut::new();
+            cmd.encode(&mut buf);
+            boundaries.push(boundaries.last().unwrap() + buf.len());
+        }
+        for cut in 0..body.len() {
+            let decoded = decode_message_body(body.slice(..cut));
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(k) => prop_assert_eq!(decoded.unwrap(), cmds[..k].to_vec()),
+                None => prop_assert!(decoded.is_err(), "cut {}", cut),
+            }
+        }
+        for cut in 0..msg.len() {
+            prop_assert!(read_message(&mut &msg[..cut]).is_err(), "cut {}", cut);
+        }
+    }
+
+    /// No single-bit flip of a valid value, command or message encoding
+    /// panics any decoder.
+    #[test]
+    fn bit_flips_never_panic(v in arb_value(), cmds in arb_commands()) {
+        flip_every_bit(&encoded(&v));
+        let msg = encode_message(&cmds);
+        flip_every_bit(&msg.slice(4..));
+        if let Some(first) = cmds.first() {
+            let mut buf = BytesMut::new();
+            first.encode(&mut buf);
+            flip_every_bit(&buf.freeze());
+        }
     }
 
     #[test]
@@ -50,13 +158,7 @@ proptest! {
     }
 
     #[test]
-    fn message_round_trip(
-        cmds in prop::collection::vec(
-            (any::<u8>(), prop::collection::vec(any::<u8>(), 0..300)),
-            0..6,
-        )
-    ) {
-        let cmds: Vec<Command> = cmds.into_iter().map(|(id, p)| Command::new(id, p)).collect();
+    fn message_round_trip(cmds in arb_commands()) {
         let msg = encode_message(&cmds);
         let back = decode_message_body(msg.slice(4..)).unwrap();
         prop_assert_eq!(back, cmds);
@@ -69,12 +171,22 @@ proptest! {
         prop_assert_eq!(back, status);
     }
 
-    /// Arbitrary byte soup never panics the decoder (it may error).
+    /// Arbitrary byte soup never panics the decoders (they may error),
+    /// bare or behind any number of nested compound headers; nesting past
+    /// [`MAX_COMPOUND_DEPTH`] is an error.
     #[test]
-    fn decoder_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_message_body(bytes::Bytes::from(garbage.clone()));
-        let mut b = bytes::Bytes::from(garbage);
-        let _ = TraciValue::decode(&mut b);
+    fn decoder_never_panics(
+        garbage in prop::collection::vec(any::<u8>(), 0..256),
+        levels in 0usize..40_000,
+    ) {
+        decode_everything(&Bytes::from(garbage.clone()));
+        for levels in [levels % (MAX_COMPOUND_DEPTH + 2), levels] {
+            let nested = nest(levels, &garbage);
+            decode_everything(&nested);
+            if levels > MAX_COMPOUND_DEPTH {
+                prop_assert!(TraciValue::decode(&mut nested.clone()).is_err());
+            }
+        }
     }
 }
 
@@ -226,6 +338,10 @@ fn bits(value: &TraciValue) -> String {
         TraciValue::Double(x) => format!("double {:#018x}", x.to_bits()),
         TraciValue::Position2D(x, y) => {
             format!("position {:#018x} {:#018x}", x.to_bits(), y.to_bits())
+        }
+        TraciValue::Compound(items) => {
+            let items: Vec<String> = items.iter().map(bits).collect();
+            format!("compound [{}]", items.join(", "))
         }
         other => format!("{other:?}"),
     }
