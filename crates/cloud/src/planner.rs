@@ -5,11 +5,13 @@
 //! coalescing window's flush, a `REQ_BATCH` — checks out one arena per
 //! batch worker for [`DpOptimizer::optimize_batch_with`] (a lone trip runs
 //! inline on one arena, through `optimize_from_with`). No request builds
-//! an optimizer, and a warm arena keeps its layer buffers and transition
-//! memo, so a miss reuses cost tables earlier misses built instead of
-//! re-evaluating the energy model. A plan's bits depend only on its
-//! request, never on the arena that solved it, so pooling changes only the
-//! arena and memo counters in `SolverMetrics`.
+//! an optimizer, and a warm arena keeps its layer buffers, transition memo
+//! and window-bound memo, so a miss reuses cost tables earlier misses
+//! built instead of re-evaluating the energy model, and a corridor
+//! re-planned at a new departure under the same windows reuses its pruning
+//! tables. A plan's bits depend only on its request, never on the arena
+//! that solved it, so pooling changes only the arena and memo counters in
+//! `SolverMetrics`.
 //!
 //! Everything the pool keeps is bounded by constants:
 //!
@@ -19,7 +21,10 @@
 //!   exceeds it, and an arena whose envelope of solved lattices (most
 //!   stations × longest layer) passes it is replaced;
 //! * each arena's transition memo, through [`MAX_ARENA_CLASSES`] classes
-//!   of at most [`MAX_LATTICE_SPEEDS`]² transitions each.
+//!   of at most [`MAX_LATTICE_SPEEDS`]² transitions each;
+//! * each arena's window-bound memo, through
+//!   [`BOUNDS_MEMO_BYTES`](velopt_core::memo::BOUNDS_MEMO_BYTES) of keys
+//!   and tables, least recently used evicted first.
 //!
 //! An arena dropped for any reason — replaced, surplus to a full pool, or
 //! released at shutdown — hands its memory back to the operating system.
@@ -38,7 +43,7 @@ use velopt_road::Road;
 /// Largest exact-DP lattice — stations × speed cells × time bins — the
 /// server plans. Twice US-25's 3.8 M states (211 × 20 × 901) plus headroom;
 /// the default `CorridorTemplate`'s 6 km corridors reach about 5.4 M. At
-/// 40 bytes a state, one arena's layer stack stays under 320 MB.
+/// 32 bytes a state, one arena's layer stack stays under 256 MB.
 pub(crate) const MAX_LATTICE_STATES: u64 = 8_000_000;
 
 /// Largest speed grid (cells of `dv`) the server plans: 63 m/s (227 km/h)

@@ -286,6 +286,14 @@ pub struct BatchPlanRequest {
 /// Per-trip ceiling on batch size (keeps a hostile count from allocating).
 pub const MAX_BATCH_TRIPS: usize = 1024;
 
+/// Bytes of the smallest encoded road: its length and default limits, and
+/// empty speed-zone, stop-sign, light and grade-knot lists.
+const MIN_ROAD_BYTES: usize = 3 * 8 + 4 * 4;
+
+/// Bytes of the smallest encoded trip: a minimal road, the departure, an
+/// empty rate list, the queue parameters and the queue-aware flag.
+const MIN_TRIP_BYTES: usize = MIN_ROAD_BYTES + 8 + 4 + 7 * 8 + 1;
+
 impl BatchPlanRequest {
     /// Encodes the batch payload.
     pub fn encode(&self) -> Bytes {
@@ -302,9 +310,13 @@ impl BatchPlanRequest {
     /// # Errors
     ///
     /// Returns [`Error::Protocol`] on truncation, a malformed trip, or an
-    /// implausible trip count.
+    /// implausible trip count (one the remaining bytes cannot hold, refused
+    /// before any trip is reserved).
     pub fn decode(buf: &mut Bytes) -> Result<Self> {
         let n = bounded_count(buf, MAX_BATCH_TRIPS)?;
+        if n > buf.remaining() / MIN_TRIP_BYTES {
+            return Err(Error::protocol("implausible batch trip count"));
+        }
         let mut trips = Vec::with_capacity(n);
         for _ in 0..n {
             trips.push(TripRequest::decode(buf)?);
@@ -568,9 +580,9 @@ pub const MAX_ROUTE_NODES: usize = 4096;
 /// Ceiling on route-graph edge counts.
 pub const MAX_ROUTE_EDGES: usize = 16_384;
 
-/// Bytes of the smallest encoded route edge: two endpoints and a road with
-/// no speed zones, stop signs, lights or grade knots.
-const MIN_ROUTE_EDGE_BYTES: usize = 2 * 4 + 3 * 8 + 4 * 4;
+/// Bytes of the smallest encoded route edge: two endpoints and a minimal
+/// road.
+const MIN_ROUTE_EDGE_BYTES: usize = 2 * 4 + MIN_ROAD_BYTES;
 
 /// A routing query uploaded by an EV: the road graph (junctions plus
 /// directed corridor edges) and the `origin → dest` trip to plan across it.
@@ -1122,6 +1134,33 @@ mod tests {
         assert!(bytes.is_empty(), "decoder must consume the whole payload");
     }
 
+    /// `MIN_TRIP_BYTES` is the smallest trip the decoder accepts, so a
+    /// batch of such trips is never refused as implausible.
+    #[test]
+    fn smallest_trip_decodes_from_min_trip_bytes() {
+        let trip = TripRequest {
+            road: RoadBuilder::new(Meters::new(500.0)).build().unwrap(),
+            rates: Vec::new(),
+            ..TripRequest::us25_at(0.0)
+        };
+        // The encoder writes the road's one grade knot; the decoder also
+        // accepts none.
+        let raw = trip.encode();
+        let smallest = [&raw[..36], &[0; 4], &raw[56..]].concat();
+        assert_eq!(smallest.len(), MIN_TRIP_BYTES);
+        assert_eq!(
+            TripRequest::decode(&mut Bytes::from(smallest.clone())).unwrap(),
+            trip
+        );
+        let mut batch = BytesMut::new();
+        batch.put_u32(3);
+        for _ in 0..3 {
+            batch.extend_from_slice(&smallest);
+        }
+        let back = BatchPlanRequest::decode(&mut batch.freeze()).unwrap();
+        assert_eq!(back.trips, vec![trip; 3]);
+    }
+
     #[test]
     fn batch_request_round_trip() {
         let batch = BatchPlanRequest {
@@ -1275,6 +1314,12 @@ mod tests {
         buf.put_u32(1_000_000_000);
         let mut bytes = buf.freeze();
         assert!(BatchPlanRequest::decode(&mut bytes).is_err());
+        // Within the ceiling but more trips than the bytes can hold: refused
+        // before any trip is reserved.
+        let mut buf = BytesMut::new();
+        buf.put_u32(MAX_BATCH_TRIPS as u32);
+        let err = BatchPlanRequest::decode(&mut buf.freeze()).unwrap_err();
+        assert!(err.to_string().contains("implausible"), "{err}");
         let mut buf = BytesMut::new();
         buf.put_u32(2);
         buf.put_u8(9); // unknown entry marker

@@ -4,8 +4,9 @@ use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use velopt_cloud::protocol::{
     decode_hello, decode_profile, encode_hello, encode_profile, read_frame, write_frame,
-    BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, PredictQuery, RouteNetRequest,
-    RouteNetResponse, TripRequest, MAX_PREDICT_HORIZONS, MAX_ROUTE_EDGES,
+    BatchPlanRequest, BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, PredictQuery,
+    RouteNetRequest, RouteNetResponse, TripRequest, MAX_BATCH_TRIPS, MAX_PREDICT_HORIZONS,
+    MAX_ROUTE_EDGES,
 };
 use velopt_common::units::{AmpereHours, Meters, MetersPerSecond, Seconds, VehiclesPerHour};
 use velopt_common::Result;
@@ -99,11 +100,12 @@ fn batch_strategy() -> impl Strategy<Value = BatchPlanResponse> {
 }
 
 /// One random valid value of each frame beside trips, profiles and batch
-/// responses: a hello, a route query and answer, and a forecast batch and
-/// answer.
+/// responses: a hello, a trip batch, a route query and answer, and a
+/// forecast batch and answer.
 #[derive(Debug, Clone)]
 struct Frames {
     tenant: u32,
+    batch_request: BatchPlanRequest,
     route_request: RouteNetRequest,
     route_response: RouteNetResponse,
     predict_request: PredictBatchRequest,
@@ -114,6 +116,7 @@ struct Frames {
 type Decoder = fn(&mut Bytes) -> bool;
 
 const HELLO: Decoder = |b| decode_hello(b).is_ok();
+const BATCH_REQUEST: Decoder = |b| BatchPlanRequest::decode(b).is_ok();
 const ROUTE_REQUEST: Decoder = |b| RouteNetRequest::decode(b).is_ok();
 const ROUTE_RESPONSE: Decoder = |b| RouteNetResponse::decode(b).is_ok();
 const PREDICT_REQUEST: Decoder = |b| PredictBatchRequest::decode(b).is_ok();
@@ -121,9 +124,10 @@ const PREDICT_RESPONSE: Decoder = |b| PredictBatchResponse::decode(b).is_ok();
 
 impl Frames {
     /// Each frame's payload with its decoder.
-    fn payloads(&self) -> [(Bytes, Decoder); 5] {
+    fn payloads(&self) -> [(Bytes, Decoder); 6] {
         [
             (Bytes::copy_from_slice(&encode_hello(self.tenant)), HELLO),
+            (self.batch_request.encode(), BATCH_REQUEST),
             (self.route_request.encode(), ROUTE_REQUEST),
             (self.route_response.encode(), ROUTE_RESPONSE),
             (self.predict_request.encode(), PREDICT_REQUEST),
@@ -133,6 +137,22 @@ impl Frames {
 }
 
 fn frames_strategy() -> impl Strategy<Value = Frames> {
+    let trip = (any::<u64>(), any_f64(), any_f64(), any::<bool>());
+    let batch_request = prop::collection::vec(trip, 0..3).prop_map(|trips| BatchPlanRequest {
+        trips: trips
+            .into_iter()
+            .map(|(seed, departure, rate, queue_aware)| {
+                let road = CorridorTemplate::default().generate(seed).unwrap();
+                TripRequest {
+                    rates: vec![VehiclesPerHour::new(rate); road.traffic_lights().len()],
+                    road,
+                    departure: Seconds::new(departure),
+                    queue: QueueParams::us25_probe(),
+                    queue_aware,
+                }
+            })
+            .collect(),
+    });
     let edge = (any::<u32>(), any::<u32>(), any::<u64>());
     let route_request = (
         (any::<u32>(), any::<u32>(), any::<u32>()),
@@ -207,15 +227,22 @@ fn frames_strategy() -> impl Strategy<Value = Frames> {
             }
         });
     (
-        any::<u32>(),
+        (any::<u32>(), batch_request),
         route_request,
         route_response,
         predict_request,
         predict_response,
     )
         .prop_map(
-            |(tenant, route_request, route_response, predict_request, predict_response)| Frames {
+            |(
+                (tenant, batch_request),
+                route_request,
+                route_response,
+                predict_request,
+                predict_response,
+            )| Frames {
                 tenant,
+                batch_request,
                 route_request,
                 route_response,
                 predict_request,
@@ -341,7 +368,7 @@ proptest! {
     #[test]
     fn decoder_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = TripRequest::decode(&mut Bytes::from(garbage.clone()));
-        for decodes in [HELLO, ROUTE_REQUEST, PREDICT_REQUEST] {
+        for decodes in [HELLO, BATCH_REQUEST, ROUTE_REQUEST, PREDICT_REQUEST] {
             decodes(&mut Bytes::from(garbage.clone()));
         }
     }
@@ -386,14 +413,15 @@ proptest! {
         }
     }
 
-    /// Hellos, route queries and answers, and forecast batches and answers
-    /// round-trip bit for bit, each decoder consuming its whole payload; a
-    /// hello is exactly its four bytes.
+    /// Hellos, trip batches, route queries and answers, and forecast
+    /// batches and answers round-trip bit for bit, each decoder consuming
+    /// its whole payload; a hello is exactly its four bytes.
     #[test]
     fn hello_route_and_predict_frames_round_trip(frames in frames_strategy()) {
         prop_assert_eq!(decode_hello(&encode_hello(frames.tenant)).unwrap(), frames.tenant);
         prop_assert!(decode_hello(&[0; 5]).is_err());
         let f = &frames;
+        prop_assert!(round_trips(&f.batch_request, BatchPlanRequest::encode, BatchPlanRequest::decode));
         prop_assert!(round_trips(&f.route_request, RouteNetRequest::encode, RouteNetRequest::decode));
         let back = RouteNetRequest::decode(&mut f.route_request.encode()).unwrap();
         prop_assert_eq!(&back.edges, &f.route_request.edges);
@@ -411,9 +439,9 @@ proptest! {
     }
 
     /// Every strict prefix of a valid payload is an error: profiles, batch
-    /// responses, hellos, route queries and answers, forecast batches and
-    /// answers. A route query whose edge count outruns its bytes is refused
-    /// before any edge is reserved.
+    /// responses, hellos, trip batches, route queries and answers, forecast
+    /// batches and answers. A trip batch or route query whose count outruns
+    /// its bytes is refused before any trip or edge is reserved.
     #[test]
     fn every_strict_prefix_is_rejected(batch in batch_strategy(), frames in frames_strategy()) {
         const PROFILE: Decoder = |b| decode_profile(b).is_ok();
@@ -435,6 +463,10 @@ proptest! {
         inflated[20..24].copy_from_slice(&(MAX_ROUTE_EDGES as u32).to_be_bytes());
         let err = RouteNetRequest::decode(&mut Bytes::from(inflated)).unwrap_err();
         prop_assert!(err.to_string().contains("implausible"), "{}", err);
+        let mut inflated = frames.batch_request.encode().to_vec();
+        inflated[..4].copy_from_slice(&(MAX_BATCH_TRIPS as u32).to_be_bytes());
+        let err = BatchPlanRequest::decode(&mut Bytes::from(inflated)).unwrap_err();
+        prop_assert!(err.to_string().contains("implausible"), "{}", err);
     }
 
     /// Random bytes never panic the response decoders.
@@ -449,7 +481,8 @@ proptest! {
 
     /// A single flipped bit anywhere in a valid payload never panics the
     /// decoder (it may decode to a different value or fail). Besides the
-    /// responses, this covers the hello, route and forecast requests.
+    /// responses, this covers the hello, trip batch, route and forecast
+    /// requests.
     #[test]
     fn bit_flipped_responses_never_panic(
         batch in batch_strategy(),

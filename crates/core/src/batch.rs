@@ -7,8 +7,10 @@
 //! by the request count), and [`DpOptimizer::optimize_batch_with`] runs one
 //! worker per caller-owned [`SolverArena`]. Each worker keeps its arena
 //! across its share of the batch, so consecutive plans on a worker recycle
-//! layer buffers *and* the transition-cost memo (plans after the first on
-//! a worker typically build zero cost tables — see [`crate::memo`]).
+//! layer buffers *and* the transition-cost and window-bound memos (plans
+//! after the first on a worker typically build zero cost tables, and a
+//! trip sharing an earlier one's corridor and windows skips the bound
+//! build — see [`crate::memo`]).
 //! Results come back **in request order**.
 //!
 //! Each plan is one sequential DP solve, so a batch of N on C cores uses
@@ -56,9 +58,10 @@ impl DpOptimizer {
     }
 
     /// Like [`DpOptimizer::optimize_batch`], but reusing caller-owned
-    /// arenas so warm layer buffers and transition-cost memos survive
-    /// *across* batches — the router's batched frontier flushes many small
-    /// batches and would otherwise rebuild every cost table each flush.
+    /// arenas so warm layer buffers, transition-cost and window-bound
+    /// memos survive *across* batches — the router's batched frontier
+    /// flushes many small batches and would otherwise rebuild every cost
+    /// table each flush.
     ///
     /// Up to `arenas.len()` workers run; worker `w` owns `arenas[w]` and
     /// plans requests `w, w + workers, …`, so with a fixed arena count the

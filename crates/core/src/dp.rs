@@ -60,7 +60,9 @@
 //! at signal stations whose windows the earliest possible arrival already
 //! misses), combined with a window-aware arrival-time bound
 //! (`window_bounds`) that prices window penalties the cost-to-go cannot
-//! see. Every bound term is a pure function of a candidate's DP slot
+//! see. The window-aware tables do not depend on the start state, so the
+//! [`SolverArena`] keeps them for later solves of the same corridor and
+//! windows. Every bound term is a pure function of a candidate's DP slot
 //! `(station, v, t-bin)`, so within one slot prunability is monotone in
 //! cost: if any candidate survives, the slot's winner survives, and
 //! pruning can never change a surviving slot's contents.
@@ -94,10 +96,14 @@
 //! the same bits as solving its trips one after another.
 
 use crate::arena::{LayerPool, LeaseStats};
-use crate::memo::{ClassKey, CostTable, MemoStats, TransitionTable};
+use crate::memo::{
+    BoundsKey, BoundsMemo, ClassKey, CostTable, MemoStats, TransitionTable, WindowBounds,
+};
 use crate::metrics::SolverMetrics;
 use crate::simd;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU32;
+use std::sync::Arc;
 use std::time::Instant;
 use velopt_common::units::{AmpereHours, Meters, MetersPerSecond, MetersPerSecondSq, Seconds};
 use velopt_common::{Error, Result, TimeSeries};
@@ -426,7 +432,17 @@ struct Node {
     time: f64,
     prev_v: u32,
     prev_t: u32,
-    violations: u32,
+    /// Window violations on the path so far, plus one. The zero niche
+    /// packs a layer slot, `Option<Node>`, into 32 bytes instead of 40.
+    violations_1: NonZeroU32,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Node>>() == 32);
+
+impl Node {
+    fn violations(&self) -> usize {
+        (self.violations_1.get() - 1) as usize
+    }
 }
 
 /// Greedy-mode state: like [`Node`] without the time-bin dimension.
@@ -439,15 +455,19 @@ struct GNode {
 }
 
 /// Reusable solver scratch: the DP layer stacks, backtrack buffers and the
-/// cross-solve transition-cost cache.
+/// cross-solve transition-cost and window-bound caches.
 ///
 /// `optimize_from` allocates these afresh on every call; a caller that
 /// solves repeatedly (the [`Replanner`](crate::replan::Replanner) tick
 /// loop, [batch planning](crate::batch)) should hold one arena and use
 /// [`DpOptimizer::optimize_from_with`] so the second and later solves
-/// reuse the first solve's buffers **and** its memoized cost tables. The
-/// resulting profile is identical either way; only the arena and memo
-/// counters in [`SolverMetrics`] differ.
+/// reuse the first solve's buffers, its memoized cost tables **and** its
+/// pruning tables: an Exact solve whose corridor, windows and lattice
+/// match an earlier one's on this arena skips the window-bound build,
+/// whatever its start time or speed (at most
+/// [`BOUNDS_MEMO_BYTES`](crate::memo::BOUNDS_MEMO_BYTES) of tables are
+/// kept). The resulting profile and work counters are identical either
+/// way; only the arena and memo counters in [`SolverMetrics`] differ.
 #[derive(Debug, Clone, Default)]
 pub struct SolverArena {
     exact: LayerPool<Option<Node>>,
@@ -456,6 +476,7 @@ pub struct SolverArena {
     speeds_idx: Vec<usize>,
     times: Vec<f64>,
     transitions: TransitionTable,
+    bounds: BoundsMemo,
     repair: Option<RepairState>,
 }
 
@@ -595,10 +616,8 @@ struct RepairState {
     rows_skipped: u64,
     /// Window-free joint cost-to-go (`cost_to_go` with no dead stations).
     b_free: Vec<Vec<f64>>,
-    /// Energy-only cost-to-go (window-free by construction).
-    emin: Vec<Vec<f64>>,
-    /// Window-free arrival-time bound (`window_bounds` with no windows).
-    wait_free: Vec<Vec<f64>>,
+    /// Window-free pruning tables (`window_bounds` with no windows).
+    bounds_free: Arc<WindowBounds>,
     /// Occupied time-bin span per `(layer, speed row)` of the retained
     /// sweep; `spans[d - 1]` seeds a repair that re-relaxes from layer
     /// `d`.
@@ -624,6 +643,11 @@ impl SolverArena {
     pub fn cached_classes(&self) -> usize {
         self.transitions.classes()
     }
+
+    /// Number of window-bound table sets currently kept for later solves.
+    pub fn cached_bounds(&self) -> usize {
+        self.bounds.len()
+    }
 }
 
 /// Everything the relaxation loops need, borrowed once per solve.
@@ -632,6 +656,10 @@ struct SolveCtx<'a> {
     /// Per-segment cost table: `tables[i - 1]` covers `stations[i-1] →
     /// stations[i]`.
     tables: &'a [&'a CostTable],
+    /// The tables' exact identity: the physics-and-lattice signature plus
+    /// each segment's class (same indexing as `tables`).
+    table_sig: u64,
+    classes: &'a [ClassKey],
     /// Per-segment snapped lengths (same indexing), used for the
     /// acceleration bands so memoized and direct solves share every float.
     layer_ds: &'a [f64],
@@ -646,16 +674,18 @@ struct SolveCtx<'a> {
 /// The road-and-start-dependent solve geometry built by
 /// [`DpOptimizer::prepare`]: validated start indices, the station grid,
 /// speed masks, per-station windows and dwell times, and each segment's
-/// quantized class spec. Everything here is window-signature material for
-/// a refresh; the cost tables themselves are resolved separately (they
-/// depend on the arena's memo cache).
+/// quantized class and grid spec. Everything here is window-signature
+/// material for a refresh; the cost tables themselves are resolved
+/// separately (they depend on the arena's memo cache).
 struct Prepared<'a> {
     stations: Vec<Meters>,
     station_windows: Vec<Option<&'a SignalConstraint>>,
     allowed: Vec<Vec<bool>>,
     dwell: Vec<f64>,
     layer_ds: Vec<f64>,
-    specs: Vec<(ClassKey, GridSpec)>,
+    table_sig: u64,
+    classes: Vec<ClassKey>,
+    grids: Vec<GridSpec>,
     n_speeds: usize,
     start_vi: usize,
     start_time: f64,
@@ -668,6 +698,8 @@ impl Prepared<'_> {
         SolveCtx {
             stations: &self.stations,
             tables,
+            table_sig: self.table_sig,
+            classes: &self.classes,
             layer_ds: &self.layer_ds,
             allowed: &self.allowed,
             station_windows: &self.station_windows,
@@ -738,7 +770,7 @@ fn relax_exact_group(
     charge_row: &[f64],
     dur_row: &[f64],
     srcs: &[simd::TileSrc],
-    metas: &[(u32, u32)],
+    metas: &[(u32, NonZeroU32)],
     lo: usize,
     n_bins: usize,
     env: &RelaxEnv<'_>,
@@ -770,7 +802,7 @@ fn relax_exact_group(
         // measurably deoptimizes this loop (~15-20% on the batch bench).
         #[allow(clippy::needless_range_loop)]
         for r in 0..srcs.len() {
-            let (ti, violations) = metas[r];
+            let (ti, violations_1) = metas[r];
             for j in 0..n {
                 let vj = lo + j0 + j;
                 if !env.live[vj] || dur_row[j0 + j].is_nan() {
@@ -809,7 +841,7 @@ fn relax_exact_group(
                         time: t1,
                         prev_v: vi,
                         prev_t: ti,
-                        violations: violations + violation,
+                        violations_1: violations_1.saturating_add(violation),
                     });
                     let span = &mut row_spans[vj];
                     *span = Some(match *span {
@@ -847,18 +879,18 @@ fn table_signature(energy: &EnergyModel, config: &DpConfig, n_speeds: usize) -> 
 /// window diff alone decides which layers a repair must redo. (Knobs that
 /// provably cannot change the solved bits — `memo` and `simd` — are
 /// deliberately left out.)
-fn refresh_signature(energy: &EnergyModel, config: &DpConfig, prep: &Prepared<'_>) -> u64 {
+fn refresh_signature(config: &DpConfig, prep: &Prepared<'_>) -> u64 {
     fn mix(h: &mut u64, bits: u64) {
         *h ^= bits;
         *h = h.wrapping_mul(0x100_0000_01b3);
     }
-    let mut h = table_signature(energy, config, prep.n_speeds);
+    let mut h = prep.table_sig;
     for s in &prep.stations {
         mix(&mut h, s.value().to_bits());
     }
-    for (i, (_, spec)) in prep.specs.iter().enumerate() {
-        mix(&mut h, prep.layer_ds[i].to_bits());
-        mix(&mut h, spec.grade.value().to_bits());
+    for (ds, grid) in prep.layer_ds.iter().zip(&prep.grids) {
+        mix(&mut h, ds.to_bits());
+        mix(&mut h, grid.grade.value().to_bits());
     }
     for d in &prep.dwell {
         mix(&mut h, d.to_bits());
@@ -979,6 +1011,50 @@ fn reachability(ctx: &SolveCtx<'_>) -> (Vec<Vec<bool>>, u64) {
     (live, skipped)
 }
 
+/// Energy-only cost-to-go over the transition tables, `emin[i][v]`: the
+/// least charge of any chain of table-admitted transitions from station
+/// `i` at speed `v` to rest at the last station.
+fn energy_to_go(tables: &[&CostTable], n_speeds: usize) -> Vec<Vec<f64>> {
+    let n_stations = tables.len() + 1;
+    let mut emin = vec![vec![f64::INFINITY; n_speeds]; n_stations];
+    emin[n_stations - 1][0] = 0.0;
+    for (i, table) in tables.iter().enumerate().rev() {
+        let (rest, done) = emin.split_at_mut(i + 1);
+        let next = &done[0];
+        for (vi, slot) in rest[i].iter_mut().enumerate() {
+            let mut best = f64::INFINITY;
+            for (vj, &e) in next.iter().enumerate() {
+                if !e.is_finite() {
+                    continue;
+                }
+                if let Some((charge, _)) = table.get(vi, vj) {
+                    best = best.min(charge + e);
+                }
+            }
+            *slot = best;
+        }
+    }
+    emin
+}
+
+/// The shortest and longest duration over every transition `table`
+/// admits — a superset of the acceleration-feasible ones, so time bounds
+/// built from it hold for every real path.
+fn duration_envelope(table: &CostTable) -> (f64, f64) {
+    let n = table.n_speeds();
+    let mut dmin = f64::INFINITY;
+    let mut dmax = f64::NEG_INFINITY;
+    for v in 0..n {
+        for u in 0..n {
+            if let Some((_, dur)) = table.get(v, u) {
+                dmin = dmin.min(dur);
+                dmax = dmax.max(dur);
+            }
+        }
+    }
+    (dmin, dmax)
+}
+
 /// Safety slack on the arrival-time cone: a window is only declared
 /// unreachable if it closes at least this far before the earliest possible
 /// arrival, so float-association differences between the cone sweep and
@@ -1061,6 +1137,7 @@ impl DpOptimizer {
             speeds_idx,
             times,
             transitions,
+            bounds,
             repair,
         } = arena;
         // A direct solve clobbers the layer pools, so any retained repair
@@ -1082,6 +1159,7 @@ impl DpOptimizer {
                 greedy,
                 speeds_idx,
                 times,
+                bounds,
                 &mut metrics,
             ),
             TimeHandling::Greedy => {
@@ -1205,23 +1283,22 @@ impl DpOptimizer {
         // is resolved later, against the arena's memo cache, by
         // `resolve_tables`.
         let mut layer_ds = Vec::with_capacity(n_stations - 1);
-        let mut specs = Vec::with_capacity(n_stations - 1);
+        let mut classes = Vec::with_capacity(n_stations - 1);
+        let mut grids = Vec::with_capacity(n_stations - 1);
         for i in 1..n_stations {
             let ds = stations[i] - stations[i - 1];
             let grade = road.grade_at(stations[i - 1] + ds * 0.5);
             let (key, length, grade) = ClassKey::quantize(ds, grade);
             layer_ds.push(length.value());
-            specs.push((
-                key,
-                GridSpec {
-                    dv: self.config.dv,
-                    n_speeds,
-                    distance: length,
-                    grade,
-                    a_min: self.config.a_min,
-                    a_max: self.config.a_max,
-                },
-            ));
+            classes.push(key);
+            grids.push(GridSpec {
+                dv: self.config.dv,
+                n_speeds,
+                distance: length,
+                grade,
+                a_min: self.config.a_min,
+                a_max: self.config.a_max,
+            });
         }
         Ok(Prepared {
             stations,
@@ -1229,7 +1306,9 @@ impl DpOptimizer {
             allowed,
             dwell,
             layer_ds,
-            specs,
+            table_sig: table_signature(&self.energy, &self.config, n_speeds),
+            classes,
+            grids,
             n_speeds,
             start_vi,
             start_time: start.time.value(),
@@ -1249,21 +1328,22 @@ impl DpOptimizer {
         transitions: &mut TransitionTable,
         setup_started: Instant,
     ) -> (Vec<CostTable>, Vec<usize>, SolverMetrics) {
-        transitions.reconcile(table_signature(&self.energy, &self.config, prep.n_speeds));
+        transitions.reconcile(prep.table_sig);
         let mut stats = MemoStats::default();
         let mut owned_tables = Vec::new();
         let mut memo_ids = Vec::new();
         if self.config.memo {
             memo_ids = prep
-                .specs
+                .classes
                 .iter()
+                .zip(&prep.grids)
                 .map(|(key, spec)| transitions.class_for(*key, &self.energy, spec, &mut stats))
                 .collect();
         } else {
             owned_tables = prep
-                .specs
+                .grids
                 .iter()
-                .map(|(_, spec)| {
+                .map(|spec| {
                     let (table, evals) = CostTable::build(&self.energy, spec);
                     stats.misses += 1;
                     stats.energy_evals += evals;
@@ -1320,6 +1400,7 @@ impl DpOptimizer {
             speeds_idx,
             times,
             transitions,
+            bounds,
             repair,
         } = arena;
         let (owned_tables, memo_ids, mut metrics) =
@@ -1329,7 +1410,7 @@ impl DpOptimizer {
         } else {
             owned_tables.iter().collect()
         };
-        let sig = refresh_signature(&self.energy, &self.config, &prep);
+        let sig = refresh_signature(&self.config, &prep);
         let ctx = prep.ctx(&tables);
         let result = self.solve_exact_refresh(
             &ctx,
@@ -1338,6 +1419,7 @@ impl DpOptimizer {
             greedy,
             speeds_idx,
             times,
+            bounds,
             &mut metrics,
             repair,
             sig,
@@ -1392,45 +1474,15 @@ impl DpOptimizer {
         } else {
             owned_tables.iter().collect()
         };
-        let n_stations = prep.stations.len();
-        let n_speeds = prep.n_speeds;
-
-        // Energy-only cost-to-go, exactly as `window_bounds` computes it —
-        // the profile must terminate at rest (`v = 0`).
-        let mut emin_next = vec![f64::INFINITY; n_speeds];
-        let mut emin_here = vec![f64::INFINITY; n_speeds];
-        emin_next[0] = 0.0;
-        for i in (0..n_stations - 1).rev() {
-            let table = tables[i];
-            for (vi, slot) in emin_here.iter_mut().enumerate() {
-                let mut best = f64::INFINITY;
-                for (vj, &e) in emin_next.iter().enumerate() {
-                    if !e.is_finite() {
-                        continue;
-                    }
-                    if let Some((charge, _)) = table.get(vi, vj) {
-                        best = best.min(charge + e);
-                    }
-                }
-                *slot = best;
-            }
-            std::mem::swap(&mut emin_next, &mut emin_here);
-        }
-        let energy_floor = emin_next[prep.start_vi];
+        // Energy-only cost-to-go, the sweep `window_bounds` runs — the
+        // profile must terminate at rest (`v = 0`).
+        let energy_floor = energy_to_go(&tables, prep.n_speeds)[0][prep.start_vi];
 
         // Minimum traversal duration: per-segment duration envelope over
         // every admitted transition, plus interior stop dwells.
         let mut duration_floor: f64 = prep.dwell.iter().sum();
         for table in &tables {
-            let mut dmin = f64::INFINITY;
-            for v in 0..n_speeds {
-                for u in 0..n_speeds {
-                    if let Some((_, dur)) = table.get(v, u) {
-                        dmin = dmin.min(dur);
-                    }
-                }
-            }
-            duration_floor += dmin;
+            duration_floor += duration_envelope(table).0;
         }
         Ok(EdgeBound {
             energy_floor: AmpereHours::new(energy_floor),
@@ -1459,6 +1511,7 @@ impl DpOptimizer {
         greedy_pool: &mut LayerPool<Option<GNode>>,
         speeds_idx: &mut Vec<usize>,
         times: &mut Vec<f64>,
+        bounds_memo: &mut BoundsMemo,
         metrics: &mut SolverMetrics,
         repair: &mut Option<RepairState>,
         sig: u64,
@@ -1516,6 +1569,7 @@ impl DpOptimizer {
             greedy_pool,
             speeds_idx,
             times,
+            bounds_memo,
             metrics,
             repair,
             sig,
@@ -1589,8 +1643,7 @@ impl DpOptimizer {
             state.spans[d - 1].clone(),
             &state.live,
             &state.b_free,
-            &state.emin,
-            &state.wait_free,
+            &state.bounds_free,
             state.limit,
             n_bins,
             use_simd,
@@ -1613,13 +1666,7 @@ impl DpOptimizer {
         metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
         metrics.repair_hits += 1;
         metrics.repair_layers_skipped += (d - 1) as u64;
-        let profile = match self.assemble(
-            ctx,
-            speeds_idx,
-            times,
-            terminal.violations as usize,
-            *metrics,
-        ) {
+        let profile = match self.assemble(ctx, speeds_idx, times, terminal.violations(), *metrics) {
             Ok(profile) => profile,
             Err(_) => {
                 metrics.repair_hits -= 1;
@@ -1650,6 +1697,7 @@ impl DpOptimizer {
         greedy_pool: &mut LayerPool<Option<GNode>>,
         speeds_idx: &mut Vec<usize>,
         times: &mut Vec<f64>,
+        bounds_memo: &mut BoundsMemo,
         metrics: &mut SolverMetrics,
         repair: &mut Option<RepairState>,
         sig: u64,
@@ -1669,18 +1717,10 @@ impl DpOptimizer {
         let b_free = self.cost_to_go(ctx, &live, &no_dead);
         let none_windows: Vec<Option<&SignalConstraint>> = vec![None; n_stations];
         let ctx_free = SolveCtx {
-            stations: ctx.stations,
-            tables: ctx.tables,
-            layer_ds: ctx.layer_ds,
-            allowed: ctx.allowed,
             station_windows: &none_windows,
-            dwell: ctx.dwell,
-            n_speeds: ctx.n_speeds,
-            start_vi: ctx.start_vi,
-            start_time: ctx.start_time,
+            ..*ctx
         };
-        let (emin, wait_free) =
-            self.window_bounds(&ctx_free, n_bins, simd::dispatch(self.config.simd));
+        let bounds_free = self.window_bounds(&ctx_free, n_bins, bounds_memo);
         let mut span_log: BinSpans = Vec::new();
         let (profile, limit) = self.solve_exact_core(
             ctx,
@@ -1692,8 +1732,7 @@ impl DpOptimizer {
             metrics,
             &live,
             &b_free,
-            &emin,
-            &wait_free,
+            &bounds_free,
             // Window-free floors undercut window-forced waiting, so the
             // tight 6/24 s rungs would rarely certify; start looser.
             &[96.0, 384.0],
@@ -1707,8 +1746,7 @@ impl DpOptimizer {
             live,
             rows_skipped,
             b_free,
-            emin,
-            wait_free,
+            bounds_free,
             spans: span_log,
             limit,
             profile: profile.clone(),
@@ -1787,57 +1825,64 @@ impl DpOptimizer {
     /// can never change a surviving slot's winner, which is what keeps
     /// bounded sweeps bit-identical to the unbounded sweep (see the
     /// module docs).
+    ///
+    /// Nothing here depends on the start state, so the tables go through
+    /// the arena's bound memo: a solve whose every input word — table
+    /// signature and segment classes, dwell times, each station's window
+    /// bits, `n_stations`, `n_speeds`, `n_bins`, `dt_bin`, `time_weight`
+    /// and `penalty_m` — equals an earlier solve's gets that solve's
+    /// tables back, the very bits a fresh build would produce. With
+    /// `DpConfig::memo` off every call builds.
     fn window_bounds(
         &self,
         ctx: &SolveCtx<'_>,
         n_bins: usize,
-        use_simd: bool,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        memo: &mut BoundsMemo,
+    ) -> Arc<WindowBounds> {
+        let build = || {
+            telemetry::add("dp.bounds.misses", 1);
+            Arc::new(self.build_window_bounds(ctx, n_bins))
+        };
+        if !self.config.memo {
+            return build();
+        }
+        let mut words = vec![
+            ctx.table_sig,
+            ctx.stations.len() as u64,
+            ctx.n_speeds as u64,
+            n_bins as u64,
+            self.config.dt_bin.value().to_bits(),
+            self.config.time_weight.to_bits(),
+            self.config.penalty_m.to_bits(),
+        ];
+        words.extend(ctx.classes.iter().flat_map(ClassKey::words));
+        words.extend(ctx.dwell.iter().map(|d| d.to_bits()));
+        for (i, sc) in ctx.station_windows.iter().enumerate() {
+            if let Some(sc) = sc {
+                words.extend([i as u64, sc.windows.len() as u64]);
+                for w in &sc.windows {
+                    words.extend([w.start.value().to_bits(), w.end.value().to_bits()]);
+                }
+            }
+        }
+        let key = BoundsKey::new(words);
+        if let Some(hit) = memo.get(&key) {
+            telemetry::add("dp.bounds.hits", 1);
+            return hit;
+        }
+        let tables = build();
+        memo.insert(key, Arc::clone(&tables));
+        tables
+    }
+
+    /// Builds the [`window_bounds`](Self::window_bounds) tables.
+    fn build_window_bounds(&self, ctx: &SolveCtx<'_>, n_bins: usize) -> WindowBounds {
         let n_stations = ctx.stations.len();
         let n_speeds = ctx.n_speeds;
         let dt = self.config.dt_bin.value();
         let tw = self.config.time_weight;
-
-        // Energy-only cost-to-go over the transition tables.
-        let mut emin = vec![vec![f64::INFINITY; n_speeds]; n_stations];
-        emin[n_stations - 1][0] = 0.0;
-        for i in (0..n_stations - 1).rev() {
-            let table = ctx.tables[i];
-            let (rest, done) = emin.split_at_mut(i + 1);
-            let next = &done[0];
-            for (vi, slot) in rest[i].iter_mut().enumerate() {
-                let mut best = f64::INFINITY;
-                for (vj, &e) in next.iter().enumerate() {
-                    if !e.is_finite() {
-                        continue;
-                    }
-                    if let Some((charge, _)) = table.get(vi, vj) {
-                        best = best.min(charge + e);
-                    }
-                }
-                *slot = best;
-            }
-        }
-
-        // Per-segment duration envelope over every transition the table
-        // admits — a superset of the acceleration-feasible ones, so the
-        // time bounds below hold for every real path.
-        let seg: Vec<(f64, f64)> = (0..n_stations - 1)
-            .map(|j| {
-                let table = ctx.tables[j];
-                let mut dmin = f64::INFINITY;
-                let mut dmax = f64::NEG_INFINITY;
-                for v in 0..ctx.n_speeds {
-                    for u in 0..ctx.n_speeds {
-                        if let Some((_, dur)) = table.get(v, u) {
-                            dmin = dmin.min(dur);
-                            dmax = dmax.max(dur);
-                        }
-                    }
-                }
-                (dmin, dmax)
-            })
-            .collect();
+        let use_simd = simd::dispatch(self.config.simd);
+        let emin = energy_to_go(ctx.tables, n_speeds);
 
         // Backward sweep over (station, arrival-time bin). A bin's value
         // is the cheapest `tw·duration + penalty` chain over successor
@@ -1849,7 +1894,7 @@ impl DpOptimizer {
         // exact-time relax can produce from this bin.
         let mut wait = vec![vec![0.0f64; n_bins]; n_stations];
         for i in (0..n_stations - 1).rev() {
-            let (dmin, dmax) = seg[i];
+            let (dmin, dmax) = duration_envelope(ctx.tables[i]);
             let dw = ctx.dwell[i + 1];
             let pen: Vec<f64> = (0..n_bins)
                 .map(|b| match ctx.station_windows[i + 1] {
@@ -1889,7 +1934,7 @@ impl DpOptimizer {
                 };
             }
         }
-        (emin, wait)
+        WindowBounds { emin, wait }
     }
 
     /// Admissible cost-to-go `B(i, v)`: a backward Bellman sweep over live
@@ -2042,6 +2087,7 @@ impl DpOptimizer {
         greedy_pool: &mut LayerPool<Option<GNode>>,
         speeds_idx: &mut Vec<usize>,
         times: &mut Vec<f64>,
+        bounds_memo: &mut BoundsMemo,
         metrics: &mut SolverMetrics,
     ) -> Result<OptimizedProfile> {
         let relax_started = Instant::now();
@@ -2056,7 +2102,7 @@ impl DpOptimizer {
         }
         let dead = self.cone_dead(ctx, &live);
         let ctg = self.cost_to_go(ctx, &live, &dead);
-        let (emin, wait) = self.window_bounds(ctx, n_bins, simd::dispatch(self.config.simd));
+        let bounds = self.window_bounds(ctx, n_bins, bounds_memo);
         self.solve_exact_core(
             ctx,
             exact_pool,
@@ -2067,8 +2113,7 @@ impl DpOptimizer {
             metrics,
             &live,
             &ctg,
-            &emin,
-            &wait,
+            &bounds,
             &[6.0, 24.0, 96.0, 384.0],
             n_bins,
             None,
@@ -2097,8 +2142,7 @@ impl DpOptimizer {
         metrics: &mut SolverMetrics,
         live: &[Vec<bool>],
         ctg: &[Vec<f64>],
-        emin: &[Vec<f64>],
-        wait: &[Vec<f64>],
+        bounds: &WindowBounds,
         slacks: &[f64],
         n_bins: usize,
         mut span_log: Option<&mut BinSpans>,
@@ -2169,7 +2213,7 @@ impl DpOptimizer {
                 time: ctx.start_time,
                 prev_v: ctx.start_vi as u32,
                 prev_t: start_ti as u32,
-                violations: 0,
+                violations_1: NonZeroU32::MIN,
             });
             dirty_log.merge(0, ctx.start_vi, start_ti as u32, start_ti as u32);
             // Occupied time-bin span per source row, maintained layer to
@@ -2187,8 +2231,7 @@ impl DpOptimizer {
                 spans0,
                 live,
                 ctg,
-                emin,
-                wait,
+                bounds,
                 use_bound,
                 n_bins,
                 use_simd,
@@ -2218,13 +2261,7 @@ impl DpOptimizer {
             backtrack_exact(ctx, layers, n_bins, ti, terminal, speeds_idx, times)?;
             metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
 
-            let profile = self.assemble(
-                ctx,
-                speeds_idx,
-                times,
-                terminal.violations as usize,
-                *metrics,
-            )?;
+            let profile = self.assemble(ctx, speeds_idx, times, terminal.violations(), *metrics)?;
             return Ok((profile, use_bound));
         }
         // The final rung is `None`, whose sweep is unbounded and always
@@ -2246,8 +2283,7 @@ impl DpOptimizer {
         spans_first: Vec<Option<(u32, u32)>>,
         live: &[Vec<bool>],
         ctg: &[Vec<f64>],
-        emin: &[Vec<f64>],
-        wait: &[Vec<f64>],
+        bounds: &WindowBounds,
         limit: Option<f64>,
         n_bins: usize,
         use_simd: bool,
@@ -2275,8 +2311,8 @@ impl DpOptimizer {
                 window: ctx.station_windows[i],
                 live: &live[i],
                 ctg: &ctg[i],
-                emin: &emin[i],
-                wait: &wait[i],
+                emin: &bounds.emin[i],
+                wait: &bounds.wait[i],
             };
             let mut spans_next: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
 
@@ -2286,7 +2322,7 @@ impl DpOptimizer {
             // arrive in (vi asc, ti asc) order, so the strict `<` keeps the
             // same winner under either kernel dispatch.
             let mut srcs = [simd::TileSrc::default(); simd::MR];
-            let mut metas = [(0u32, 0u32); simd::MR];
+            let mut metas = [(0u32, NonZeroU32::MIN); simd::MR];
             for (vi, span) in spans_prev.iter().enumerate() {
                 let Some((ti_lo, ti_hi)) = *span else {
                     continue;
@@ -2321,7 +2357,7 @@ impl DpOptimizer {
                         cost: node.cost,
                         time: node.time,
                     };
-                    metas[m] = (ti as u32, node.violations);
+                    metas[m] = (ti as u32, node.violations_1);
                     m += 1;
                     if m == simd::MR {
                         relax_exact_group(
@@ -2965,6 +3001,25 @@ mod tests {
         assert_eq!(first, second);
     }
 
+    /// Distinct corridors fill the window-bound memo up to its byte budget
+    /// and then evict, never passing the budget.
+    #[test]
+    fn bounds_memo_evicts_within_its_budget() {
+        let opt = optimizer();
+        let mut arena = SolverArena::new();
+        let mut evicted = false;
+        for k in 0..16 {
+            let before = arena.cached_bounds();
+            let road = simple_road(1000.0 + 20.0 * k as f64);
+            opt.optimize_from_with(&road, &[], StartState::default(), &mut arena)
+                .unwrap();
+            assert!(arena.bounds.bytes() <= crate::memo::BOUNDS_MEMO_BYTES);
+            evicted |= arena.cached_bounds() <= before;
+        }
+        assert!(evicted, "16 corridors fit the budget");
+        assert!(arena.cached_bounds() > 1);
+    }
+
     /// Reachability masks retire rows the acceleration cones can't connect
     /// to both endpoints (e.g. high speeds one station after launch).
     #[test]
@@ -3026,6 +3081,17 @@ mod tests {
         assert!(snap.histogram("dp.optimize_seconds").unwrap().count >= 1);
         // Arena lease accounting reaches the registry as well.
         assert!(snap.counter("arena.allocations").unwrap() > 0);
+        // So does the window-bound memo: a cold arena builds, a warm one
+        // reuses.
+        assert!(snap.counter("dp.bounds.misses").unwrap() >= 1);
+        let hits = snap.counter("dp.bounds.hits").unwrap_or(0);
+        let mut arena = SolverArena::new();
+        for _ in 0..2 {
+            optimizer()
+                .optimize_from_with(&road, &[], StartState::default(), &mut arena)
+                .unwrap();
+        }
+        assert!(telemetry::snapshot().counter("dp.bounds.hits").unwrap() > hits);
     }
 
     #[test]

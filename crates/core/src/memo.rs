@@ -27,8 +27,18 @@
 //! Aliasing is impossible by construction: two segments share a table only
 //! if they snap to the same `(length, grade)`, and the table's costs are a
 //! pure function of the snapped pair.
+//!
+//! ## Window-bound tables
+//!
+//! The arena's second memo, `BoundsMemo`, keeps the exact solver's
+//! slot-uniform pruning tables. They depend on the corridor's cost tables,
+//! dwell times and arrival windows but never on the start time or speed,
+//! so a corridor re-planned at a new departure under the same windows
+//! reuses them. Entries are keyed by every input word, compared for
+//! equality, and bounded by [`BOUNDS_MEMO_BYTES`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use velopt_common::units::{Meters, Radians};
 use velopt_ev_energy::{EnergyModel, GridSpec};
 
@@ -67,6 +77,11 @@ pub struct ClassKey {
 }
 
 impl ClassKey {
+    /// The snapped length and grade bits: the class's exact identity.
+    pub(crate) fn words(&self) -> [u64; 2] {
+        [self.length_bits, self.grade_bits]
+    }
+
     /// Quantizes a raw `(length, grade)` pair, returning the key and the
     /// snapped values the class's costs must be evaluated at.
     pub fn quantize(length: Meters, grade: Radians) -> (Self, Meters, Radians) {
@@ -241,6 +256,104 @@ impl TransitionTable {
     }
 }
 
+/// Byte budget of one arena's window-bound memo, keys and tables counted:
+/// about a dozen 1 km corridors' tables over the default 901 time bins, or
+/// two of US-25's.
+pub const BOUNDS_MEMO_BYTES: usize = 4 << 20;
+
+/// The exact solver's slot-uniform pruning tables for one corridor and
+/// window set, one row per station: `emin[i][v]` over speeds and
+/// `wait[i][b]` over time bins.
+///
+/// Rows stay separate allocations (7.2 KB of `wait` at the default 901
+/// bins). One station-major block is 1.5 MB for US-25, and allocating one
+/// per build made glibc's malloc hand freed DP layer stacks back to the
+/// kernel and fault them in again: `ego_replan` took 30× the minor page
+/// faults of per-row tables and ran about 8% slower.
+#[derive(Debug)]
+pub(crate) struct WindowBounds {
+    pub(crate) emin: Vec<Vec<f64>>,
+    pub(crate) wait: Vec<Vec<f64>>,
+}
+
+/// Every input of one window-bound build as raw words, so two keys are
+/// equal only if the builds would read equal bits. The hash only speeds up
+/// rejection; equality always compares every word.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BoundsKey {
+    hash: u64,
+    words: Vec<u64>,
+}
+
+impl BoundsKey {
+    pub(crate) fn new(words: Vec<u64>) -> Self {
+        let hash = words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        });
+        Self { hash, words }
+    }
+}
+
+/// Window-bound tables of earlier solves on one arena, least recently used
+/// evicted first once [`BOUNDS_MEMO_BYTES`] would be passed. An entry larger
+/// than the whole budget serves its own solve and is not kept.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BoundsMemo {
+    entries: VecDeque<(BoundsKey, Arc<WindowBounds>)>,
+    bytes: usize,
+}
+
+impl BoundsMemo {
+    /// Number of kept entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Bytes the kept entries count against the budget.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The tables an earlier build under `key` produced, now marked most
+    /// recently used.
+    pub(crate) fn get(&mut self, key: &BoundsKey) -> Option<Arc<WindowBounds>> {
+        let at = self.entries.iter().position(|(k, _)| k == key)?;
+        let entry = self.entries.remove(at)?;
+        let tables = Arc::clone(&entry.1);
+        self.entries.push_back(entry);
+        Some(tables)
+    }
+
+    /// Keeps `tables` under `key`, evicting the least recently used entries
+    /// until the budget holds.
+    pub(crate) fn insert(&mut self, key: BoundsKey, tables: Arc<WindowBounds>) {
+        let size = Self::entry_bytes(&key, &tables);
+        if size > BOUNDS_MEMO_BYTES {
+            return;
+        }
+        while self.bytes + size > BOUNDS_MEMO_BYTES {
+            let (k, t) = self
+                .entries
+                .pop_front()
+                .expect("a memo over budget holds an entry");
+            self.bytes -= Self::entry_bytes(&k, &t);
+        }
+        self.bytes += size;
+        self.entries.push_back((key, tables));
+    }
+
+    fn entry_bytes(key: &BoundsKey, tables: &WindowBounds) -> usize {
+        let rows = tables.emin.iter().chain(&tables.wait);
+        std::mem::size_of::<(BoundsKey, Arc<WindowBounds>)>()
+            + std::mem::size_of::<WindowBounds>()
+            + 8 * key.words.len()
+            + rows
+                .map(|row| std::mem::size_of::<Vec<f64>>() + 8 * row.len())
+                .sum::<usize>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +473,60 @@ mod tests {
         assert_eq!(cache.classes(), 1, "same signature keeps the cache");
         cache.reconcile(7);
         assert_eq!(cache.classes(), 0, "new signature clears the cache");
+    }
+
+    /// Tables of two stations, about `16·n_bins` bytes.
+    fn bound_tables(n_bins: usize) -> Arc<WindowBounds> {
+        Arc::new(WindowBounds {
+            emin: vec![vec![0.0]; 2],
+            wait: vec![vec![0.0; n_bins]; 2],
+        })
+    }
+
+    #[test]
+    fn bounds_memo_evicts_least_recently_used_within_budget() {
+        let mut memo = BoundsMemo::default();
+        let key = |w: u64| BoundsKey::new(vec![w, 7]);
+        // Four entries of just over 1 MiB: only three fit in 4 MiB.
+        let mib = 1 << 16;
+        for w in 0..3 {
+            memo.insert(key(w), bound_tables(mib));
+            assert!(memo.bytes() <= BOUNDS_MEMO_BYTES);
+        }
+        assert_eq!(memo.len(), 3);
+        // A hit hands back the kept tables and marks them recently used...
+        let hit = memo.get(&key(0)).unwrap();
+        assert!(Arc::ptr_eq(&hit, &memo.get(&key(0)).unwrap()));
+        assert!(memo.get(&key(9)).is_none());
+        // ...so the next insert evicts key 1, the least recently used.
+        memo.insert(key(3), bound_tables(mib));
+        assert_eq!(memo.len(), 3);
+        assert!(memo.bytes() <= BOUNDS_MEMO_BYTES);
+        assert!(memo.get(&key(1)).is_none());
+        for w in [0, 2, 3] {
+            assert!(memo.get(&key(w)).is_some(), "key {w} was evicted");
+        }
+    }
+
+    #[test]
+    fn bounds_entry_over_the_budget_is_not_kept() {
+        let mut memo = BoundsMemo::default();
+        memo.insert(BoundsKey::new(vec![1]), bound_tables(64));
+        let bytes = memo.bytes();
+        memo.insert(
+            BoundsKey::new(vec![2]),
+            bound_tables(BOUNDS_MEMO_BYTES / 16 + 1),
+        );
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.bytes(), bytes);
+        assert!(memo.get(&BoundsKey::new(vec![1])).is_some());
+    }
+
+    #[test]
+    fn bounds_keys_compare_every_word() {
+        assert_eq!(BoundsKey::new(vec![1, 2, 3]), BoundsKey::new(vec![1, 2, 3]));
+        assert_ne!(BoundsKey::new(vec![1, 2, 3]), BoundsKey::new(vec![1, 2, 4]));
+        assert_ne!(BoundsKey::new(vec![1, 2]), BoundsKey::new(vec![1, 2, 0]));
     }
 
     #[test]

@@ -81,7 +81,9 @@ pub struct Replanner {
     /// Solver scratch kept across ticks so every refresh after the first
     /// reuses the previous refresh's DP layer buffers and its memoized
     /// transition-cost tables (refreshes over the same corridor hit the
-    /// same `(length, grade)` classes and skip the energy model entirely).
+    /// same `(length, grade)` classes and skip the energy model entirely),
+    /// plus the window-bound tables of recent solves, reused when a
+    /// re-solve's stations, windows and lattice match one of them.
     arena: SolverArena,
 }
 

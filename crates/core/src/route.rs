@@ -23,8 +23,10 @@
 //! 2. **Edge-plan memoization.** Full oracle results are keyed on the
 //!    (corridor signature, departure bin) class, so routes sharing segment
 //!    classes — and repeated queries — reuse plans outright, and all
-//!    solves share the warm transition-table memo through the router's
-//!    [`SolverArena`]s.
+//!    solves share the warm transition-table and window-bound memos
+//!    through the router's [`SolverArena`]s (an edge solved at many
+//!    departures under one window set builds its bound tables once per
+//!    arena).
 //! 3. **Batched frontier evaluation.** When several uncached candidates
 //!    sit at the top of the frontier, they are solved in one
 //!    [`DpOptimizer::optimize_batch_with`] call, one worker per core,
@@ -423,8 +425,9 @@ impl Ord for HeapItem {
 
 /// The best-first router. Owns the DP oracle, the per-class lower-bound
 /// cache, the (class, departure-bin) plan memo, and one [`SolverArena`]
-/// per core (one oracle worker each), so everything warm — layer buffers, transition
-/// tables, edge plans — persists across queries.
+/// per core (one oracle worker each), so everything warm — layer buffers,
+/// transition and window-bound tables, edge plans — persists across
+/// queries.
 #[derive(Debug)]
 pub struct Router {
     optimizer: DpOptimizer,

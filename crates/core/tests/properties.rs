@@ -532,3 +532,111 @@ mod random_corridors {
         }
     }
 }
+
+mod bounds_memo {
+    use super::*;
+    use velopt_core::dp::{OptimizedProfile, SolverArena, StartState};
+
+    /// A light's arrival windows at `position`: `green` seconds open every
+    /// `cycle` seconds from `offset` on, across the planning horizon.
+    fn light(position: f64, cycle: f64, green: f64, offset: f64) -> SignalConstraint {
+        SignalConstraint {
+            position: Meters::new(position),
+            windows: (0..)
+                .map(|k| offset + k as f64 * cycle)
+                .take_while(|&open| open < 900.0)
+                .map(|open| TimeWindow {
+                    start: Seconds::new(open),
+                    end: Seconds::new(open + green),
+                })
+                .collect(),
+        }
+    }
+
+    /// Every station, speed and time bit, the energy and violation count,
+    /// and the search-space counters agree.
+    fn same_solve(got: &OptimizedProfile, want: &OptimizedProfile) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.stations.len(), want.stations.len());
+        for i in 0..want.stations.len() {
+            prop_assert_eq!(
+                got.stations[i].value().to_bits(),
+                want.stations[i].value().to_bits()
+            );
+            prop_assert_eq!(
+                got.speeds[i].value().to_bits(),
+                want.speeds[i].value().to_bits()
+            );
+            prop_assert_eq!(
+                got.times[i].value().to_bits(),
+                want.times[i].value().to_bits()
+            );
+        }
+        prop_assert_eq!(
+            got.total_energy.value().to_bits(),
+            want.total_energy.value().to_bits()
+        );
+        prop_assert_eq!(got.window_violations, want.window_violations);
+        prop_assert_eq!(got.metrics.states_expanded, want.metrics.states_expanded);
+        prop_assert_eq!(got.metrics.states_pruned, want.metrics.states_pruned);
+        prop_assert_eq!(got.metrics.rows_skipped, want.metrics.rows_skipped);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5))]
+
+        /// The window-bound memo is exact: a signalised corridor, flat or
+        /// graded, re-planned at a random sequence of departures on one
+        /// warm arena reuses one set of bound tables, and every warm solve
+        /// equals a cold `optimize_from` bit for bit, work counters
+        /// included. A window edge moved by one ulp is a new key, and so
+        /// is the same corridor with its stop sign toggled (only the dwell
+        /// times differ).
+        #[test]
+        fn warm_bound_tables_match_cold_solves(
+            length in 700.0f64..1400.0,
+            grades in prop::option::of((-6.0f64..6.0, -6.0f64..6.0)),
+            sign_frac in prop::option::of(0.3f64..0.7),
+            light_frac in 0.4f64..0.8,
+            cycle in 40.0f64..90.0,
+            green_frac in 0.3f64..0.6,
+            offset in 0.0f64..40.0,
+            departures in prop::collection::vec(0.0f64..500.0, 3..6),
+        ) {
+            let (g1, g2) = grades.unwrap_or((0.0, 0.0));
+            let road = graded_road(length, &[0.0, g1, g2], sign_frac);
+            let position = (light_frac * length / 20.0).round() * 20.0;
+            let signals = [light(position, cycle, green_frac * cycle, offset)];
+            let opt = optimizer();
+            let mut arena = SolverArena::new();
+            let depart = |t: f64| StartState {
+                time: Seconds::new(t),
+                ..StartState::default()
+            };
+            for &t in &departures {
+                let warm = opt
+                    .optimize_from_with(&road, &signals, depart(t), &mut arena)
+                    .unwrap();
+                let cold = opt.optimize_from(&road, &signals, depart(t)).unwrap();
+                same_solve(&warm, &cold)?;
+            }
+            prop_assert_eq!(arena.cached_bounds(), 1, "a departure missed the memo");
+
+            let mut nudged = signals.clone();
+            let end = &mut nudged[0].windows[0].end;
+            *end = Seconds::new(f64::from_bits(end.value().to_bits() + 1));
+            let warm = opt
+                .optimize_from_with(&road, &nudged, depart(departures[0]), &mut arena)
+                .unwrap();
+            prop_assert_eq!(arena.cached_bounds(), 2, "a one-ulp window shift hit the memo");
+            same_solve(&warm, &opt.optimize_from(&road, &nudged, depart(departures[0])).unwrap())?;
+
+            let toggled = graded_road(length, &[0.0, g1, g2], sign_frac.xor(Some(0.5)));
+            let warm = opt
+                .optimize_from_with(&toggled, &signals, depart(departures[0]), &mut arena)
+                .unwrap();
+            prop_assert_eq!(arena.cached_bounds(), 3, "a toggled stop sign hit the memo");
+            same_solve(&warm, &opt.optimize_from(&toggled, &signals, depart(departures[0])).unwrap())?;
+        }
+    }
+}
