@@ -325,6 +325,10 @@ impl BatchPlanRequest {
     }
 }
 
+/// Bytes of the smallest batch-response entry: an error marker and an
+/// empty message's `u32` length (a profile entry is longer).
+const MIN_BATCH_ENTRY_BYTES: usize = 1 + 4;
+
 /// The cloud's per-trip answers to a [`BatchPlanRequest`], in request
 /// order: a profile where planning succeeded, the error message where it
 /// did not (one bad trip never sinks its batch-mates).
@@ -366,9 +370,14 @@ impl BatchPlanResponse {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Protocol`] on truncation or malformed entries.
+    /// Returns [`Error::Protocol`] on truncation, malformed entries, or an
+    /// implausible entry count (one the remaining bytes cannot hold,
+    /// refused before any entry is reserved).
     pub fn decode(buf: &mut Bytes) -> Result<Self> {
         let n = bounded_count(buf, MAX_BATCH_TRIPS)?;
+        if n > buf.remaining() / MIN_BATCH_ENTRY_BYTES {
+            return Err(Error::protocol("implausible batch entry count"));
+        }
         let mut results = Vec::with_capacity(n);
         for _ in 0..n {
             match take_u8(buf)? {
@@ -1325,6 +1334,40 @@ mod tests {
         buf.put_u8(9); // unknown entry marker
         let mut bytes = buf.freeze();
         assert!(BatchPlanResponse::decode(&mut bytes).is_err());
+        // The same for a batch response: a 4-byte payload claiming the
+        // ceiling is refused before any entry is reserved.
+        let mut buf = BytesMut::new();
+        buf.put_u32(MAX_BATCH_TRIPS as u32);
+        let err = BatchPlanResponse::decode(&mut buf.freeze()).unwrap_err();
+        assert!(err.to_string().contains("implausible"), "{err}");
+    }
+
+    /// `MIN_BATCH_ENTRY_BYTES` is the smallest entry the decoder accepts
+    /// (an error with an empty message), so a batch of such entries is
+    /// never refused as implausible, and a profile entry is longer.
+    #[test]
+    fn smallest_batch_entry_is_min_batch_entry_bytes() {
+        let failed = BatchPlanResponse {
+            results: vec![Err(String::new()); 3],
+        };
+        let raw = failed.encode();
+        assert_eq!(raw.len(), 4 + 3 * MIN_BATCH_ENTRY_BYTES);
+        assert_eq!(BatchPlanResponse::decode(&mut raw.clone()).unwrap(), failed);
+        let truncated = raw.slice(..raw.len() - 1);
+        let err = BatchPlanResponse::decode(&mut truncated.clone()).unwrap_err();
+        assert!(err.to_string().contains("implausible"), "{err}");
+        let planned = BatchPlanResponse {
+            results: vec![Ok(OptimizedProfile {
+                stations: vec![Meters::new(0.0)],
+                speeds: vec![MetersPerSecond::new(0.0)],
+                times: vec![Seconds::new(0.0)],
+                total_energy: velopt_common::units::AmpereHours::new(0.0),
+                trip_time: Seconds::new(0.0),
+                window_violations: 0,
+                metrics: SolverMetrics::default(),
+            })],
+        };
+        assert!(planned.encode().len() > 4 + MIN_BATCH_ENTRY_BYTES);
     }
 
     fn demo_route_request() -> RouteNetRequest {

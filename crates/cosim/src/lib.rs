@@ -21,11 +21,15 @@
 //! 3. **feeds back** each returned profile as a TraCI speed command for
 //!    the vehicle's current position.
 //!
-//! The TraCI side of a tick is at most three pipelined messages (see
-//! [`TraciClient::exchange`]): the step with every signal, loop and
-//! vehicle-list read; every listed vehicle's position; and, on planning
-//! ticks, the wave's speed commands. Commands are applied at the
-//! positions read in the same tick, since no step runs in between.
+//! The TraCI side of a tick is one pipelined message (see
+//! [`TraciClient::exchange`]) unless the tick lists a new vehicle or
+//! plans: the step with every signal, loop and vehicle-list read, then the
+//! position of every vehicle the last tick listed. Those positions are
+//! read after the step, so they are this tick's. A second message reads
+//! the vehicles listed for the first time, and on planning ticks a last
+//! one carries the wave's speed commands, so a tick sends at most three.
+//! Commands are applied at the positions read in the same tick, since no
+//! step runs in between.
 //!
 //! Everything the driver does is a pure function of the seeded
 //! simulation's state plus the (deterministic) plan responses, so fleet
@@ -133,10 +137,14 @@ pub struct FleetDriver {
     cloud_addr: SocketAddr,
     config: CosimConfig,
     corridors: Vec<Corridor>,
-    /// Every tick's first message, built once: the step, the simulation
-    /// time, each corridor's light states then entrance-loop count, and
-    /// the vehicle id list.
-    observe: Vec<Command>,
+    /// Every tick's first message. Its first `observed` commands are built
+    /// once: the step, the simulation time, each corridor's light states
+    /// then entrance-loop count, and the vehicle id list. A position read
+    /// per vehicle in `listed` follows, rebuilt every tick.
+    message: Vec<Command>,
+    observed: usize,
+    /// The vehicles the last tick listed, sorted.
+    listed: Vec<String>,
     pilots: HashMap<String, Pilot>,
     stats: FleetStats,
 }
@@ -157,25 +165,25 @@ impl FleetDriver {
         config: CosimConfig,
     ) -> Result<Self> {
         let traci = TraciClient::connect(traci_addr)?;
-        let mut observe = vec![
+        let mut message = vec![
             Command::simulation_step(0.0),
             Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
         ];
         for (c, road) in roads.iter().enumerate() {
             for i in 0..road.traffic_lights().len() {
-                observe.push(Command::get(
+                message.push(Command::get(
                     ids::CMD_GET_TL_VARIABLE,
                     ids::TL_RED_YELLOW_GREEN_STATE,
                     &format!("tl{c}:{i}"),
                 ));
             }
-            observe.push(Command::get(
+            message.push(Command::get(
                 ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
                 ids::LAST_STEP_VEHICLE_NUMBER,
                 &format!("loop{c}:0"),
             ));
         }
-        observe.push(Command::get(
+        message.push(Command::get(
             ids::CMD_GET_VEHICLE_VARIABLE,
             ids::ID_LIST,
             "",
@@ -195,7 +203,9 @@ impl FleetDriver {
             cloud_addr,
             config,
             corridors,
-            observe,
+            observed: message.len(),
+            message,
+            listed: Vec::new(),
             pilots: HashMap::new(),
             stats: FleetStats::default(),
         })
@@ -215,9 +225,14 @@ impl FleetDriver {
     /// plan refusals are *not* errors; they count in
     /// [`FleetStats::plan_failures`].
     pub fn step(&mut self) -> Result<()> {
-        // Message 1: the step, then every read the tick decides on.
-        let replies = self.traci.exchange(&self.observe)?;
-        let [step, time, reads @ .., listed] = &replies[..] else {
+        // Message 1: the step, every read the tick decides on, and the
+        // position of every vehicle the last tick listed.
+        self.message.truncate(self.observed);
+        self.message
+            .extend(self.listed.iter().map(|id| position_read(id)));
+        let replies = self.traci.exchange(&self.message)?;
+        let (observed, known) = replies.split_at(self.observed);
+        let [step, time, reads @ .., listed] = observed else {
             unreachable!("an exchange answers every command");
         };
         step.check()?;
@@ -226,19 +241,37 @@ impl FleetDriver {
         self.observe(now, reads)?;
         let mut vehicles = listed.value()?.into_string_list()?;
         vehicles.sort();
-        // Message 2: every listed vehicle's position.
-        let reads: Vec<Command> = vehicles
-            .iter()
-            .map(|id| Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, id))
-            .collect();
-        let positions = self
-            .traci
-            .exchange(&reads)?
-            .iter()
-            .map(|reply| reply.value()?.as_position())
-            .collect::<Result<Vec<_>>>()?;
-        let wave = self.plan_wave(vehicles, &positions);
+        let positions = self.positions(&vehicles, known)?;
+        let wave = self.plan_wave(&vehicles, &positions);
+        self.listed = vehicles;
         self.replan(wave)
+    }
+
+    /// The positions of `vehicles` (sorted). A vehicle the last tick
+    /// listed was read in this tick's first message, after the step, and
+    /// `known` holds those replies in `self.listed` order; message 2 reads
+    /// the vehicles listed for the first time. Replies for vehicles that
+    /// have left are skipped.
+    fn positions(&mut self, vehicles: &[String], known: &[Reply]) -> Result<Vec<(f64, f64)>> {
+        let mut last = self.listed.iter().zip(known).peekable();
+        let mut positions = Vec::with_capacity(vehicles.len());
+        let (mut fresh, mut fresh_at) = (Vec::new(), Vec::new());
+        for id in vehicles {
+            while last.next_if(|(prev, _)| *prev < id).is_some() {}
+            match last.next_if(|(prev, _)| *prev == id) {
+                Some((_, reply)) => positions.push(reply.value()?.as_position()?),
+                None => {
+                    fresh_at.push(positions.len());
+                    positions.push((0.0, 0.0));
+                    fresh.push(position_read(id));
+                }
+            }
+        }
+        // Message 2, on ticks that list a vehicle for the first time.
+        for (at, reply) in fresh_at.into_iter().zip(self.traci.exchange(&fresh)?) {
+            positions[at] = reply.value()?.as_position()?;
+        }
+        Ok(positions)
     }
 
     /// Runs `n` lockstep ticks.
@@ -285,21 +318,21 @@ impl FleetDriver {
     /// Collects the vehicles whose corridor epoch moved past their last
     /// plan, from the sorted id list and its positions, in sorted-id order
     /// (deterministic, and stable under the `max_replans_per_tick` cap).
-    fn plan_wave(&mut self, vehicles: Vec<String>, positions: &[(f64, f64)]) -> Vec<Flight> {
+    fn plan_wave(&mut self, vehicles: &[String], positions: &[(f64, f64)]) -> Vec<Flight> {
         // Vehicles that left the network take their connection with them.
         let live: HashSet<&String> = vehicles.iter().collect();
         self.pilots.retain(|id, _| live.contains(id));
 
         let mut wave = Vec::new();
-        for (id, &(x, y)) in vehicles.into_iter().zip(positions) {
+        for (id, &(x, y)) in vehicles.iter().zip(positions) {
             let corridor = y as usize;
             if corridor >= self.corridors.len() {
                 continue;
             }
             let epoch = self.corridors[corridor].epoch;
-            let planned = self.pilots.get(&id).and_then(|p| p.planned);
+            let planned = self.pilots.get(id).and_then(|p| p.planned);
             if planned != Some((corridor, epoch)) {
-                wave.push((id, corridor, x));
+                wave.push((id.clone(), corridor, x));
                 if self.config.max_replans_per_tick > 0
                     && wave.len() >= self.config.max_replans_per_tick
                 {
@@ -329,7 +362,7 @@ impl FleetDriver {
     }
 
     /// Issues the wave's plan requests and feeds the profiles back as
-    /// speed commands, all in one TraCI message. Every flight's request is
+    /// speed commands, all in the tick's last TraCI message. Every flight's request is
     /// written, each on its vehicle's own connection, before any reply is
     /// read, so the whole wave is in flight together — the storm the
     /// cloud's single-flight table sees — without a thread per vehicle.
@@ -392,7 +425,7 @@ impl FleetDriver {
             })
             .collect();
 
-        // Message 3: the wave's speed commands.
+        // The tick's last message: the wave's speed commands.
         let mut commands = Vec::new();
         for ((id, corridor, position), mut pilot, outcome) in results {
             // Failed plans still advance the epoch marker: a refused
@@ -450,6 +483,11 @@ impl FleetDriver {
     }
 }
 
+/// A read of vehicle `id`'s position.
+fn position_read(id: &str) -> Command {
+    Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, id)
+}
+
 impl std::fmt::Debug for FleetDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetDriver")
@@ -473,7 +511,7 @@ mod tests {
     use velopt_common::units::MetersPerSecond;
     use velopt_microsim::{CorridorSpec, Network, SimConfig};
     use velopt_road::CorridorTemplate;
-    use velopt_traci::TraciServer;
+    use velopt_traci::{TraciBackend, TraciServer};
 
     fn small_net(corridors: usize, seed: u64) -> (Network, Vec<Road>) {
         let template = CorridorTemplate {
@@ -639,13 +677,16 @@ mod tests {
     }
 
     /// A tick costs at most three TraCI messages whatever the fleet size:
-    /// the step with every read, the positions, and on planning ticks the
-    /// speed commands.
+    /// one — the step with every read, and the positions of the vehicles
+    /// the last tick listed — on a tick that lists no new vehicle, one more
+    /// when a vehicle is listed for the first time, and one more when it
+    /// plans. Every case must occur.
     #[test]
     fn a_tick_sends_at_most_three_traci_messages() {
         let (mut net, roads) = small_net(2, 77);
         net.run_until(Seconds::new(120.0)).unwrap();
         let traci = TraciServer::spawn(net).unwrap();
+        let sim = traci.simulation();
         let (proxy, messages, forwarder) = counting_proxy(traci.addr());
         let cloud = CloudServer::spawn_with(ServerConfig {
             compute_workers: 2,
@@ -654,20 +695,31 @@ mod tests {
         .unwrap();
         let mut driver =
             FleetDriver::connect(proxy, cloud.addr(), roads, CosimConfig::default()).unwrap();
-        let mut planning_ticks = 0;
+        let mut listed: HashSet<String> = HashSet::new();
+        let (mut quiet, mut arrivals, mut planning) = (0, 0, 0);
         for tick in 0..300 {
             let (sent_before, replans_before) =
                 (messages.load(Ordering::SeqCst), driver.stats().replans);
             driver.step().unwrap();
             let sent = messages.load(Ordering::SeqCst) - sent_before;
-            if driver.stats().replans > replans_before {
-                planning_ticks += 1;
-                assert_eq!(sent, 3, "planning tick {tick}");
-            } else {
-                assert_eq!(sent, 2, "tick {tick}");
+            let now: HashSet<String> = sim.lock().vehicle_ids().into_iter().collect();
+            let arrived = now.iter().any(|id| !listed.contains(id));
+            let planned = driver.stats().replans > replans_before;
+            listed = now;
+            assert_eq!(
+                sent,
+                1 + u64::from(arrived) + u64::from(planned),
+                "tick {tick}: new vehicle {arrived}, planned {planned}"
+            );
+            match (arrived, planned) {
+                (false, false) => quiet += 1,
+                (true, _) => arrivals += 1,
+                (false, true) => planning += 1,
             }
         }
-        assert!(planning_ticks > 0, "no tick planned");
+        assert!(quiet > 0, "no quiet tick");
+        assert!(arrivals > 0, "no tick listed a new vehicle");
+        assert!(planning > 0, "no tick planned without an arrival");
         driver.close().unwrap();
         forwarder.join().unwrap();
         cloud.shutdown();

@@ -1,10 +1,11 @@
 //! The TraCI client.
 
 use crate::protocol::{
-    ids, put_string, read_message, split_replies, take_i32, take_string, write_message, Command,
-    Reply, SubscriptionResult, TraciValue,
+    decode_message_body, ids, put_message, put_string, read_message, split_replies, take_i32,
+    take_string, Command, Reply, SubscriptionResult, TraciValue, READ_BUFFER,
 };
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use velopt_common::{Error, Result};
 
@@ -26,7 +27,11 @@ pub struct Version {
 /// command. See the crate-level example.
 #[derive(Debug)]
 pub struct TraciClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
+    /// The outgoing message and the reply's body, each reused from
+    /// exchange to exchange.
+    out: Vec<u8>,
+    body: Vec<u8>,
 }
 
 impl TraciClient {
@@ -38,7 +43,11 @@ impl TraciClient {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Self { stream })
+        Ok(Self {
+            stream: BufReader::with_capacity(READ_BUFFER, stream),
+            out: Vec::new(),
+            body: Vec::new(),
+        })
     }
 
     /// Sends `commands` as one message, reads the one reply message, and
@@ -54,9 +63,14 @@ impl TraciClient {
         if commands.is_empty() {
             return Ok(Vec::new());
         }
-        write_message(&mut self.stream, commands)?;
-        let responses = read_message(&mut self.stream)?;
-        split_replies(commands, responses)
+        self.out.clear();
+        put_message(&mut self.out, commands);
+        self.stream.get_mut().write_all(&self.out)?;
+        read_message(&mut self.stream, &mut self.body)?;
+        split_replies(
+            commands,
+            decode_message_body(Bytes::copy_from_slice(&self.body))?,
+        )
     }
 
     /// Requests the server's version.

@@ -24,7 +24,11 @@
 //!   simulation time, subscriptions, `close`) are exchanges of one command.
 //! * [`TraciServer`] — serves one client per connection, answering every
 //!   command of a message in order in one reply, and translating TraCI
-//!   commands into calls on a [`TraciBackend`]: a single-corridor
+//!   commands into calls on a [`TraciBackend`]. Each answer is written
+//!   straight into the connection's one reply buffer, object ids read as
+//!   slices of the request, and the reply goes out in one write. Client
+//!   and server both take a message with one `read` when it is already in
+//!   the socket buffer. The backend is a single-corridor
 //!   [`velopt_microsim::Simulation`] (vehicles `veh<N>`, traffic lights
 //!   `tl<N>`, induction loops `loop<N>`) or a multi-corridor
 //!   [`velopt_microsim::Network`] (network-unique `veh<N>` plus

@@ -17,6 +17,7 @@
 //!   [`Reply`] per command. A rejected command fails only its own reply.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::io::{ErrorKind, Read};
 use velopt_common::{Error, Result};
 
 /// Command and variable identifiers (the subset of SUMO's `TraCIConstants`
@@ -112,7 +113,7 @@ pub enum TraciValue {
 
 impl TraciValue {
     /// Encodes the value (type byte + payload) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub fn encode(&self, buf: &mut impl BufMut) {
         match self {
             TraciValue::UByte(v) => {
                 buf.put_u8(type_codes::TYPE_UBYTE);
@@ -130,10 +131,7 @@ impl TraciValue {
                 buf.put_u8(type_codes::TYPE_DOUBLE);
                 buf.put_f64(*v);
             }
-            TraciValue::String(s) => {
-                buf.put_u8(type_codes::TYPE_STRING);
-                put_string(buf, s);
-            }
+            TraciValue::String(s) => put_string_value(buf, s),
             TraciValue::StringList(list) => {
                 buf.put_u8(type_codes::TYPE_STRINGLIST);
                 buf.put_i32(list.len() as i32);
@@ -163,34 +161,39 @@ impl TraciValue {
     /// Returns [`Error::Protocol`] on truncation, an unknown type code, or
     /// compounds nested more than [`MAX_COMPOUND_DEPTH`] deep.
     pub fn decode(buf: &mut Bytes) -> Result<TraciValue> {
-        Self::decode_nested(buf, 0)
+        take(buf, Self::read)
+    }
+
+    /// [`decode`](Self::decode) from the front of a borrowed slice.
+    pub(crate) fn read(buf: &mut &[u8]) -> Result<TraciValue> {
+        Self::read_nested(buf, 0)
     }
 
     /// Decodes one value inside `depth` enclosing compounds.
-    fn decode_nested(buf: &mut Bytes, depth: usize) -> Result<TraciValue> {
-        match take_u8(buf)? {
-            type_codes::TYPE_UBYTE => Ok(TraciValue::UByte(take_u8(buf)?)),
-            type_codes::TYPE_BYTE => Ok(TraciValue::Byte(take_u8(buf)? as i8)),
-            type_codes::TYPE_INTEGER => Ok(TraciValue::Integer(take_i32(buf)?)),
-            type_codes::TYPE_DOUBLE => Ok(TraciValue::Double(take_f64(buf)?)),
-            type_codes::TYPE_STRING => Ok(TraciValue::String(take_string(buf)?)),
+    fn read_nested(buf: &mut &[u8], depth: usize) -> Result<TraciValue> {
+        match read_u8(buf)? {
+            type_codes::TYPE_UBYTE => Ok(TraciValue::UByte(read_u8(buf)?)),
+            type_codes::TYPE_BYTE => Ok(TraciValue::Byte(read_u8(buf)? as i8)),
+            type_codes::TYPE_INTEGER => Ok(TraciValue::Integer(read_i32(buf)?)),
+            type_codes::TYPE_DOUBLE => Ok(TraciValue::Double(read_f64(buf)?)),
+            type_codes::TYPE_STRING => Ok(TraciValue::String(read_str(buf)?.to_owned())),
             type_codes::TYPE_STRINGLIST => {
-                let n = take_i32(buf)?;
+                let n = read_i32(buf)?;
                 // Every string needs at least its 4-byte length prefix, so a
                 // count larger than remaining/4 is malformed — reject before
                 // allocating (a hostile length would otherwise OOM us).
-                if n < 0 || n as usize > buf.remaining() / 4 {
+                if n < 0 || n as usize > buf.len() / 4 {
                     return Err(Error::protocol("implausible string-list length"));
                 }
                 let mut list = Vec::with_capacity(n as usize);
                 for _ in 0..n {
-                    list.push(take_string(buf)?);
+                    list.push(read_str(buf)?.to_owned());
                 }
                 Ok(TraciValue::StringList(list))
             }
             type_codes::POSITION_2D => {
-                let x = take_f64(buf)?;
-                let y = take_f64(buf)?;
+                let x = read_f64(buf)?;
+                let y = read_f64(buf)?;
                 Ok(TraciValue::Position2D(x, y))
             }
             type_codes::TYPE_COMPOUND => {
@@ -199,15 +202,15 @@ impl TraciValue {
                         "compound values nest deeper than {MAX_COMPOUND_DEPTH} levels"
                     )));
                 }
-                let n = take_i32(buf)?;
+                let n = read_i32(buf)?;
                 // Every item needs at least a type byte; bound the count by
                 // the bytes actually present before allocating.
-                if n < 0 || n as usize > buf.remaining() {
+                if n < 0 || n as usize > buf.len() {
                     return Err(Error::protocol("implausible compound length"));
                 }
                 let mut items = Vec::with_capacity(n as usize);
                 for _ in 0..n {
-                    items.push(Self::decode_nested(buf, depth + 1)?);
+                    items.push(Self::read_nested(buf, depth + 1)?);
                 }
                 Ok(TraciValue::Compound(items))
             }
@@ -317,17 +320,12 @@ impl Command {
         Self::new(ids::CMD_SET_VEHICLE_VARIABLE, buf.freeze())
     }
 
-    /// Encodes the command (length prefix + id + payload) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        let content_len = 1 + 1 + self.payload.len(); // len byte + id + payload
-        if content_len <= u8::MAX as usize {
-            buf.put_u8(content_len as u8);
-        } else {
-            buf.put_u8(0);
-            buf.put_i32((content_len + 4) as i32);
-        }
-        buf.put_u8(self.id);
-        buf.put_slice(&self.payload);
+    /// Encodes the command (length prefix + id + payload) at the end of
+    /// `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let at = begin_command(out, self.id);
+        out.extend_from_slice(&self.payload);
+        end_command(out, at);
     }
 
     /// Decodes one command from the front of `buf`.
@@ -336,28 +334,71 @@ impl Command {
     ///
     /// Returns [`Error::Protocol`] on truncation or inconsistent lengths.
     pub fn decode(buf: &mut Bytes) -> Result<Command> {
-        let first = take_u8(buf)?;
-        let total = if first != 0 {
-            first as usize
-        } else {
-            let ext = take_i32(buf)?;
-            if ext < 6 {
-                return Err(Error::protocol("extended command length too small"));
-            }
-            // Extended length includes the 1-byte marker and 4-byte length.
-            ext as usize - 4
-        };
-        // `total` now counts: 1 length byte + 1 id byte + payload.
-        if total < 2 {
-            return Err(Error::protocol("command length too small"));
-        }
-        let id = take_u8(buf)?;
-        let payload_len = total - 2;
-        if buf.remaining() < payload_len {
-            return Err(Error::protocol("truncated command payload"));
-        }
+        let (id, payload_len) = take(buf, read_frame)?;
         let payload = buf.split_to(payload_len);
         Ok(Command { id, payload })
+    }
+}
+
+/// Reads a command's length prefix and id from the front of `buf`, and
+/// checks that its whole payload follows; returns the id and the payload
+/// length.
+fn read_frame(buf: &mut &[u8]) -> Result<(u8, usize)> {
+    let first = read_u8(buf)?;
+    let total = if first != 0 {
+        first as usize
+    } else {
+        let ext = read_i32(buf)?;
+        if ext < 6 {
+            return Err(Error::protocol("extended command length too small"));
+        }
+        // Extended length includes the 1-byte marker and 4-byte length.
+        ext as usize - 4
+    };
+    // `total` now counts: 1 length byte + 1 id byte + payload.
+    if total < 2 {
+        return Err(Error::protocol("command length too small"));
+    }
+    let id = read_u8(buf)?;
+    let payload_len = total - 2;
+    if buf.len() < payload_len {
+        return Err(Error::protocol("truncated command payload"));
+    }
+    Ok((id, payload_len))
+}
+
+/// Splits one command off the front of a message body: its id and its
+/// payload, borrowed from the body.
+///
+/// # Errors
+///
+/// Returns [`Error::Protocol`] on truncation or inconsistent lengths, as
+/// [`Command::decode`] does.
+pub(crate) fn read_command<'a>(body: &mut &'a [u8]) -> Result<(u8, &'a [u8])> {
+    let (id, payload_len) = read_frame(body)?;
+    let (payload, rest) = body.split_at(payload_len);
+    *body = rest;
+    Ok((id, payload))
+}
+
+/// Starts a command with id `id` at the end of `out`, its length byte a
+/// placeholder until [`end_command`]; returns where the command starts.
+pub(crate) fn begin_command(out: &mut Vec<u8>, id: u8) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0, id]);
+    at
+}
+
+/// Writes the length of the command begun at `at`, which runs to the end
+/// of `out`: one byte, or, past 255 bytes, the `0x00` marker and a 4-byte
+/// length inserted after it.
+pub(crate) fn end_command(out: &mut Vec<u8>, at: usize) {
+    let len = out.len() - at;
+    if len <= u8::MAX as usize {
+        out[at] = len as u8;
+    } else {
+        let extended = i32::try_from(len + 4).expect("a command fits a message");
+        out.splice(at + 1..at + 1, extended.to_be_bytes());
     }
 }
 
@@ -391,12 +432,13 @@ impl Status {
         }
     }
 
-    /// Encodes as a command.
-    pub fn to_command(&self) -> Command {
-        let mut buf = BytesMut::new();
-        buf.put_u8(self.result);
-        put_string(&mut buf, &self.description);
-        Command::new(self.command, buf.freeze())
+    /// Encodes the status as a whole command (length, command id, result
+    /// code, description) at the end of `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let at = begin_command(out, self.command);
+        out.put_u8(self.result);
+        put_string(out, &self.description);
+        end_command(out, at);
     }
 
     /// Decodes from a command.
@@ -589,14 +631,28 @@ pub fn split_replies(requests: &[Command], responses: Vec<Command>) -> Result<Ve
 /// Encodes a whole message (length header + commands) ready to write to a
 /// socket.
 pub fn encode_message(commands: &[Command]) -> Bytes {
-    let mut body = BytesMut::new();
+    let mut msg = Vec::new();
+    put_message(&mut msg, commands);
+    Bytes::from(msg)
+}
+
+/// Appends a whole message to `out`: a length header, patched in place
+/// once the commands are written behind it.
+pub(crate) fn put_message(out: &mut Vec<u8>, commands: &[Command]) {
+    let at = out.len();
+    out.reserve(4 + commands.iter().map(|c| 6 + c.payload.len()).sum::<usize>());
+    out.put_i32(0);
     for c in commands {
-        c.encode(&mut body);
+        c.encode(out);
     }
-    let mut msg = BytesMut::with_capacity(4 + body.len());
-    msg.put_i32((4 + body.len()) as i32);
-    msg.put_slice(&body);
-    msg.freeze()
+    patch_message_len(out, at);
+}
+
+/// Writes the length of the message that starts at `at` and runs to the
+/// end of `out` into its header.
+pub(crate) fn patch_message_len(out: &mut [u8], at: usize) {
+    let total = i32::try_from(out.len() - at).expect("a message fits its i32 length header");
+    out[at..at + 4].copy_from_slice(&total.to_be_bytes());
 }
 
 /// Decodes a message body (after the 4-byte length header has been consumed)
@@ -613,45 +669,109 @@ pub fn decode_message_body(mut body: Bytes) -> Result<Vec<Command>> {
     Ok(commands)
 }
 
-/// Reads one full message from a blocking reader.
+/// Capacity of each connection's read buffer, and the most a message body
+/// buffer keeps between messages: every message this crate's client or
+/// server exchanges on a fleet tick fits.
+pub(crate) const READ_BUFFER: usize = 64 * 1024;
+
+/// Reads one full message from a blocking reader into `body`: the bytes
+/// after its 4-byte length header, ready for [`decode_message_body`].
+///
+/// The length is checked against [`MAX_MESSAGE_LEN`] before anything is
+/// read into `body`, which then grows only as the bytes arrive. `body` is
+/// meant to be reused from message to message: capacity past 64 KiB that
+/// a longer message left is given back before the next header is read.
+/// Over a [`BufReader`](std::io::BufReader) of that capacity, a message
+/// already in the socket buffer is taken with one `read` call.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Io`] on socket errors and [`Error::Protocol`] on
-/// malformed lengths, including any above [`MAX_MESSAGE_LEN`].
-pub fn read_message(reader: &mut impl std::io::Read) -> Result<Vec<Command>> {
+/// Returns [`Error::Io`] on socket errors or end of stream, and
+/// [`Error::Protocol`] on malformed lengths, including any above
+/// [`MAX_MESSAGE_LEN`].
+pub fn read_message(reader: &mut impl Read, body: &mut Vec<u8>) -> Result<()> {
+    body.clear();
+    body.shrink_to(READ_BUFFER);
     let mut header = [0u8; 4];
     reader.read_exact(&mut header)?;
     let total = i32::from_be_bytes(header);
-    let total = match usize::try_from(total) {
-        Ok(n @ 4..=MAX_MESSAGE_LEN) => n,
+    let len = match usize::try_from(total) {
+        Ok(n @ 4..=MAX_MESSAGE_LEN) => n - 4,
         _ => {
             return Err(Error::protocol(format!(
                 "message length {total} out of range"
             )))
         }
     };
-    let mut body = vec![0u8; total - 4];
-    reader.read_exact(&mut body)?;
-    decode_message_body(Bytes::from(body))
-}
-
-/// Writes one full message to a blocking writer.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] on socket errors.
-pub fn write_message(writer: &mut impl std::io::Write, commands: &[Command]) -> Result<()> {
-    let msg = encode_message(commands);
-    writer.write_all(&msg)?;
-    writer.flush()?;
+    if reader.take(len as u64).read_to_end(body)? < len {
+        return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
+    }
     Ok(())
 }
 
 /// Writes a TraCI length-prefixed string.
-pub fn put_string(buf: &mut BytesMut, s: &str) {
+pub fn put_string(buf: &mut impl BufMut, s: &str) {
     buf.put_i32(s.len() as i32);
     buf.put_slice(s.as_bytes());
+}
+
+/// Writes a typed string value: the string type code, then the string.
+pub(crate) fn put_string_value(buf: &mut impl BufMut, s: &str) {
+    buf.put_u8(type_codes::TYPE_STRING);
+    put_string(buf, s);
+}
+
+/// Runs a slice reader over the front of `buf` and advances `buf` past
+/// what it read; on error `buf` is left as it was.
+fn take<T>(buf: &mut Bytes, read: impl FnOnce(&mut &[u8]) -> Result<T>) -> Result<T> {
+    let mut rest: &[u8] = buf;
+    let value = read(&mut rest)?;
+    let used = buf.len() - rest.len();
+    buf.advance(used);
+    Ok(value)
+}
+
+/// Splits `n` bytes off the front of `buf`, if it holds that many.
+fn read_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if buf.len() < n {
+        return None;
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Some(head)
+}
+
+/// Splits `N` bytes off the front of `buf`.
+fn read_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    read_bytes(buf, N)
+        .map(|raw| raw.try_into().expect("N bytes"))
+        .ok_or_else(|| Error::protocol("unexpected end of buffer"))
+}
+
+/// [`take_u8`] from the front of a borrowed slice.
+pub(crate) fn read_u8(buf: &mut &[u8]) -> Result<u8> {
+    read_array::<1>(buf).map(|[b]| b)
+}
+
+/// [`take_i32`] from the front of a borrowed slice.
+pub(crate) fn read_i32(buf: &mut &[u8]) -> Result<i32> {
+    read_array(buf).map(i32::from_be_bytes)
+}
+
+/// [`take_f64`] from the front of a borrowed slice.
+pub(crate) fn read_f64(buf: &mut &[u8]) -> Result<f64> {
+    read_array(buf).map(f64::from_be_bytes)
+}
+
+/// [`take_string`] from the front of a borrowed slice, borrowing the
+/// string from it.
+pub(crate) fn read_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+    let len = read_i32(buf)?;
+    let raw = usize::try_from(len)
+        .ok()
+        .and_then(|len| read_bytes(buf, len))
+        .ok_or_else(|| Error::protocol("truncated string"))?;
+    std::str::from_utf8(raw).map_err(|_| Error::protocol("string is not valid utf-8"))
 }
 
 /// Reads one byte.
@@ -660,10 +780,7 @@ pub fn put_string(buf: &mut BytesMut, s: &str) {
 ///
 /// Returns [`Error::Protocol`] if the buffer is empty.
 pub fn take_u8(buf: &mut Bytes) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(Error::protocol("unexpected end of buffer"));
-    }
-    Ok(buf.get_u8())
+    take(buf, read_u8)
 }
 
 /// Reads a big-endian i32.
@@ -672,10 +789,7 @@ pub fn take_u8(buf: &mut Bytes) -> Result<u8> {
 ///
 /// Returns [`Error::Protocol`] on truncation.
 pub fn take_i32(buf: &mut Bytes) -> Result<i32> {
-    if buf.remaining() < 4 {
-        return Err(Error::protocol("unexpected end of buffer"));
-    }
-    Ok(buf.get_i32())
+    take(buf, read_i32)
 }
 
 /// Reads a big-endian f64.
@@ -684,10 +798,7 @@ pub fn take_i32(buf: &mut Bytes) -> Result<i32> {
 ///
 /// Returns [`Error::Protocol`] on truncation.
 pub fn take_f64(buf: &mut Bytes) -> Result<f64> {
-    if buf.remaining() < 8 {
-        return Err(Error::protocol("unexpected end of buffer"));
-    }
-    Ok(buf.get_f64())
+    take(buf, read_f64)
 }
 
 /// Reads a TraCI length-prefixed string.
@@ -696,12 +807,7 @@ pub fn take_f64(buf: &mut Bytes) -> Result<f64> {
 ///
 /// Returns [`Error::Protocol`] on truncation or invalid UTF-8.
 pub fn take_string(buf: &mut Bytes) -> Result<String> {
-    let len = take_i32(buf)?;
-    if len < 0 || buf.remaining() < len as usize {
-        return Err(Error::protocol("truncated string"));
-    }
-    let raw = buf.split_to(len as usize);
-    String::from_utf8(raw.to_vec()).map_err(|_| Error::protocol("string is not valid utf-8"))
+    take(buf, |buf| read_str(buf).map(str::to_owned))
 }
 
 #[cfg(test)]
@@ -784,9 +890,9 @@ mod tests {
     #[test]
     fn command_round_trip_short() {
         let cmd = Command::new(ids::CMD_SIMSTEP, vec![1, 2, 3]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         cmd.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Bytes::from(buf);
         let back = Command::decode(&mut bytes).unwrap();
         assert_eq!(back, cmd);
     }
@@ -795,10 +901,10 @@ mod tests {
     fn command_round_trip_extended_length() {
         // Payload longer than 253 bytes forces the extended length form.
         let cmd = Command::new(0xA4, vec![0xAB; 1000]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         cmd.encode(&mut buf);
         assert_eq!(buf[0], 0, "extended length marker");
-        let mut bytes = buf.freeze();
+        let mut bytes = Bytes::from(buf);
         let back = Command::decode(&mut bytes).unwrap();
         assert_eq!(back, cmd);
     }
@@ -806,9 +912,9 @@ mod tests {
     #[test]
     fn truncated_command_rejected() {
         let cmd = Command::new(0x02, vec![9; 10]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         cmd.encode(&mut buf);
-        let mut truncated = buf.freeze().slice(0..5);
+        let mut truncated = Bytes::from(buf).slice(0..5);
         assert!(Command::decode(&mut truncated).is_err());
     }
 
@@ -828,39 +934,127 @@ mod tests {
     #[test]
     fn status_round_trip() {
         for status in [Status::ok(0x02), Status::err(0xA4, "no such vehicle")] {
-            let cmd = status.to_command();
-            let back = Status::from_command(&cmd).unwrap();
-            assert_eq!(back, status);
+            let mut buf = Vec::new();
+            status.encode(&mut buf);
+            let cmd = Command::decode(&mut Bytes::from(buf)).unwrap();
+            assert_eq!(Status::from_command(&cmd).unwrap(), status);
         }
     }
 
     #[test]
     fn read_write_message_over_pipe() {
         let cmds = vec![Command::new(ids::CMD_CLOSE, Vec::<u8>::new())];
-        let mut buf = Vec::new();
-        write_message(&mut buf, &cmds).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back = read_message(&mut cursor).unwrap();
-        assert_eq!(back, cmds);
+        let msg = encode_message(&cmds);
+        let mut body = Vec::new();
+        read_message(&mut std::io::Cursor::new(msg), &mut body).unwrap();
+        assert_eq!(decode_message_body(Bytes::from(body)).unwrap(), cmds);
     }
 
     #[test]
     fn bad_message_header_rejected() {
         let mut cursor = std::io::Cursor::new(vec![0, 0, 0, 2]);
-        assert!(read_message(&mut cursor).is_err());
+        assert!(read_message(&mut cursor, &mut Vec::new()).is_err());
     }
 
     /// A peer's length header is checked against the cap before the body
-    /// is allocated: the old reader reserved `total - 4` bytes (~2 GiB for
-    /// `i32::MAX`) and only then failed to read them.
+    /// is allocated: an early reader reserved `total - 4` bytes (~2 GiB
+    /// for `i32::MAX`) and only then failed to read them.
     #[test]
     fn oversized_message_header_rejected_before_allocating() {
         let over = i32::try_from(MAX_MESSAGE_LEN + 1).unwrap();
         for total in [i32::MAX, over, -1, i32::MIN] {
-            let mut cursor = std::io::Cursor::new(total.to_be_bytes().to_vec());
+            let mut body = Vec::new();
+            let header = total.to_be_bytes();
             assert!(
-                matches!(read_message(&mut cursor), Err(Error::Protocol(_))),
+                matches!(
+                    read_message(&mut &header[..], &mut body),
+                    Err(Error::Protocol(_))
+                ),
                 "length {total}"
+            );
+            assert_eq!(body.capacity(), 0, "length {total}");
+        }
+    }
+
+    /// A reader over `data` that hands out at most `chunk` bytes per
+    /// `read` call and counts the calls.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Over a read buffer, messages already buffered are taken with one
+    /// `read`; a message that arrives a byte at a time, or outgrows the
+    /// buffer, still comes back whole; a body buffer grows only with the
+    /// bytes that arrive and keeps no more than the read buffer's capacity
+    /// once a longer message is done with.
+    #[test]
+    fn read_message_takes_buffered_messages_whole_and_keeps_little() {
+        let first = encode_message(&[Command::simulation_step(0.0)]);
+        let second = encode_message(&[Command::new(0xA4, vec![7; 300])]);
+        let both = [&first[..], &second[..]].concat();
+        let mut body = Vec::new();
+        let mut socket = std::io::BufReader::with_capacity(
+            READ_BUFFER,
+            Trickle {
+                data: &both,
+                chunk: usize::MAX,
+                reads: 0,
+            },
+        );
+        read_message(&mut socket, &mut body).unwrap();
+        assert_eq!(body, &first[4..]);
+        assert_eq!(socket.get_ref().reads, 1);
+        read_message(&mut socket, &mut body).unwrap();
+        assert_eq!(body, &second[4..]);
+        assert_eq!(socket.get_ref().reads, 1, "both came in one read");
+        assert!(
+            read_message(&mut socket, &mut body).is_err(),
+            "end of stream"
+        );
+
+        let big = encode_message(&[Command::new(0xA4, vec![9; 3 * READ_BUFFER])]);
+        let stream = [&first[..], &big[..], &second[..]].concat();
+        for chunk in [1, 1000, usize::MAX] {
+            let mut socket = std::io::BufReader::with_capacity(
+                READ_BUFFER,
+                Trickle {
+                    data: &stream,
+                    chunk,
+                    reads: 0,
+                },
+            );
+            for msg in [&first, &big, &second] {
+                read_message(&mut socket, &mut body).unwrap();
+                assert_eq!(body, &msg[4..], "chunk {chunk}");
+            }
+            assert!(body.capacity() <= READ_BUFFER, "chunk {chunk}");
+        }
+
+        // A header announcing the largest message, then a few bytes.
+        let mut cut = i32::try_from(MAX_MESSAGE_LEN)
+            .unwrap()
+            .to_be_bytes()
+            .to_vec();
+        cut.extend_from_slice(&[1; 10]);
+        let mut body = Vec::new();
+        assert!(read_message(&mut &cut[..], &mut body).is_err());
+        assert!(body.capacity() <= READ_BUFFER, "{}", body.capacity());
+        for cut in 0..first.len() {
+            assert!(
+                read_message(&mut &first[..cut], &mut body).is_err(),
+                "cut {cut}"
             );
         }
     }
@@ -887,16 +1081,16 @@ mod tests {
         sub.put_u8(ids::VAR_SPEED);
         sub.put_u8(ids::RTYPE_OK);
         TraciValue::Double(4.0).encode(&mut sub);
-        let responses = vec![
-            Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).to_command(),
-            speed_result(2.5),
-            Status::err(ids::CMD_SET_VEHICLE_VARIABLE, "no vehicle 'veh9'").to_command(),
-            Status::ok(ids::CMD_SIMSTEP).to_command(),
-            Command::new(ids::CMD_SIMSTEP, 1i32.to_be_bytes().to_vec()),
-            Command::new(ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE, sub.freeze()),
-            Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).to_command(),
-            speed_result(3.5),
-        ];
+        let mut body = Vec::new();
+        Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).encode(&mut body);
+        speed_result(2.5).encode(&mut body);
+        Status::err(ids::CMD_SET_VEHICLE_VARIABLE, "no vehicle 'veh9'").encode(&mut body);
+        Status::ok(ids::CMD_SIMSTEP).encode(&mut body);
+        Command::new(ids::CMD_SIMSTEP, 1i32.to_be_bytes().to_vec()).encode(&mut body);
+        Command::new(ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE, sub.freeze()).encode(&mut body);
+        Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).encode(&mut body);
+        speed_result(3.5).encode(&mut body);
+        let responses = decode_message_body(Bytes::from(body)).unwrap();
         let requests = [get.clone(), set.clone(), step, get.clone()];
         let replies = split_replies(&requests, responses.clone()).unwrap();
         assert_eq!(replies.len(), 4);

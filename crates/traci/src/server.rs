@@ -2,11 +2,12 @@
 
 use crate::backend::{TraciBackend, VehicleView};
 use crate::protocol::{
-    ids, put_string, read_message, take_f64, take_string, take_u8, write_message, Command, Status,
-    TraciValue,
+    begin_command, end_command, ids, patch_message_len, put_string, put_string_value, read_command,
+    read_f64, read_message, read_str, read_u8, Status, TraciValue, READ_BUFFER,
 };
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use parking_lot::Mutex;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -140,30 +141,52 @@ struct Subscription {
     variables: Vec<u8>,
     begin: f64,
     end: f64,
+    /// Whether a step has delivered it: once it has, its vehicle going
+    /// missing means the vehicle left for good (ids are never reused).
+    delivered: bool,
 }
 
 /// Serves one client; returns `false` when the server should stop accepting
 /// (client requested close).
-fn serve_connection<S: TraciBackend>(mut stream: TcpStream, sim: &Arc<Mutex<S>>) -> bool {
+///
+/// Each message is read into one body buffer, and every command's answer
+/// is written straight into one reply buffer, object ids read as slices of
+/// the request; the reply goes out in one write.
+fn serve_connection<S: TraciBackend>(stream: TcpStream, sim: &Mutex<S>) -> bool {
     stream.set_nodelay(true).ok();
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     let mut subscriptions: Vec<Subscription> = Vec::new();
+    let (mut body, mut out) = (Vec::new(), Vec::new());
     loop {
-        let commands = match read_message(&mut stream) {
-            Ok(c) => c,
-            Err(_) => return true, // client vanished; accept the next one
-        };
-        let mut responses = Vec::new();
-        let mut close_requested = false;
-        for cmd in commands {
-            match handle_command(&cmd, sim, &mut subscriptions) {
-                Ok(mut cmds) => responses.append(&mut cmds),
-                Err(e) => responses.push(Status::err(cmd.id, e.to_string()).to_command()),
-            }
-            if cmd.id == ids::CMD_CLOSE {
-                close_requested = true;
+        // A long reply's capacity is given back before the next wait, as
+        // `read_message` gives back a long message's.
+        out.clear();
+        out.shrink_to(READ_BUFFER);
+        if read_message(&mut stream, &mut body).is_err() {
+            return true; // client vanished; accept the next one
+        }
+        // A message that does not split into whole commands drops the
+        // client before any of its commands runs.
+        let mut frames = &body[..];
+        while !frames.is_empty() {
+            if read_command(&mut frames).is_err() {
+                return true;
             }
         }
-        if write_message(&mut stream, &responses).is_err() {
+        out.put_i32(0); // the message length, patched below
+        let mut close_requested = false;
+        let mut commands = &body[..];
+        while !commands.is_empty() {
+            let (id, payload) = read_command(&mut commands).expect("framing checked above");
+            let at = out.len();
+            if let Err(e) = answer(id, payload, sim, &mut subscriptions, &mut out) {
+                out.truncate(at);
+                Status::err(id, e.to_string()).encode(&mut out);
+            }
+            close_requested |= id == ids::CMD_CLOSE;
+        }
+        patch_message_len(&mut out, 0);
+        if stream.get_mut().write_all(&out).is_err() {
             return true;
         }
         if close_requested {
@@ -172,55 +195,49 @@ fn serve_connection<S: TraciBackend>(mut stream: TcpStream, sim: &Arc<Mutex<S>>)
     }
 }
 
-/// Executes one command against the simulation, returning the response
-/// commands (status first).
-fn handle_command<S: TraciBackend>(
-    cmd: &Command,
-    sim: &Arc<Mutex<S>>,
+/// Executes one command against the simulation and appends its answer to
+/// `out`: the status, then any result commands. On error, what it wrote is
+/// discarded and the caller answers with an error status.
+fn answer<S: TraciBackend>(
+    id: u8,
+    mut payload: &[u8],
+    sim: &Mutex<S>,
     subscriptions: &mut Vec<Subscription>,
-) -> Result<Vec<Command>> {
-    match cmd.id {
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    match id {
         ids::CMD_GETVERSION => {
-            let mut buf = BytesMut::new();
-            buf.put_i32(API_LEVEL);
-            put_string(&mut buf, "velopt-microsim (TraCI-compatible)");
-            Ok(vec![
-                Status::ok(cmd.id).to_command(),
-                Command::new(cmd.id, buf.freeze()),
-            ])
+            Status::ok(id).encode(out);
+            let at = begin_command(out, id);
+            out.put_i32(API_LEVEL);
+            put_string(out, "velopt-microsim (TraCI-compatible)");
+            end_command(out, at);
         }
         ids::CMD_SIMSTEP => {
-            let mut payload = cmd.payload.clone();
-            let target = take_f64(&mut payload)?;
-            let results = {
-                let mut sim = sim.lock();
-                if target <= 0.0 {
-                    sim.step_once();
-                } else {
-                    sim.advance_to(Seconds::new(target))?;
-                }
-                subscription_results(&*sim, subscriptions)
-            };
+            let target = read_f64(&mut payload)?;
+            let mut sim = sim.lock();
+            if target <= 0.0 {
+                sim.step_once();
+            } else {
+                sim.advance_to(Seconds::new(target))?;
+            }
             // The simstep result carries the subscription-result count, then
             // one RESPONSE_SUBSCRIBE command per live subscription.
-            let mut buf = BytesMut::new();
-            buf.put_i32(results.len() as i32);
-            let mut out = vec![
-                Status::ok(cmd.id).to_command(),
-                Command::new(cmd.id, buf.freeze()),
-            ];
-            out.extend(results);
-            Ok(out)
+            Status::ok(id).encode(out);
+            let at = begin_command(out, id);
+            out.put_i32(0);
+            end_command(out, at);
+            let count = put_subscription_results(&*sim, subscriptions, out);
+            out[at + 2..at + 6].copy_from_slice(&count.to_be_bytes());
         }
         ids::CMD_SUBSCRIBE_VEHICLE_VARIABLE => {
-            let mut payload = cmd.payload.clone();
-            let begin = take_f64(&mut payload)?;
-            let end = take_f64(&mut payload)?;
-            let object = take_string(&mut payload)?;
-            let count = take_u8(&mut payload)? as usize;
+            let begin = read_f64(&mut payload)?;
+            let end = read_f64(&mut payload)?;
+            let object = read_str(&mut payload)?;
+            let count = read_u8(&mut payload)? as usize;
             let mut variables = Vec::with_capacity(count);
             for _ in 0..count {
-                let var = take_u8(&mut payload)?;
+                let var = read_u8(&mut payload)?;
                 if var != ids::VAR_SPEED && var != ids::VAR_POSITION {
                     return Err(Error::protocol(format!(
                         "unsupported subscription variable 0x{var:02x}"
@@ -228,44 +245,42 @@ fn handle_command<S: TraciBackend>(
                 }
                 variables.push(var);
             }
-            if variables.is_empty() {
-                // SUMO semantics: an empty list cancels the subscription.
-                subscriptions.retain(|s| s.object != object);
-            } else {
-                subscriptions.retain(|s| s.object != object);
+            // SUMO semantics: a subscription replaces the object's earlier
+            // one, and an empty list cancels it.
+            subscriptions.retain(|s| s.object != object);
+            if !variables.is_empty() {
                 subscriptions.push(Subscription {
-                    object,
+                    object: object.to_owned(),
                     variables,
                     begin,
                     end,
+                    delivered: false,
                 });
             }
-            Ok(vec![Status::ok(cmd.id).to_command()])
+            Status::ok(id).encode(out);
         }
-        ids::CMD_CLOSE => Ok(vec![Status::ok(cmd.id).to_command()]),
+        ids::CMD_CLOSE => Status::ok(id).encode(out),
         ids::CMD_GET_SIM_VARIABLE => {
-            let (var, _object, _) = decode_get(cmd)?;
-            let value = match var {
-                ids::VAR_TIME => TraciValue::Double(sim.lock().time().value()),
-                other => {
-                    return Err(Error::protocol(format!(
-                        "unsupported simulation variable 0x{other:02x}"
-                    )))
-                }
-            };
-            Ok(get_response(cmd, var, "", value))
+            let (var, _object) = read_get(&mut payload)?;
+            if var != ids::VAR_TIME {
+                return Err(Error::protocol(format!(
+                    "unsupported simulation variable 0x{var:02x}"
+                )));
+            }
+            let time = TraciValue::Double(sim.lock().time().value());
+            put_get_answer(out, id, var, "", |out| time.encode(out));
         }
         ids::CMD_GET_VEHICLE_VARIABLE => {
-            let (var, object, _) = decode_get(cmd)?;
+            let (var, object) = read_get(&mut payload)?;
             let sim = sim.lock();
             let value = match var {
                 ids::ID_LIST => TraciValue::StringList(sim.vehicle_ids()),
                 ids::VAR_SPEED => {
-                    let v = find_vehicle(&*sim, &object)?;
+                    let v = find_vehicle(&*sim, object)?;
                     TraciValue::Double(v.speed.value())
                 }
                 ids::VAR_POSITION => {
-                    let v = find_vehicle(&*sim, &object)?;
+                    let v = find_vehicle(&*sim, object)?;
                     TraciValue::Position2D(v.position.value(), v.corridor as f64)
                 }
                 other => {
@@ -274,28 +289,23 @@ fn handle_command<S: TraciBackend>(
                     )))
                 }
             };
-            Ok(get_response(cmd, var, &object, value))
+            put_get_answer(out, id, var, object, |out| value.encode(out));
         }
         ids::CMD_GET_TL_VARIABLE => {
-            let (var, object, _) = decode_get(cmd)?;
+            let (var, object) = read_get(&mut payload)?;
             if var != ids::TL_RED_YELLOW_GREEN_STATE {
                 return Err(Error::protocol(format!(
                     "unsupported traffic-light variable 0x{var:02x}"
                 )));
             }
-            let state = match sim.lock().light_phase(&object)? {
+            let state = match sim.lock().light_phase(object)? {
                 Phase::Green => "G",
                 Phase::Red => "r",
             };
-            Ok(get_response(
-                cmd,
-                var,
-                &object,
-                TraciValue::String(state.into()),
-            ))
+            put_get_answer(out, id, var, object, |out| put_string_value(out, state));
         }
         ids::CMD_GET_INDUCTIONLOOP_VARIABLE => {
-            let (var, object, _) = decode_get(cmd)?;
+            let (var, object) = read_get(&mut payload)?;
             if var != ids::LAST_STEP_VEHICLE_NUMBER {
                 return Err(Error::protocol(format!(
                     "unsupported induction-loop variable 0x{var:02x}"
@@ -305,55 +315,66 @@ fn handle_command<S: TraciBackend>(
             // Reading is non-destructive — the old implementation drained
             // the detector's flow window here, so a second poller (or the
             // SAE volume feed) read zeros after any TraCI read.
-            let count = sim.lock().loop_last_step_count(&object)? as i32;
-            Ok(get_response(cmd, var, &object, TraciValue::Integer(count)))
+            let count = TraciValue::Integer(sim.lock().loop_last_step_count(object)? as i32);
+            put_get_answer(out, id, var, object, |out| count.encode(out));
         }
         ids::CMD_SET_VEHICLE_VARIABLE => {
-            let mut payload = cmd.payload.clone();
-            let var = take_u8(&mut payload)?;
-            let object = take_string(&mut payload)?;
+            let var = read_u8(&mut payload)?;
+            let object = read_str(&mut payload)?;
             if var != ids::VAR_SPEED {
                 return Err(Error::protocol(format!(
                     "unsupported vehicle set-variable 0x{var:02x}"
                 )));
             }
-            let value = TraciValue::decode(&mut payload)?.as_double()?;
+            let value = TraciValue::read(&mut payload)?.as_double()?;
             let command = if value < 0.0 {
                 None // negative setSpeed returns control to car-following
             } else {
                 Some(MetersPerSecond::new(value))
             };
-            sim.lock().command_vehicle_speed(&object, command)?;
-            Ok(vec![Status::ok(cmd.id).to_command()])
+            sim.lock().command_vehicle_speed(object, command)?;
+            Status::ok(id).encode(out);
         }
-        other => Ok(vec![Command::new(other, {
-            let mut buf = BytesMut::new();
-            buf.put_u8(ids::RTYPE_NOTIMPLEMENTED);
-            put_string(&mut buf, "command not implemented");
-            buf.freeze()
-        })]),
+        other => Status {
+            command: other,
+            result: ids::RTYPE_NOTIMPLEMENTED,
+            description: "command not implemented".into(),
+        }
+        .encode(out),
     }
+    Ok(())
 }
 
-/// Builds the per-step subscription result commands. Subscriptions whose
-/// vehicle has left the simulation (or whose time window is over) produce
-/// no result.
-fn subscription_results<S: TraciBackend>(sim: &S, subscriptions: &[Subscription]) -> Vec<Command> {
+/// Writes each live subscription's values as one RESPONSE_SUBSCRIBE
+/// command and returns how many it wrote. A subscription whose window has
+/// ended, or whose vehicle was delivered before and is gone, can never
+/// deliver again (time only moves forward, vehicle ids are never reused),
+/// so it is dropped here, as SUMO drops it; one whose window has not begun,
+/// or whose vehicle has not appeared yet, is kept and produces nothing.
+fn put_subscription_results<S: TraciBackend>(
+    sim: &S,
+    subscriptions: &mut Vec<Subscription>,
+    out: &mut Vec<u8>,
+) -> i32 {
     let now = sim.time().value();
-    let mut out = Vec::new();
-    for sub in subscriptions {
-        if now < sub.begin || now >= sub.end {
-            continue;
+    let mut count = 0;
+    subscriptions.retain_mut(|sub| {
+        if now >= sub.end {
+            return false;
         }
-        let Ok(vehicle) = find_vehicle(sim, &sub.object) else {
-            continue;
+        if now < sub.begin {
+            return true;
+        }
+        let Some(vehicle) = sim.vehicle_state(&sub.object) else {
+            return !sub.delivered;
         };
-        let mut buf = BytesMut::new();
-        put_string(&mut buf, &sub.object);
-        buf.put_u8(sub.variables.len() as u8);
+        sub.delivered = true;
+        let at = begin_command(out, ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE);
+        put_string(out, &sub.object);
+        out.put_u8(sub.variables.len() as u8);
         for &var in &sub.variables {
-            buf.put_u8(var);
-            buf.put_u8(ids::RTYPE_OK);
+            out.put_u8(var);
+            out.put_u8(ids::RTYPE_OK);
             let value = match var {
                 ids::VAR_SPEED => TraciValue::Double(vehicle.speed.value()),
                 ids::VAR_POSITION => {
@@ -361,32 +382,35 @@ fn subscription_results<S: TraciBackend>(sim: &S, subscriptions: &[Subscription]
                 }
                 _ => unreachable!("variables validated at subscription time"),
             };
-            value.encode(&mut buf);
+            value.encode(out);
         }
-        out.push(Command::new(
-            ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE,
-            buf.freeze(),
-        ));
-    }
-    out
+        end_command(out, at);
+        count += 1;
+        true
+    });
+    count
 }
 
-fn decode_get(cmd: &Command) -> Result<(u8, String, ())> {
-    let mut payload = cmd.payload.clone();
-    let var = take_u8(&mut payload)?;
-    let object = take_string(&mut payload)?;
-    Ok((var, object, ()))
+/// A "get variable" request's variable and object id.
+fn read_get<'a>(payload: &mut &'a [u8]) -> Result<(u8, &'a str)> {
+    Ok((read_u8(payload)?, read_str(payload)?))
 }
 
-fn get_response(cmd: &Command, var: u8, object: &str, value: TraciValue) -> Vec<Command> {
-    let mut buf = BytesMut::new();
-    buf.put_u8(var);
-    put_string(&mut buf, object);
-    value.encode(&mut buf);
-    vec![
-        Status::ok(cmd.id).to_command(),
-        Command::new(cmd.id.wrapping_add(ids::RESPONSE_OFFSET), buf.freeze()),
-    ]
+/// Answers an accepted get: its status, then the result command echoing
+/// the variable and `object` before the value `put_value` writes.
+fn put_get_answer(
+    out: &mut Vec<u8>,
+    command: u8,
+    var: u8,
+    object: &str,
+    put_value: impl FnOnce(&mut Vec<u8>),
+) {
+    Status::ok(command).encode(out);
+    let at = begin_command(out, command.wrapping_add(ids::RESPONSE_OFFSET));
+    out.put_u8(var);
+    put_string(out, object);
+    put_value(out);
+    end_command(out, at);
 }
 
 fn find_vehicle<S: TraciBackend>(sim: &S, object: &str) -> Result<VehicleView> {
@@ -398,6 +422,8 @@ fn find_vehicle<S: TraciBackend>(sim: &S, object: &str) -> Result<VehicleView> {
 mod tests {
     use super::*;
     use crate::client::TraciClient;
+    use crate::protocol::{decode_message_body, encode_message, Command};
+    use bytes::{Bytes, BytesMut};
     use std::time::Duration;
     use velopt_common::units::{Meters, VehiclesPerHour};
     use velopt_microsim::{CorridorSpec, Network, SimConfig};
@@ -472,6 +498,12 @@ mod tests {
 
         let server = server();
         let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let mut exchange = |commands: &[Command]| {
+            raw.write_all(&encode_message(commands)).unwrap();
+            let mut body = Vec::new();
+            read_message(&mut raw, &mut body).unwrap();
+            decode_message_body(Bytes::from(body)).unwrap()
+        };
         for levels in [MAX_COMPOUND_DEPTH + 1, 100_000] {
             let mut payload = BytesMut::new();
             payload.put_u8(ids::VAR_SPEED);
@@ -482,23 +514,20 @@ mod tests {
             }
             TraciValue::Double(3.0).encode(&mut payload);
             let set = Command::new(ids::CMD_SET_VEHICLE_VARIABLE, payload.freeze());
-            write_message(&mut raw, &[set]).unwrap();
-            let reply = read_message(&mut raw).unwrap();
+            let reply = exchange(&[set]);
             assert_eq!(reply.len(), 1);
             let status = Status::from_command(&reply[0]).unwrap();
             assert_eq!(status.result, ids::RTYPE_ERR);
             assert!(status.description.contains("nest deeper"), "{status:?}");
 
             let time = Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "");
-            write_message(&mut raw, &[time]).unwrap();
-            let reply = read_message(&mut raw).unwrap();
+            let reply = exchange(&[time]);
             assert_eq!(
                 Status::from_command(&reply[0]).unwrap().result,
                 ids::RTYPE_OK
             );
         }
-        write_message(&mut raw, &[Command::new(ids::CMD_CLOSE, Vec::<u8>::new())]).unwrap();
-        read_message(&mut raw).unwrap();
+        exchange(&[Command::new(ids::CMD_CLOSE, Vec::<u8>::new())]);
         server.join();
     }
 
@@ -735,6 +764,103 @@ mod tests {
             .unwrap();
         let results = client.simulation_step_collect(0.0).unwrap();
         assert!(results.is_empty());
+        client.close().unwrap();
+        server.join();
+    }
+
+    /// A backend that counts `vehicle_state` lookups.
+    struct Counting {
+        sim: Simulation,
+        lookups: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl TraciBackend for Counting {
+        fn time(&self) -> Seconds {
+            self.sim.time()
+        }
+        fn step_once(&mut self) {
+            self.sim.step_once();
+        }
+        fn advance_to(&mut self, t: Seconds) -> Result<()> {
+            TraciBackend::advance_to(&mut self.sim, t)
+        }
+        fn vehicle_ids(&self) -> Vec<String> {
+            TraciBackend::vehicle_ids(&self.sim)
+        }
+        fn vehicle_state(&self, object: &str) -> Option<VehicleView> {
+            self.lookups.fetch_add(1, Ordering::SeqCst);
+            self.sim.vehicle_state(object)
+        }
+        fn light_phase(&self, object: &str) -> Result<Phase> {
+            self.sim.light_phase(object)
+        }
+        fn loop_last_step_count(&self, object: &str) -> Result<u64> {
+            self.sim.loop_last_step_count(object)
+        }
+        fn command_vehicle_speed(
+            &mut self,
+            object: &str,
+            speed: Option<MetersPerSecond>,
+        ) -> Result<()> {
+            self.sim.command_vehicle_speed(object, speed)
+        }
+    }
+
+    /// A subscription that can never deliver again — its window has ended,
+    /// or its vehicle was delivered and has left — is dropped, so later
+    /// steps look nothing up for it; one whose vehicle has not appeared yet
+    /// is kept and looked up every step.
+    #[test]
+    fn dead_subscriptions_are_dropped() {
+        let lookups = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counted = || lookups.load(Ordering::SeqCst);
+        let mut sim = Simulation::new(Road::us25(), SimConfig::default()).unwrap();
+        sim.spawn_ego(MetersPerSecond::new(15.0)).unwrap();
+        let server = TraciServer::spawn(Counting {
+            sim,
+            lookups: Arc::clone(&lookups),
+        })
+        .unwrap();
+        let mut client = TraciClient::connect(server.addr()).unwrap();
+
+        // The window [0, 0.25) delivers twice, then ends.
+        client
+            .subscribe_vehicle("veh0", &[ids::VAR_SPEED], 0.0, 0.25)
+            .unwrap();
+        for delivered in [1, 1, 0] {
+            let before = counted();
+            assert_eq!(
+                client.simulation_step_collect(0.0).unwrap().len(),
+                delivered
+            );
+            assert_eq!(counted() - before, delivered as u64);
+        }
+        let before = counted();
+        client.simulation_step(0.0).unwrap();
+        assert_eq!(counted(), before, "an ended subscription is looked up");
+
+        // The ego is delivered, then leaves the corridor.
+        client
+            .subscribe_vehicle("veh0", &[ids::VAR_POSITION], 0.0, 1e9)
+            .unwrap();
+        assert_eq!(client.simulation_step_collect(0.0).unwrap().len(), 1);
+        client.simulation_step(600.0).unwrap();
+        assert!(client.vehicle_ids().unwrap().is_empty(), "the ego left");
+        let before = counted();
+        for _ in 0..3 {
+            assert!(client.simulation_step_collect(0.0).unwrap().is_empty());
+        }
+        assert_eq!(counted(), before, "a vanished vehicle is looked up");
+
+        // A vehicle that has not appeared yet is looked up every step.
+        client
+            .subscribe_vehicle("veh99", &[ids::VAR_SPEED], 0.0, 1e9)
+            .unwrap();
+        let before = counted();
+        for _ in 0..3 {
+            assert!(client.simulation_step_collect(0.0).unwrap().is_empty());
+        }
+        assert_eq!(counted() - before, 3);
         client.close().unwrap();
         server.join();
     }

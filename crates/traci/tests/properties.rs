@@ -98,9 +98,9 @@ proptest! {
         for cut in 0..value.len() {
             prop_assert!(TraciValue::decode(&mut value.slice(..cut)).is_err(), "cut {}", cut);
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Command::new(id, payload).encode(&mut buf);
-        let command = buf.freeze();
+        let command = Bytes::from(buf);
         for cut in 0..command.len() {
             prop_assert!(Command::decode(&mut command.slice(..cut)).is_err(), "cut {}", cut);
         }
@@ -116,7 +116,7 @@ proptest! {
         let body = msg.slice(4..);
         let mut boundaries = vec![0];
         for cmd in &cmds {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             cmd.encode(&mut buf);
             boundaries.push(boundaries.last().unwrap() + buf.len());
         }
@@ -128,7 +128,7 @@ proptest! {
             }
         }
         for cut in 0..msg.len() {
-            prop_assert!(read_message(&mut &msg[..cut]).is_err(), "cut {}", cut);
+            prop_assert!(read_message(&mut &msg[..cut], &mut Vec::new()).is_err(), "cut {}", cut);
         }
     }
 
@@ -140,18 +140,18 @@ proptest! {
         let msg = encode_message(&cmds);
         flip_every_bit(&msg.slice(4..));
         if let Some(first) = cmds.first() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             first.encode(&mut buf);
-            flip_every_bit(&buf.freeze());
+            flip_every_bit(&Bytes::from(buf));
         }
     }
 
     #[test]
     fn command_round_trip(id in any::<u8>(), payload in prop::collection::vec(any::<u8>(), 0..600)) {
         let cmd = Command::new(id, payload);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         cmd.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Bytes::from(buf);
         let back = Command::decode(&mut bytes).unwrap();
         prop_assert_eq!(back, cmd);
         prop_assert!(bytes.is_empty());
@@ -165,10 +165,14 @@ proptest! {
     }
 
     #[test]
-    fn status_round_trip(id in any::<u8>(), result in any::<u8>(), desc in "[ -~]{0,64}") {
+    fn status_round_trip(id in any::<u8>(), result in any::<u8>(), desc in "[ -~]{0,300}") {
         let status = Status { command: id, result, description: desc };
-        let back = Status::from_command(&status.to_command()).unwrap();
+        let mut buf = Vec::new();
+        status.encode(&mut buf);
+        let mut bytes = Bytes::from(buf);
+        let back = Status::from_command(&Command::decode(&mut bytes).unwrap()).unwrap();
         prop_assert_eq!(back, status);
+        prop_assert!(bytes.is_empty());
     }
 
     /// Arbitrary byte soup never panics the decoders (they may error),
@@ -420,4 +424,136 @@ proptest! {
         together_server.join();
         apart_server.join();
     }
+}
+
+/// SplitMix64: the seeded source of the wire script below.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> usize {
+        (self.next() % n) as usize
+    }
+}
+
+/// A fixed script of messages over every [`arb_op`] kind, drawn from
+/// `seed`. Its first command steps to 150 s, so the fleet's id list
+/// outgrows a one-byte command length.
+fn wire_script(seed: u64) -> Vec<Vec<Op>> {
+    let mut rng = SplitMix(seed);
+    let vehicle = |rng: &mut SplitMix| match rng.below(5) {
+        0 => Vehicle::Unknown(["veh999999", "veh00", "veh+1", "car1"][rng.below(4)]),
+        _ => Vehicle::Live(rng.below(64)),
+    };
+    let mut messages = vec![vec![Op::Step(150.0), Op::IdList]];
+    for _ in 0..48 {
+        let ops = (0..1 + rng.below(8))
+            .map(|_| match rng.below(13) {
+                0 => Op::Step(0.0),
+                1 => Op::Step(1.0),
+                2 => Op::Time,
+                3 => Op::IdList,
+                4 => Op::Position(vehicle(&mut rng)),
+                5 => Op::Speed(vehicle(&mut rng)),
+                6 => Op::Light(rng.below(3), rng.below(3)),
+                7 => Op::Loop(rng.below(3), rng.below(2)),
+                8 => {
+                    let (cmd, object) = [
+                        (ids::CMD_GET_TL_VARIABLE, "tl00:0"),
+                        (ids::CMD_GET_TL_VARIABLE, "tl0"),
+                        (ids::CMD_GET_INDUCTIONLOOP_VARIABLE, "loop+0:0"),
+                        (ids::CMD_GET_INDUCTIONLOOP_VARIABLE, "bogus"),
+                    ][rng.below(4)];
+                    Op::BadObject(cmd, object)
+                }
+                9 => Op::SetSpeed(vehicle(&mut rng), rng.below(300) as f64 / 10.0 - 5.0),
+                10 => {
+                    let vars = [
+                        vec![ids::VAR_SPEED, ids::VAR_POSITION],
+                        vec![ids::VAR_SPEED],
+                        vec![0x7E],
+                        vec![],
+                    ][rng.below(4)]
+                    .clone();
+                    Op::Subscribe(vehicle(&mut rng), vars)
+                }
+                11 => Op::UnsupportedVariable(vehicle(&mut rng)),
+                _ => Op::Unimplemented([0x55u8, 0xA1, 0xCC][rng.below(3)]),
+            })
+            .collect();
+        messages.push(ops);
+    }
+    messages
+}
+
+/// FNV-1a over a byte stream.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The server's wire bytes are pinned: a fixed seeded script over every
+/// command kind goes to [`seeded_network`] over a raw socket, and the hash
+/// of every request and reply byte, error descriptions included, must not
+/// move. The script's replies must cover an extended (>255 B) command
+/// length, rejected and unimplemented commands, delivered subscriptions
+/// and accepted `setSpeed`s, so an encoder change on any of those paths
+/// shows here.
+#[test]
+fn wire_bytes_are_pinned() {
+    use std::io::{Read, Write};
+
+    let net = seeded_network();
+    let live = net.vehicle_ids();
+    let server = TraciServer::spawn(net).unwrap();
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let (mut extended, mut rejected, mut unimplemented, mut delivered, mut set) = (0, 0, 0, 0, 0);
+    for ops in wire_script(0x7EA5_E20B) {
+        let commands: Vec<Command> = ops.iter().map(|op| op.command(&live)).collect();
+        let request = encode_message(&commands);
+        raw.write_all(&request).unwrap();
+        let mut reply = vec![0u8; 4];
+        raw.read_exact(&mut reply).unwrap();
+        let total = u32::from_be_bytes(reply[..4].try_into().unwrap()) as usize;
+        reply.resize(total, 0);
+        raw.read_exact(&mut reply[4..]).unwrap();
+        hash = fnv1a(fnv1a(hash, &request), &reply);
+
+        let mut body = Bytes::from(reply).slice(4..);
+        while !body.is_empty() {
+            extended += usize::from(body[0] == 0);
+            let answer = Command::decode(&mut body).unwrap();
+            match answer.id {
+                ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE => delivered += 1,
+                ids::CMD_SET_VEHICLE_VARIABLE if answer.payload[0] == ids::RTYPE_OK => set += 1,
+                _ => {}
+            }
+            match answer.payload.first() {
+                Some(&ids::RTYPE_ERR) => rejected += 1,
+                Some(&ids::RTYPE_NOTIMPLEMENTED) => unimplemented += 1,
+                _ => {}
+            }
+        }
+    }
+    let coverage = [extended, rejected, unimplemented, delivered, set];
+    assert!(coverage.iter().all(|&n| n > 0), "coverage {coverage:?}");
+    drop(raw);
+    TraciClient::connect(server.addr())
+        .unwrap()
+        .close()
+        .unwrap();
+    server.join();
+    assert_eq!(
+        hash, 0xa9f9_ccf8_de70_8377,
+        "wire hash {hash:#018x}, coverage {coverage:?}"
+    );
 }
