@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use telemetry::json::Json;
 use velopt_cloud::protocol::{read_frame, tags, write_frame};
 use velopt_cloud::{CloudServer, PredictBatchRequest, PredictQuery, ServerConfig, TripRequest};
@@ -69,9 +69,7 @@ pub struct MatrixSpec {
     pub cloud_clients: usize,
     /// Lockstep request rounds timed across those connections.
     pub cloud_rounds: usize,
-    /// Vehicles in the co-simulation replan storm (the wave size; the
-    /// coalescing server's `batch_max` is pinned to it so every round is
-    /// exactly one flush).
+    /// Vehicles in the co-simulation replan storm (the wave size).
     pub cosim_vehicles: usize,
     /// Distinct trip keys the storm's vehicles share (its corridors).
     pub cosim_corridors: usize,
@@ -314,24 +312,6 @@ fn pool_counters(reuse: u64, alloc: u64, encode_skipped: u64) -> BTreeMap<String
     ])
 }
 
-/// The coalescer's counters: followers folded into another waiter's solve,
-/// fresh solves, window flushes, and the derived `batch_fill` (waiters per
-/// flush, `(hits + flights) / flushes`; `0` for a run with no flushes).
-/// Fill collapsing toward one means every trip flushed alone.
-fn coalesce_counters(hits: u64, flights: u64, flushes: u64) -> BTreeMap<String, f64> {
-    let fill = if flushes == 0 {
-        0.0
-    } else {
-        (hits + flights) as f64 / flushes as f64
-    };
-    counters([
-        ("coalesce_hits", hits as f64),
-        ("coalesce_flights", flights as f64),
-        ("batch_flushes", flushes as f64),
-        ("batch_fill", fill),
-    ])
-}
-
 /// The step engine's counters across the timed rounds (`after` minus the
 /// warm `before` snapshot): the AVX2/portable lane split, which depends on
 /// the host and is never gated; the derived, dispatch-invariant lane total
@@ -462,7 +442,7 @@ pub enum Scale {
 /// iteration count. The SIMD speedups divide a forced-scalar median by an
 /// auto-dispatch median of the same workload, so they measure everything
 /// dispatch changes, not only the kernels.
-pub const GATES: [(&str, Kind, Scale, f64); 16] = [
+pub const GATES: [(&str, Kind, Scale, f64); 14] = [
     // DP search: states per solve, and energy-model evaluations, which a
     // warm transition memo keeps at one cold table build (about
     // `n_speeds²` evaluations of slack) whatever the iteration count.
@@ -484,11 +464,6 @@ pub const GATES: [(&str, Kind, Scale, f64); 16] = [
     ("scratch_allocations", Ceiling, PerIteration, 1.0),
     // Cloud serving: after warm-up, responses come from the buffer pools.
     ("buf_reuse_rate", AbsoluteFloor, Total, 0.90),
-    // Replan storm: the window flushes on an exact waiter count, so hits
-    // per round and waiters per flush are constants of the shape; one
-    // waiter of fill slack lets a single early timeout flush pass.
-    ("coalesce_hits", Floor, PerIteration, 1.0),
-    ("batch_fill", Floor, Total, 1.0),
     // Microsim: the seeded traffic volume, the step engine's lane total,
     // its pooled-scratch growths (one high-water bump of slack), and the
     // lane kernels' same-run win over forced-scalar, floored far below
@@ -1001,17 +976,15 @@ fn cloud_serve(spec: &MatrixSpec) -> Result<ScenarioResult> {
     )
 }
 
-/// Times the co-simulation replan storm through the coalescing layer: the
-/// fleet driver's traffic when a signal epoch flips — `cosim_vehicles`
-/// simultaneous `REQ_TRIP`s sharing `cosim_corridors` distinct trip keys —
-/// replayed in lockstep rounds against a window-0 server and a batching
-/// server with `batch_max` pinned to the wave size, at the same worker
-/// count. Fresh departures every round keep the plan cache cold, so the
-/// batching server's counters are exact (per round: one flush, one flight
-/// per key, every other vehicle a single-flight hit), and the window-0
-/// server must solve each key exactly once per round or the scenario
-/// fails. The timed samples are the batching server's rounds;
-/// `storm_speedup` (window-0 median over batching median) has no gate.
+/// Times the co-simulation replan storm through the single-flight desk:
+/// the fleet driver's traffic when a signal epoch flips —
+/// `cosim_vehicles` simultaneous `REQ_TRIP`s sharing `cosim_corridors`
+/// distinct trip keys — replayed in lockstep rounds. Fresh departures
+/// every round keep the plan cache cold, so the server must solve each
+/// key exactly once per round and answer every other vehicle from those
+/// solves, or the scenario fails. Whether a duplicate waits on its leader
+/// (`coalesce_hits`) or reaches a worker after the leader landed and hits
+/// the cache depends on timing, so no counter of the split is gated.
 fn cloud_cosim(spec: &MatrixSpec) -> Result<ScenarioResult> {
     let wave = spec.cosim_vehicles.max(1);
     let keys = spec.cosim_corridors.clamp(1, wave);
@@ -1033,7 +1006,7 @@ fn cloud_cosim(spec: &MatrixSpec) -> Result<ScenarioResult> {
         let trip = TripRequest {
             road,
             // Fresh departures per round: a new signal epoch, so every
-            // round misses the plan cache on both servers.
+            // round misses the plan cache.
             departure: Seconds::new(300.0 + 60.0 * round as f64),
             rates,
             queue: QueueParams::us25_probe(),
@@ -1042,55 +1015,37 @@ fn cloud_cosim(spec: &MatrixSpec) -> Result<ScenarioResult> {
         frame(tags::REQ_TRIP, &trip.encode())
     };
 
-    // One storm: `wave` persistent connections, each round writes every
-    // request then reads every response back (lockstep, like the fleet
-    // driver's replan wave), one wall sample per round.
-    let storm = |server: &CloudServer| -> Result<Vec<f64>> {
-        let streams = connect(server.addr(), wave)?;
-        (0..rounds)
-            .map(|round| {
-                let frames: Vec<Vec<u8>> = (0..wave)
-                    .map(|v| request_frame(v, round))
-                    .collect::<Result<_>>()?;
-                lockstep(&streams, |i| &frames[i])
-            })
-            .collect()
-    };
-
-    // The window-0 server first: same compute pool, no batching, so each
-    // key's leader solves inline while its duplicates wait on it.
-    let singles = CloudServer::spawn_with(bench_server(wave))?;
-    let singles_samples = storm(&singles)?;
-    let stats = singles.stats();
-    let solves = stats.coalesce_flights();
-    let shared = stats.coalesce_hits() + stats.cache_hits();
-    singles.shutdown();
+    // `wave` persistent connections: each round writes every request then
+    // reads every response back (lockstep, like the fleet driver's replan
+    // wave), one wall sample per round. Each key's leader solves inline on
+    // its worker while its duplicates wait on it.
+    let server = CloudServer::spawn_with(bench_server(wave))?;
+    let streams = connect(server.addr(), wave)?;
+    let samples = (0..rounds)
+        .map(|round| {
+            let frames: Vec<Vec<u8>> = (0..wave)
+                .map(|v| request_frame(v, round))
+                .collect::<Result<_>>()?;
+            lockstep(&streams, |i| &frames[i])
+        })
+        .collect::<Result<Vec<_>>>()?;
+    drop(streams);
+    let stats = server.stats();
+    let (solves, hits) = (stats.coalesce_flights(), stats.coalesce_hits());
+    let shared = hits + stats.cache_hits();
+    server.shutdown();
     let expected = ((keys * rounds) as u64, ((wave - keys) * rounds) as u64);
     if (solves, shared) != expected {
         return Err(Error::invalid_input(format!(
-            "cosim bench: the window-0 server made {solves} fresh solves and answered \
-             {shared} requests from a shared solve; single-flight means exactly {} and {}",
+            "cosim bench: the server made {solves} fresh solves and answered {shared} \
+             requests from a shared solve; single-flight means exactly {} and {}",
             expected.0, expected.1
         )));
     }
-
-    // Then the coalescing server: the window is long and `batch_max` is
-    // the wave size, so every round is exactly one inline flush.
-    let coalesced = CloudServer::spawn_with(ServerConfig {
-        coalesce_window: Duration::from_secs(5),
-        batch_max: wave,
-        ..bench_server(wave)
-    })?;
-    let samples = storm(&coalesced)?;
-    let stats = coalesced.stats();
-    let mut measured = coalesce_counters(
-        stats.coalesce_hits(),
-        stats.coalesce_flights(),
-        stats.batch_flushes(),
-    );
-    coalesced.shutdown();
-    let speedup = median_ratio(&singles_samples, &samples)?;
-    measured.insert("storm_speedup".into(), speedup);
+    let measured = counters([
+        ("coalesce_hits", hits as f64),
+        ("coalesce_flights", solves as f64),
+    ]);
     ScenarioResult::new(&format!("cloud_cosim_{wave}x{keys}"), &samples, measured)
 }
 
@@ -1432,7 +1387,6 @@ mod tests {
             ..TrainMetrics::default()
         }));
         measured.extend(pool_counters(950, 50, 100));
-        measured.extend(coalesce_counters(60, 20, 5));
         measured.extend(lanes(30_000, 10_000));
         measured.extend(counters([
             ("simd_speedup", 2.6),
@@ -1672,26 +1626,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_floors_are_gated() {
-        // Dedupe disengaging halves the hit count: a regression even with
-        // the wall clock flat.
-        assert_flags(&with(coalesce_counters(30, 20, 5)), "coalesce_hits");
-        // Batching collapsing to singles multiplies the flush count, so
-        // the fill (waiters per flush) craters.
-        assert_flags(&with(coalesce_counters(60, 20, 80)), "batch_fill");
-        // More hits or fuller windows never regress, and the storm
-        // speedup is reported without a gate.
-        let mut current = with(coalesce_counters(120, 20, 5));
-        current.scenarios[0]
-            .counters
-            .extend(counters([("storm_speedup", 0.5)]));
-        assert_passes(&current, &base());
-        // A baseline without coalescing traffic floors nothing.
-        let old = with(coalesce_counters(0, 20, 0));
-        assert_passes(&with(coalesce_counters(0, 20, 1000)), &old);
-    }
-
-    #[test]
     fn route_floors_are_gated() {
         // The router suddenly solving twice the edge DPs per iteration is
         // a regression even with the wall clock flat.
@@ -1900,17 +1834,12 @@ mod tests {
         let cloud = get("cloud_serve_8");
         assert!(cloud["plan_encode_skipped"] > 0.0 && cloud["buf_reuse"] > 0.0);
         assert!(cloud["buf_reuse_rate"] >= 0.90, "{cloud:?}");
-        // The co-simulation storm's counters are exact: `batch_max` equals
-        // the wave size, so each of the 2 rounds is one flush of 6 waiters
-        // over 2 distinct trip keys.
+        // The co-simulation storm solved each of its 2 keys once in each
+        // of its 2 rounds; of the other 4 vehicles per round, those that
+        // did not hit the cache followed a leader.
         let cosim = get("cloud_cosim_6x2");
-        let (flushes, flights) = (cosim["batch_flushes"], cosim["coalesce_flights"]);
-        assert_eq!(
-            [flushes, flights, cosim["coalesce_hits"]],
-            [2.0, 2.0 * 2.0, 2.0 * 4.0]
-        );
-        assert_eq!(cosim["batch_fill"], 6.0);
-        assert!(cosim["storm_speedup"] > 0.0);
+        assert_eq!(cosim["coalesce_flights"], 2.0 * 2.0);
+        assert!(cosim["coalesce_hits"] <= 2.0 * 4.0, "{cosim:?}");
         // The warmed-up network keeps stepping traffic through the timed
         // rounds, and its counters are deltas (rounds only, not warm-up).
         assert_eq!(report.scenario("microsim_network_3").unwrap().iterations, 2);

@@ -8,9 +8,8 @@
 //! is in flight together without a thread per vehicle.
 
 use crate::protocol::{
-    decode_hello, decode_profile, encode_hello, read_frame, tags, write_frame, BatchPlanRequest,
-    BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, RouteNetRequest,
-    RouteNetResponse, TripRequest,
+    decode_profile, read_frame, tags, write_frame, BatchPlanRequest, BatchPlanResponse,
+    PredictBatchRequest, PredictBatchResponse, RouteNetRequest, RouteNetResponse, TripRequest,
 };
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -50,29 +49,6 @@ impl CloudClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         Ok(Self { stream })
-    }
-
-    /// Declares this connection's tenant (fleet) identity and waits for
-    /// the echo. Until a connection says hello it belongs to tenant 0; the
-    /// server's per-tenant admission counters and stats buckets key on
-    /// whatever was declared last.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Protocol`] if the server echoes a different tenant
-    /// or rejects the frame, and [`Error::Io`] on transport failures.
-    pub fn hello(&mut self, tenant: u32) -> Result<()> {
-        write_frame(&mut self.stream, tags::REQ_HELLO, &encode_hello(tenant))?;
-        let (tag, payload) = read_frame(&mut self.stream)?
-            .ok_or_else(|| Error::protocol("server closed the connection"))?;
-        match tag {
-            tags::RESP_HELLO if decode_hello(&payload)? == tenant => Ok(()),
-            tags::RESP_HELLO => Err(Error::protocol("server echoed a different tenant")),
-            tags::RESP_ERROR => Err(Error::protocol(
-                String::from_utf8_lossy(&payload).into_owned(),
-            )),
-            other => Err(Error::protocol(format!("unexpected response tag {other}"))),
-        }
     }
 
     /// Uploads a trip and waits for the optimized profile.

@@ -1,10 +1,10 @@
 //! The warm solver behind every planning path (DESIGN.md §11).
 //!
 //! The server builds one [`DpOptimizer`] at spawn and keeps a pool of
-//! [`SolverArena`]s. Every solve — a window-0 trip leader alone, a
-//! coalescing window's flush, a `REQ_BATCH` — checks out one arena per
-//! batch worker for [`DpOptimizer::optimize_batch_with`] (a lone trip runs
-//! inline on one arena, through `optimize_from_with`). No request builds
+//! [`SolverArena`]s. Every solve — a trip leader alone, a `REQ_BATCH` —
+//! checks out one arena per batch thread for
+//! [`DpOptimizer::optimize_batch_with`] (a lone trip runs inline on one
+//! arena, through `optimize_from_with`). No request builds
 //! an optimizer, and a warm arena keeps its layer buffers, transition memo
 //! and window-bound memo, so a miss reuses cost tables earlier misses
 //! built instead of re-evaluating the energy model, and a corridor

@@ -42,39 +42,12 @@ pub mod tags {
     pub const REQ_PREDICT_BATCH: u8 = 10;
     /// Cloud → requester: the forecast volumes, in request order.
     pub const RESP_PREDICT_BATCH: u8 = 11;
-    /// Vehicle → cloud: declare the connection's tenant (fleet) identity.
-    /// Payload is a 4-byte big-endian tenant id. Handled inline on the
-    /// reactor shard — it never visits the compute pool — so it keeps the
-    /// per-connection FIFO ordering with the frames around it. Connections
-    /// that never send it belong to tenant 0.
-    pub const REQ_HELLO: u8 = 12;
-    /// Cloud → vehicle: the tenant id echoed back, confirming admission
-    /// accounting is now attributed to it.
-    pub const RESP_HELLO: u8 = 13;
     /// Vehicle → cloud: plan an energy-optimal route across a road graph
     /// (origin junction → destination junction), not just one corridor.
     pub const REQ_ROUTE: u8 = 14;
     /// Cloud → vehicle: the routed plan — the edge sequence plus the
     /// stitched velocity profile along it.
     pub const RESP_ROUTE: u8 = 15;
-}
-
-/// Encodes a `REQ_HELLO`/`RESP_HELLO` payload (a 4-byte big-endian tenant
-/// id).
-pub fn encode_hello(tenant: u32) -> [u8; 4] {
-    tenant.to_be_bytes()
-}
-
-/// Decodes a `REQ_HELLO`/`RESP_HELLO` payload.
-///
-/// # Errors
-///
-/// Returns [`Error::Protocol`] when the payload is not exactly 4 bytes.
-pub fn decode_hello(payload: &[u8]) -> Result<u32> {
-    let raw: [u8; 4] = payload
-        .try_into()
-        .map_err(|_| Error::protocol("malformed hello payload"))?;
-    Ok(u32::from_be_bytes(raw))
 }
 
 /// A trip uploaded by an EV: corridor geometry plus traffic state.
@@ -1305,16 +1278,6 @@ mod tests {
         buf.put_u32(100);
         let mut bytes = buf.freeze();
         assert!(PredictBatchResponse::decode(&mut bytes).is_err());
-    }
-
-    #[test]
-    fn hello_round_trip_and_malformed_payloads() {
-        for tenant in [0u32, 1, 7, u32::MAX] {
-            assert_eq!(decode_hello(&encode_hello(tenant)).unwrap(), tenant);
-        }
-        assert!(decode_hello(&[]).is_err());
-        assert!(decode_hello(&[1, 2, 3]).is_err());
-        assert!(decode_hello(&[1, 2, 3, 4, 5]).is_err());
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //! at its cap; writes happen under `EPOLLOUT` and unfinished frames stay
 //! queued. A slab slot's generation counter stamps every dispatched job so
 //! a response for a connection that died mid-solve is discarded instead of
-//! being delivered to the slot's next tenant.
+//! being delivered to the slot's next connection.
 
-use crate::protocol::{decode_hello, encode_frame_into, tags};
 use crate::server::ServerStats;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use polling::{Events, Interest, Poller, Waker};
@@ -125,9 +124,6 @@ pub(crate) struct Job {
     pub shard: usize,
     pub conn: usize,
     pub gen: u64,
-    /// Tenant the connection declared via `REQ_HELLO` (0 until it does),
-    /// so admission/fairness accounting survives the hop to the pool.
-    pub tenant: u32,
     pub tag: u8,
     pub payload: Bytes,
 }
@@ -158,9 +154,6 @@ struct Conn {
     stream: TcpStream,
     /// Generation of the slab slot at admission; stamps dispatched jobs.
     gen: u64,
-    /// Tenant declared via `REQ_HELLO`; 0 (the anonymous tenant) until
-    /// then.
-    tenant: u32,
     /// Raw inbound bytes not yet assembled into frames.
     read_buf: Vec<u8>,
     /// Parsed frames waiting for their turn in the compute pool.
@@ -208,7 +201,7 @@ impl Slab {
     }
 
     /// Frees the slot and bumps its generation so late responses for the
-    /// old tenant are recognizably stale.
+    /// old connection are recognizably stale.
     fn remove(&mut self, idx: usize) -> Option<Conn> {
         let slot = self.slots.get_mut(idx)?;
         let conn = slot.1.take()?;
@@ -303,7 +296,6 @@ impl Shard {
         let idx = slab.insert(Conn {
             stream,
             gen: 0, // overwritten by Slab::insert
-            tenant: 0,
             read_buf: Vec::new(),
             pending: VecDeque::new(),
             outbox: VecDeque::new(),
@@ -396,7 +388,7 @@ impl Shard {
             }
             // The connection this response was computed for is gone;
             // recycle the buffer instead of delivering it to the slot's
-            // next tenant.
+            // next connection.
             _ => {
                 if let FrameBuf::Pooled(buf) = frame {
                     self.pool.release(buf);
@@ -405,77 +397,37 @@ impl Shard {
         }
     }
 
-    /// Answers a `REQ_HELLO` frame on the shard thread itself: records the
-    /// tenant on the connection and queues the echo. Never touching the
-    /// compute pool keeps strict FIFO with the planning frames around it.
-    fn handle_hello(&self, conn: &mut Conn, payload: &Bytes) {
-        let frame = match decode_hello(payload) {
-            Ok(tenant) => {
-                conn.tenant = tenant;
-                let mut buf = self.pool.acquire();
-                encode_frame_into(&mut buf, tags::RESP_HELLO, |b| b.put_u32(tenant));
-                FrameBuf::Pooled(buf)
-            }
-            Err(e) => {
-                self.stats.record_error_response();
-                let mut buf = self.pool.acquire();
-                encode_frame_into(&mut buf, tags::RESP_ERROR, |b| {
-                    b.extend_from_slice(e.to_string().as_bytes())
-                });
-                FrameBuf::Pooled(buf)
-            }
-        };
-        conn.outbox.push_back((frame, 0));
-    }
-
-    /// Dispatch the next pending frame (if allowed), flush the outbox, then
+    /// Flush the outbox, dispatch the next pending frame (if allowed), then
     /// reconcile interest — the single place connection state advances.
+    /// Flushing first lets a connection held at its outbox cap dispatch
+    /// again as soon as a write drains it: its reads are paused and nothing
+    /// is in flight, so no later event would.
     fn process(&self, slab: &mut Slab, idx: usize) {
-        // Dispatch at most one frame to the compute pool: per-connection
-        // FIFO responses fall out of never having two in flight.
-        let job = {
-            let Some(conn) = slab.get_mut(idx) else {
-                return;
-            };
-            // Session frames first: HELLOs at the queue head are answered
-            // inline (they are cheap and must not occupy the connection's
-            // single compute slot).
-            while !conn.in_flight && conn.outbox.len() < MAX_OUTBOX_FRAMES {
-                match conn.pending.front() {
-                    Some((tags::REQ_HELLO, _)) => {
-                        let (_, payload) = conn.pending.pop_front().expect("front exists");
-                        self.handle_hello(conn, &payload);
-                    }
-                    _ => break,
-                }
-            }
-            if !conn.in_flight && conn.outbox.len() < MAX_OUTBOX_FRAMES {
-                conn.pending.pop_front().map(|(tag, payload)| {
-                    conn.in_flight = true;
-                    Job {
-                        shard: self.id,
-                        conn: idx,
-                        gen: conn.gen,
-                        tenant: conn.tenant,
-                        tag,
-                        payload,
-                    }
-                })
-            } else {
-                None
-            }
+        let Some(conn) = slab.get_mut(idx) else {
+            return;
         };
-        if let Some(job) = job {
-            if self.jobs.send(job).is_err() {
-                // Compute pool is gone (shutdown); nothing more to serve.
-                self.close(slab, idx);
-                return;
-            }
-        }
-        let conn = slab.get_mut(idx).expect("checked above");
         if Self::flush(conn, &self.pool).is_err() {
             self.close(slab, idx);
             return;
+        }
+        // Dispatch at most one frame to the compute pool: per-connection
+        // FIFO responses fall out of never having two in flight.
+        if !conn.in_flight && conn.outbox.len() < MAX_OUTBOX_FRAMES {
+            if let Some((tag, payload)) = conn.pending.pop_front() {
+                conn.in_flight = true;
+                let job = Job {
+                    shard: self.id,
+                    conn: idx,
+                    gen: conn.gen,
+                    tag,
+                    payload,
+                };
+                if self.jobs.send(job).is_err() {
+                    // Compute pool is gone (shutdown); nothing more to serve.
+                    self.close(slab, idx);
+                    return;
+                }
+            }
         }
         if conn.peer_closed && !conn.in_flight && conn.pending.is_empty() && conn.outbox.is_empty()
         {

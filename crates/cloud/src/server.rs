@@ -56,8 +56,6 @@ pub struct FrameCounts {
     pub predicts: u64,
     /// `REQ_ROUTE` frames received.
     pub routes: u64,
-    /// `REQ_HELLO` frames received.
-    pub hello: u64,
     /// Frames carrying an unknown tag.
     pub unknown: u64,
 }
@@ -80,7 +78,6 @@ pub struct ServerStats {
     frames_trip: AtomicU64,
     frames_stats: AtomicU64,
     frames_telemetry: AtomicU64,
-    frames_hello: AtomicU64,
     frames_unknown: AtomicU64,
     error_responses: AtomicU64,
     predict_frames: AtomicU64,
@@ -102,13 +99,8 @@ pub struct ServerStats {
     plan_encode_skipped: AtomicU64,
     coalesce_hits: AtomicU64,
     coalesce_flights: AtomicU64,
-    batch_flushes: AtomicU64,
     plan_evictions: AtomicU64,
     route_evictions: AtomicU64,
-    /// Per-tenant `(served, rejected)` buckets, keyed by the tenant id the
-    /// connection declared via `REQ_HELLO` (0 = anonymous). A plain mutex:
-    /// touched once per answered trip, never on the solver hot path.
-    tenants: std::sync::Mutex<HashMap<u32, (u64, u64)>>,
 }
 
 impl ServerStats {
@@ -167,7 +159,6 @@ impl ServerStats {
             telemetry: self.frames_telemetry.load(Ordering::Relaxed),
             predicts: self.predict_frames.load(Ordering::Relaxed),
             routes: self.frames_route.load(Ordering::Relaxed),
-            hello: self.frames_hello.load(Ordering::Relaxed),
             unknown: self.frames_unknown.load(Ordering::Relaxed),
         }
     }
@@ -236,11 +227,6 @@ impl ServerStats {
         self.coalesce_flights.load(Ordering::Relaxed)
     }
 
-    /// Coalescing windows flushed to the batch solver (by size or timeout).
-    pub fn batch_flushes(&self) -> u64 {
-        self.batch_flushes.load(Ordering::Relaxed)
-    }
-
     /// Plan-cache entries evicted to keep the cache within its byte budget.
     pub fn plan_cache_evictions(&self) -> u64 {
         self.plan_evictions.load(Ordering::Relaxed)
@@ -250,27 +236,6 @@ impl ServerStats {
     /// budget.
     pub fn route_cache_evictions(&self) -> u64 {
         self.route_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Plans served to `tenant` (cache hits, followers and leaders all
-    /// count; a tenant is whatever id the connection declared via
-    /// `REQ_HELLO`, 0 = anonymous).
-    pub fn tenant_served(&self, tenant: u32) -> u64 {
-        self.tenants
-            .lock()
-            .expect("tenant stats lock")
-            .get(&tenant)
-            .map_or(0, |(served, _)| *served)
-    }
-
-    /// Requests refused to `tenant` at its admission ceiling
-    /// (`tenant_max_inflight`).
-    pub fn tenant_rejected(&self, tenant: u32) -> u64 {
-        self.tenants
-            .lock()
-            .expect("tenant stats lock")
-            .get(&tenant)
-            .map_or(0, |(_, rejected)| *rejected)
     }
 
     /// Volume-forecast values served so far (`queries × horizons`, summed
@@ -334,10 +299,6 @@ impl ServerStats {
             tags::REQ_ROUTE => {
                 self.frames_route.fetch_add(1, Ordering::Relaxed);
                 telemetry::add("cloud.req.route", 1);
-            }
-            tags::REQ_HELLO => {
-                self.frames_hello.fetch_add(1, Ordering::Relaxed);
-                telemetry::add("cloud.req.hello", 1);
             }
             _ => {
                 self.frames_unknown.fetch_add(1, Ordering::Relaxed);
@@ -452,15 +413,6 @@ impl ServerStats {
         telemetry::add("cloud.coalesce.hits", n);
     }
 
-    /// One coalescing window flushed, `flights` of its keys needing a
-    /// fresh solve (the rest were answered by a late cache hit).
-    pub(crate) fn record_flush(&self, flights: u64) {
-        self.record_flights(flights);
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        telemetry::add("cloud.batch.flushes", 1);
-        telemetry::observe("cloud.batch.size", flights as f64);
-    }
-
     pub(crate) fn record_plan_evictions(&self, n: u64) {
         self.plan_evictions.fetch_add(n, Ordering::Relaxed);
         telemetry::add("cloud.plan.evictions", n);
@@ -469,27 +421,6 @@ impl ServerStats {
     fn record_route_evictions(&self, n: u64) {
         self.route_evictions.fetch_add(n, Ordering::Relaxed);
         telemetry::add("cloud.route.evictions", n);
-    }
-
-    /// One plan delivered to `tenant`.
-    pub(crate) fn record_tenant_served(&self, tenant: u32) {
-        self.tenants
-            .lock()
-            .expect("tenant stats lock")
-            .entry(tenant)
-            .or_insert((0, 0))
-            .0 += 1;
-    }
-
-    /// One request refused to `tenant` at its admission ceiling.
-    pub(crate) fn record_tenant_rejected(&self, tenant: u32) {
-        self.tenants
-            .lock()
-            .expect("tenant stats lock")
-            .entry(tenant)
-            .or_insert((0, 0))
-            .1 += 1;
-        telemetry::add("cloud.tenant.rejected", 1);
     }
 }
 
@@ -543,24 +474,6 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Response buffers each shard's pool retains for reuse.
     pub buffer_pool_capacity: usize,
-    /// How long a `REQ_TRIP` that leads a new solve may wait in the
-    /// coalescing window for near-simultaneous requests before the window
-    /// is flushed to the batch solver. Identical requests single-flight
-    /// whatever this is: a miss whose key is already being solved waits
-    /// for that solve. `Duration::ZERO` (the default) turns off only the
-    /// batching and the tenant admission: a leader solves inline on its
-    /// worker.
-    pub coalesce_window: std::time::Duration,
-    /// Flush the coalescing window as soon as it holds this many waiting
-    /// requests, without waiting out `coalesce_window` (must be ≥ 1 when
-    /// coalescing is enabled).
-    pub batch_max: usize,
-    /// Per-tenant admission ceiling: at most this many of one tenant's
-    /// requests may wait in the coalescing window at once; the next one
-    /// is refused with `RESP_ERROR` so a greedy tenant cannot starve the
-    /// others. `0` = unlimited. Tenants declare themselves via
-    /// `REQ_HELLO`; connections that never do share tenant 0.
-    pub tenant_max_inflight: usize,
 }
 
 impl Default for ServerConfig {
@@ -570,9 +483,6 @@ impl Default for ServerConfig {
             shards: 0,
             max_connections: 1024,
             buffer_pool_capacity: 64,
-            coalesce_window: std::time::Duration::ZERO,
-            batch_max: 16,
-            tenant_max_inflight: 0,
         }
     }
 }
@@ -590,8 +500,9 @@ pub struct CloudServer {
     acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    desk: Arc<Coalescer>,
-    flusher: Option<JoinHandle<()>>,
+    /// Holds the trip desk, and the plan cache it owns, until the server
+    /// drops, after the arenas are released (see `shutdown_impl`).
+    _desk: Arc<Coalescer>,
     planner: Arc<Planner>,
 }
 
@@ -625,11 +536,6 @@ impl CloudServer {
         }
         if config.max_connections == 0 {
             return Err(Error::invalid_input("need max_connections >= 1"));
-        }
-        if config.coalesce_window > std::time::Duration::ZERO && config.batch_max == 0 {
-            return Err(Error::invalid_input(
-                "need batch_max >= 1 when coalescing is enabled",
-            ));
         }
         let shard_count = if config.shards == 0 {
             velopt_common::par::effective_threads(0).clamp(1, 4)
@@ -680,23 +586,12 @@ impl CloudServer {
         let handles = Arc::new(handles);
 
         // Every `REQ_TRIP` goes through the trip desk's in-flight table.
-        // With a coalescing window, leaders wait there to be batched and a
-        // dedicated flusher thread handles timeout-triggered flushes
-        // (size-triggered flushes run inline on the worker that filled the
-        // window).
         let desk = Arc::new(Coalescer::new(
-            config.coalesce_window,
-            config.batch_max,
-            config.tenant_max_inflight,
             Arc::clone(&handles),
             Arc::clone(&stats),
             Arc::clone(&cache),
             Arc::clone(&planner),
         ));
-        let flusher = desk.batches().then(|| {
-            let desk = Arc::clone(&desk);
-            std::thread::spawn(move || desk.run_flusher())
-        });
 
         let accept_poller = Poller::new()?;
         let accept_waker = Arc::new(Waker::new()?);
@@ -760,8 +655,7 @@ impl CloudServer {
             acceptor: Some(acceptor),
             shards: shard_threads,
             workers: worker_threads,
-            desk,
-            flusher,
+            _desk: desk,
             planner,
         })
     }
@@ -806,14 +700,12 @@ impl CloudServer {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Workers are gone, so nothing can enqueue into the coalescing
-        // window anymore; stop the flusher last. Still-parked waiters
-        // belong to connections the shards already shed.
-        self.desk.stop();
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
-        }
-        // No solve can run anymore: give the warm arenas' memory back.
+        // No solve can run anymore: give the warm arenas' memory back. The
+        // plan cache goes later, when the server drops: freed first, on the
+        // last worker's exit, it raised `fleet_loop`'s peak RSS from 62 to
+        // 76-109 MiB in about half the runs on a 2-vCPU VM. Under a fixed
+        // `MALLOC_MMAP_THRESHOLD_` both orders read 62 MiB, so glibc's
+        // dynamic mmap threshold decides where later layer stacks land.
         self.planner.release();
     }
 }
@@ -1222,7 +1114,7 @@ mod tests {
 
     #[test]
     fn batch_handler_mixes_cache_fresh_and_errors() {
-        let t = TestDesk::new(std::time::Duration::ZERO);
+        let t = TestDesk::new();
         let stats = &t.stats;
 
         // Prime the cache with the t=0 trip through the single-trip path.
@@ -1320,7 +1212,7 @@ mod tests {
     #[test]
     fn batch_equals_sequential_trip_requests() {
         use velopt_core::dp::StartState;
-        let t = TestDesk::new(std::time::Duration::ZERO);
+        let t = TestDesk::new();
         let distinct = [0.0, 45.0, 90.0].map(TripRequest::us25_at);
         let cold = corridor_optimizer().unwrap();
         let singles = distinct.clone().map(|trip| {

@@ -3,10 +3,9 @@
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use velopt_cloud::protocol::{
-    decode_hello, decode_profile, encode_hello, encode_profile, read_frame, write_frame,
-    BatchPlanRequest, BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, PredictQuery,
-    RouteNetRequest, RouteNetResponse, TripRequest, MAX_BATCH_TRIPS, MAX_PREDICT_HORIZONS,
-    MAX_ROUTE_EDGES,
+    decode_profile, encode_profile, read_frame, write_frame, BatchPlanRequest, BatchPlanResponse,
+    PredictBatchRequest, PredictBatchResponse, PredictQuery, RouteNetRequest, RouteNetResponse,
+    TripRequest, MAX_BATCH_TRIPS, MAX_PREDICT_HORIZONS, MAX_ROUTE_EDGES,
 };
 use velopt_common::units::{AmpereHours, Meters, MetersPerSecond, Seconds, VehiclesPerHour};
 use velopt_common::Result;
@@ -100,11 +99,10 @@ fn batch_strategy() -> impl Strategy<Value = BatchPlanResponse> {
 }
 
 /// One random valid value of each frame beside trips, profiles and batch
-/// responses: a hello, a trip batch, a route query and answer, and a
-/// forecast batch and answer.
+/// responses: a trip batch, a route query and answer, and a forecast batch
+/// and answer.
 #[derive(Debug, Clone)]
 struct Frames {
-    tenant: u32,
     batch_request: BatchPlanRequest,
     route_request: RouteNetRequest,
     route_response: RouteNetResponse,
@@ -115,7 +113,6 @@ struct Frames {
 /// A frame decoder under test: `true` when the payload decoded.
 type Decoder = fn(&mut Bytes) -> bool;
 
-const HELLO: Decoder = |b| decode_hello(b).is_ok();
 const BATCH_REQUEST: Decoder = |b| BatchPlanRequest::decode(b).is_ok();
 const ROUTE_REQUEST: Decoder = |b| RouteNetRequest::decode(b).is_ok();
 const ROUTE_RESPONSE: Decoder = |b| RouteNetResponse::decode(b).is_ok();
@@ -124,9 +121,8 @@ const PREDICT_RESPONSE: Decoder = |b| PredictBatchResponse::decode(b).is_ok();
 
 impl Frames {
     /// Each frame's payload with its decoder.
-    fn payloads(&self) -> [(Bytes, Decoder); 6] {
+    fn payloads(&self) -> [(Bytes, Decoder); 5] {
         [
-            (Bytes::copy_from_slice(&encode_hello(self.tenant)), HELLO),
             (self.batch_request.encode(), BATCH_REQUEST),
             (self.route_request.encode(), ROUTE_REQUEST),
             (self.route_response.encode(), ROUTE_RESPONSE),
@@ -227,26 +223,21 @@ fn frames_strategy() -> impl Strategy<Value = Frames> {
             }
         });
     (
-        (any::<u32>(), batch_request),
+        batch_request,
         route_request,
         route_response,
         predict_request,
         predict_response,
     )
         .prop_map(
-            |(
-                (tenant, batch_request),
-                route_request,
-                route_response,
-                predict_request,
-                predict_response,
-            )| Frames {
-                tenant,
-                batch_request,
-                route_request,
-                route_response,
-                predict_request,
-                predict_response,
+            |(batch_request, route_request, route_response, predict_request, predict_response)| {
+                Frames {
+                    batch_request,
+                    route_request,
+                    route_response,
+                    predict_request,
+                    predict_response,
+                }
             },
         )
 }
@@ -368,7 +359,7 @@ proptest! {
     #[test]
     fn decoder_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = TripRequest::decode(&mut Bytes::from(garbage.clone()));
-        for decodes in [HELLO, BATCH_REQUEST, ROUTE_REQUEST, PREDICT_REQUEST] {
+        for decodes in [BATCH_REQUEST, ROUTE_REQUEST, PREDICT_REQUEST] {
             decodes(&mut Bytes::from(garbage.clone()));
         }
     }
@@ -413,13 +404,11 @@ proptest! {
         }
     }
 
-    /// Hellos, trip batches, route queries and answers, and forecast
-    /// batches and answers round-trip bit for bit, each decoder consuming
-    /// its whole payload; a hello is exactly its four bytes.
+    /// Trip batches, route queries and answers, and forecast batches and
+    /// answers round-trip bit for bit, each decoder consuming its whole
+    /// payload.
     #[test]
-    fn hello_route_and_predict_frames_round_trip(frames in frames_strategy()) {
-        prop_assert_eq!(decode_hello(&encode_hello(frames.tenant)).unwrap(), frames.tenant);
-        prop_assert!(decode_hello(&[0; 5]).is_err());
+    fn batch_route_and_predict_frames_round_trip(frames in frames_strategy()) {
         let f = &frames;
         prop_assert!(round_trips(&f.batch_request, BatchPlanRequest::encode, BatchPlanRequest::decode));
         prop_assert!(round_trips(&f.route_request, RouteNetRequest::encode, RouteNetRequest::decode));
@@ -439,7 +428,7 @@ proptest! {
     }
 
     /// Every strict prefix of a valid payload is an error: profiles, batch
-    /// responses, hellos, trip batches, route queries and answers, forecast
+    /// responses, trip batches, route queries and answers, forecast
     /// batches and answers. A trip batch or route query whose count outruns
     /// its bytes is refused before any trip or edge is reserved.
     #[test]
@@ -481,8 +470,7 @@ proptest! {
 
     /// A single flipped bit anywhere in a valid payload never panics the
     /// decoder (it may decode to a different value or fail). Besides the
-    /// responses, this covers the hello, trip batch, route and forecast
-    /// requests.
+    /// responses, this covers the trip batch, route and forecast requests.
     #[test]
     fn bit_flipped_responses_never_panic(
         batch in batch_strategy(),

@@ -3,25 +3,31 @@
 //! The vehicular cloud receives bursts of uploads (every EV entering the
 //! corridor asks for a plan), and each plan is independent of the others —
 //! an embarrassingly parallel workload. [`DpOptimizer::optimize_batch`]
-//! fans the requests out over scoped worker threads, one per core (capped
-//! by the request count), and [`DpOptimizer::optimize_batch_with`] runs one
-//! worker per caller-owned [`SolverArena`]. Each worker keeps its arena
-//! across its share of the batch, so consecutive plans on a worker recycle
-//! layer buffers *and* the transition-cost and window-bound memos (plans
-//! after the first on a worker typically build zero cost tables, and a
-//! trip sharing an earlier one's corridor and windows skips the bound
-//! build — see [`crate::memo`]).
-//! Results come back **in request order**.
+//! deals the requests over [`BATCH_ARENAS`] fresh arenas (capped by the
+//! request count), and [`DpOptimizer::optimize_batch_with`] over the
+//! caller-owned [`SolverArena`]s: request `i` goes to arena `i mod A`, and
+//! each arena plans its share in request order, so consecutive plans on an
+//! arena recycle layer buffers *and* the transition-cost and window-bound
+//! memos (plans after the first on an arena typically build zero cost
+//! tables, and a trip sharing an earlier one's corridor and windows skips
+//! the bound build — see [`crate::memo`]). The arenas run on scoped
+//! threads, at most one per core. Results come back **in request order**.
 //!
-//! Each plan is one sequential DP solve, so a batch of N on C cores uses
-//! `min(N, C)` threads. A plan's bits depend only on its request, never on
-//! the worker or arena that solved it (see [`crate::dp`]), so a batch of N
-//! equals N sequential [`optimize_from`](DpOptimizer::optimize_from) calls
-//! profile-for-profile.
+//! Each plan is one sequential DP solve, so a batch over A arenas on C
+//! cores uses `min(A, C)` threads. A plan's bits depend only on its
+//! request, never on the thread or arena that solved it (see
+//! [`crate::dp`]), so a batch of N equals N sequential
+//! [`optimize_from`](DpOptimizer::optimize_from) calls profile-for-profile.
+//! Which requests share an arena does not depend on the core count, so
+//! neither do the arena and memo counters of a batch.
 
 use crate::dp::{DpOptimizer, OptimizedProfile, SignalConstraint, SolverArena, StartState};
 use velopt_common::{par, Result};
 use velopt_road::Road;
+
+/// Arenas [`DpOptimizer::optimize_batch`] deals a batch over, whatever the
+/// host's core count.
+pub const BATCH_ARENAS: usize = 2;
 
 /// One trip in a batch: the corridor, its per-signal arrival windows, and
 /// the EV's start state.
@@ -47,13 +53,13 @@ impl<'a> PlanRequest<'a> {
 }
 
 impl DpOptimizer {
-    /// Plans every request concurrently, one worker per core (capped by
-    /// the request count); results come back in request order. Individual
-    /// infeasible trips surface as `Err` entries without failing the rest
-    /// of the batch.
+    /// Plans every request on [`BATCH_ARENAS`] fresh arenas (capped by the
+    /// request count), concurrently; results come back in request order.
+    /// Individual infeasible trips surface as `Err` entries without failing
+    /// the rest of the batch.
     pub fn optimize_batch(&self, requests: &[PlanRequest<'_>]) -> Vec<Result<OptimizedProfile>> {
-        let workers = par::effective_threads(0).min(requests.len().max(1));
-        let mut arenas: Vec<SolverArena> = (0..workers).map(|_| SolverArena::new()).collect();
+        let count = BATCH_ARENAS.min(requests.len().max(1));
+        let mut arenas: Vec<SolverArena> = (0..count).map(|_| SolverArena::new()).collect();
         self.optimize_batch_with(requests, &mut arenas)
     }
 
@@ -63,9 +69,10 @@ impl DpOptimizer {
     /// flushes many small batches and would otherwise rebuild every cost
     /// table each flush.
     ///
-    /// Up to `arenas.len()` workers run; worker `w` owns `arenas[w]` and
-    /// plans requests `w, w + workers, …`, so with a fixed arena count the
-    /// request → arena assignment is deterministic.
+    /// Up to `arenas.len()` arenas plan, on at most one thread per core:
+    /// with `n` arenas in use, `arenas[a]` plans requests `a, a + n, …` in
+    /// that order, so with a fixed arena count the request → arena
+    /// assignment does not depend on the host.
     pub fn optimize_batch_with(
         &self,
         requests: &[PlanRequest<'_>],
@@ -74,8 +81,8 @@ impl DpOptimizer {
         let _batch_span = telemetry::span("dp.batch_seconds");
         telemetry::add("dp.batch.calls", 1);
         telemetry::add("dp.batch.trips", requests.len() as u64);
-        let workers = arenas.len().min(requests.len());
-        if workers <= 1 {
+        let used = arenas.len().min(requests.len());
+        if used <= 1 {
             let mut fallback;
             let arena = match arenas.first_mut() {
                 Some(a) => a,
@@ -90,33 +97,35 @@ impl DpOptimizer {
                 .collect();
         }
 
-        // Round-robin the requests over the workers; each worker keeps one
-        // arena across its share of the batch.
+        // Round-robin the requests over the arenas, and the arenas over the
+        // threads; each arena plans its share of the batch in order.
+        let threads = par::effective_threads(0).min(used);
+        let mut shares: Vec<Vec<(usize, &mut SolverArena)>> =
+            (0..threads).map(|_| Vec::new()).collect();
+        for (a, arena) in arenas[..used].iter_mut().enumerate() {
+            shares[a % threads].push((a, arena));
+        }
         let mut results: Vec<Option<Result<OptimizedProfile>>> =
             (0..requests.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = arenas[..workers]
-                .iter_mut()
-                .enumerate()
-                .map(|(w, arena)| {
+            let handles: Vec<_> = shares
+                .into_iter()
+                .map(|share| {
                     scope.spawn(move || {
-                        requests
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, r)| {
-                                (
-                                    i,
-                                    self.optimize_from_with(r.road, r.signals, r.start, arena),
-                                )
-                            })
-                            .collect::<Vec<_>>()
+                        let mut planned = Vec::new();
+                        for (a, arena) in share {
+                            for (i, r) in requests.iter().enumerate().skip(a).step_by(used) {
+                                let plan =
+                                    self.optimize_from_with(r.road, r.signals, r.start, arena);
+                                planned.push((i, plan));
+                            }
+                        }
+                        planned
                     })
                 })
                 .collect();
             for handle in handles {
-                for (i, res) in handle.join().expect("batch worker thread panicked") {
+                for (i, res) in handle.join().expect("batch thread panicked") {
                     results[i] = Some(res);
                 }
             }
@@ -267,6 +276,46 @@ mod tests {
         assert_eq!(later.metrics.memo_misses, 0);
         assert_eq!(later.metrics.energy_evals, 0);
         assert!(later.metrics.memo_hits > 0);
+    }
+
+    /// `optimize_batch` deals request `i` to arena `i mod BATCH_ARENAS`,
+    /// whatever the core count: each plan's arena and memo counters equal
+    /// those of solving its arena's share in order on one fresh arena.
+    #[test]
+    fn batch_counters_follow_the_fixed_dealing() {
+        let roads: Vec<_> = [600.0, 800.0, 1000.0, 1200.0, 700.0, 900.0, 650.0]
+            .iter()
+            .map(|&l| simple_road(l))
+            .collect();
+        let requests: Vec<PlanRequest<'_>> = roads
+            .iter()
+            .map(|road| PlanRequest::fresh(road, &[]))
+            .collect();
+        let opt = optimizer();
+        let batched = opt.optimize_batch(&requests);
+        let counters = |p: &OptimizedProfile| {
+            let m = &p.metrics;
+            let memo = [m.memo_hits, m.memo_misses, m.energy_evals];
+            [
+                m.arena_allocations,
+                m.arena_reuse_hits,
+                memo[0],
+                memo[1],
+                memo[2],
+            ]
+        };
+        for a in 0..BATCH_ARENAS {
+            let mut arena = SolverArena::new();
+            for i in (a..requests.len()).step_by(BATCH_ARENAS) {
+                let r = &requests[i];
+                let alone = opt
+                    .optimize_from_with(r.road, r.signals, r.start, &mut arena)
+                    .unwrap();
+                let got = batched[i].as_ref().unwrap();
+                assert_eq!(counters(got), counters(&alone), "request {i}");
+                assert_eq!(plan_bits(got), plan_bits(&alone), "request {i}");
+            }
+        }
     }
 
     #[test]
