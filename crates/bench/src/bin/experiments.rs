@@ -5,11 +5,11 @@
 //! cargo run --release -p velopt-bench --bin experiments
 //! ```
 
-use velopt_bench::replay_through_traci;
 use velopt_common::units::{Seconds, VehiclesPerHour};
 use velopt_core::analysis::{ProfileMetrics, TripComparison};
 use velopt_core::pipeline::{SystemConfig, VelocityOptimizationSystem};
 use velopt_core::profiles::{DriverProfile, DrivingStyle};
+use velopt_cosim::replay_through_traci;
 use velopt_ev_energy::{map::EnergyMap, EnergyModel, VehicleParams};
 use velopt_queue::{BaselineQueueModel, QueueModel, QueueParams};
 use velopt_traffic::{SaePredictor, SaePredictorConfig, VolumeGenerator};

@@ -6,9 +6,10 @@
 //! cargo run --release -p velopt-bench --bin fig6
 //! ```
 
-use velopt_bench::{col, downsample_1hz, replay_through_traci, tsv};
+use velopt_bench::{col, downsample_1hz, tsv};
 use velopt_common::units::Seconds;
 use velopt_core::pipeline::{SystemConfig, VelocityOptimizationSystem};
+use velopt_cosim::replay_through_traci;
 
 fn main() {
     let system =

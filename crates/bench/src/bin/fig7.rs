@@ -9,11 +9,12 @@
 //! cargo run --release -p velopt-bench --bin fig7
 //! ```
 
-use velopt_bench::{col, replay_through_traci, tsv};
+use velopt_bench::{col, tsv};
 use velopt_common::units::Seconds;
 use velopt_core::analysis::{ProfileMetrics, TripComparison};
 use velopt_core::pipeline::{SystemConfig, VelocityOptimizationSystem};
 use velopt_core::profiles::{DriverProfile, DrivingStyle};
+use velopt_cosim::replay_through_traci;
 
 fn main() {
     let system =

@@ -8,11 +8,12 @@
 //! cargo run --release -p velopt-bench --bin fig8
 //! ```
 
-use velopt_bench::{col, replay_through_traci, tsv};
+use velopt_bench::{col, tsv};
 use velopt_common::units::Seconds;
 use velopt_core::analysis::distance_time_curve;
 use velopt_core::pipeline::{SystemConfig, VelocityOptimizationSystem};
 use velopt_core::profiles::{DriverProfile, DrivingStyle};
+use velopt_cosim::replay_through_traci;
 
 fn main() {
     let system =

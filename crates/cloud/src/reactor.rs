@@ -21,9 +21,10 @@
 //! *when* work runs, never *what* it computes.
 //!
 //! Backpressure: reads pause (the shard drops `EPOLLIN` interest) while a
-//! connection's parsed-frame queue, raw read buffer, or outbound queue is
-//! at its cap; writes happen under `EPOLLOUT` and unfinished frames stay
-//! queued. A slab slot's generation counter stamps every dispatched job so
+//! connection's parsed-frame queue or outbound queue is at its cap. Frames
+//! are parsed as their bytes arrive, so the raw read buffer holds at most
+//! one incomplete frame. Writes happen under `EPOLLOUT` and unfinished
+//! frames stay queued. A slab slot's generation counter stamps every dispatched job so
 //! a response for a connection that died mid-solve is discarded instead of
 //! being delivered to the slot's next connection.
 
@@ -43,8 +44,6 @@ use std::sync::Arc;
 const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// Read syscall granularity.
 const READ_CHUNK: usize = 16 * 1024;
-/// Reads pause once this much unparsed inbound data is buffered.
-const MAX_READ_BUF: usize = 256 * 1024;
 /// Reads pause once this many parsed frames await the compute pool.
 const MAX_PENDING_FRAMES: usize = 32;
 /// Reads pause (and compute dispatch stops) once this many responses are
@@ -315,17 +314,25 @@ impl Shard {
         let Some(conn) = slab.get_mut(idx) else {
             return;
         };
+        // Frames are parsed as their bytes arrive, so `read_buf` holds at
+        // most one incomplete frame (and one chunk past it): a frame of any
+        // legal size completes, and a peer that pipelines many frames is
+        // held at `MAX_PENDING_FRAMES`.
         let mut scratch = [0u8; READ_CHUNK];
-        loop {
-            if conn.read_buf.len() >= MAX_READ_BUF {
-                break; // backpressure; level-triggered epoll re-reports
-            }
+        while conn.pending.len() < MAX_PENDING_FRAMES {
             match conn.stream.read(&mut scratch) {
                 Ok(0) => {
                     conn.peer_closed = true;
                     break;
                 }
-                Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    conn.read_buf.extend_from_slice(&scratch[..n]);
+                    if Self::parse_frames(conn, &self.stats).is_err() {
+                        // Protocol violation: the stream is beyond recovery.
+                        self.close(slab, idx);
+                        return;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -334,11 +341,7 @@ impl Shard {
                 }
             }
         }
-        if Self::parse_frames(conn, &self.stats).is_err() {
-            // Protocol violation: the stream is beyond recovery.
-            self.close(slab, idx);
-            return;
-        }
+        // At the pending cap, reads pause; level-triggered epoll re-reports.
         self.process(slab, idx);
     }
 
@@ -436,9 +439,8 @@ impl Shard {
             self.close(slab, idx);
             return;
         }
-        let paused = conn.read_buf.len() >= MAX_READ_BUF
-            || conn.pending.len() >= MAX_PENDING_FRAMES
-            || conn.outbox.len() >= MAX_OUTBOX_FRAMES;
+        let paused =
+            conn.pending.len() >= MAX_PENDING_FRAMES || conn.outbox.len() >= MAX_OUTBOX_FRAMES;
         let want = Interest {
             readable: !conn.peer_closed && !paused,
             writable: !conn.outbox.is_empty(),

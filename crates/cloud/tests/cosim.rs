@@ -2,7 +2,8 @@
 //! correlated load the fleet driver produces — a replan storm of one trip
 //! (and of an invalid trip) answered by one solve, and the faults a storm
 //! meets on the wire: waiters that hang up mid-solve, a peer that sends
-//! half a frame, and a reader too slow for its answers.
+//! half a frame, a reader too slow for its answers, and a frame larger than
+//! the reactor's reads.
 //!
 //! This file is the `cargo test -p velopt-cloud --test cosim` CI gate.
 
@@ -10,8 +11,13 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use velopt_cloud::protocol::{decode_profile, read_frame, tags, write_frame, TripRequest};
+use velopt_cloud::protocol::{
+    decode_profile, read_frame, tags, write_frame, BatchPlanRequest, BatchPlanResponse,
+    TripRequest, MAX_BATCH_TRIPS,
+};
 use velopt_cloud::{CloudClient, CloudServer, ServerConfig};
+use velopt_common::units::VehiclesPerHour;
+use velopt_road::CorridorTemplate;
 
 fn connect(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).unwrap();
@@ -344,5 +350,62 @@ fn a_slow_reader_is_held_at_its_outbox_and_then_answered_in_order() {
     assert_eq!(stats.served(), served_before + 1 + TRIPS as u64);
     assert_eq!(stats.error_responses(), 0);
     drop(reader);
+    server.shutdown();
+}
+
+/// A frame many reads long: a `REQ_BATCH` of identical trips, over
+/// 256 KB, is read whole and answered from one solve within a bounded
+/// wait, and its connection then serves a plain trip.
+#[test]
+fn a_batch_frame_over_256_kb_is_answered_and_its_connection_serves_on() {
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 2,
+        shards: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let stats = server.stats();
+    // A 6 km corridor: 1024 US-25 trips would encode to ~218 KB.
+    let road = CorridorTemplate {
+        length: (6000.0, 6000.0),
+        ..CorridorTemplate::default()
+    }
+    .generate(7)
+    .unwrap();
+    let trip = TripRequest {
+        rates: vec![VehiclesPerHour::new(900.0); road.traffic_lights().len()],
+        road,
+        ..TripRequest::us25_at(45.0)
+    };
+    let batch = BatchPlanRequest {
+        trips: vec![trip; MAX_BATCH_TRIPS],
+    }
+    .encode();
+    assert!(batch.len() > 256 * 1024, "{} bytes", batch.len());
+
+    let mut stream = connect(server.addr());
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let (tag, payload) = round_trip(&mut stream, tags::REQ_BATCH, &batch);
+    assert_eq!(tag, tags::RESP_BATCH);
+    let answers = BatchPlanResponse::decode(&mut bytes::Bytes::from(payload))
+        .unwrap()
+        .results;
+    assert_eq!(answers.len(), MAX_BATCH_TRIPS);
+    let first = answers[0].as_ref().unwrap();
+    assert!(answers.iter().all(|a| a.as_ref() == Ok(first)));
+    assert_eq!(stats.batches(), 1);
+    assert_eq!(stats.coalesce_hits(), MAX_BATCH_TRIPS as u64 - 1);
+
+    let (tag, payload) = round_trip(
+        &mut stream,
+        tags::REQ_TRIP,
+        &TripRequest::us25_at(285.0).encode(),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert!(departs_at(&payload, 285.0));
+    assert_eq!(stats.error_responses(), 0);
+    drop(stream);
     server.shutdown();
 }

@@ -17,6 +17,8 @@
 //!   workloads are reproducible without pulling `rand` into every crate.
 //! * [`par`] — deterministic chunked parallelism over scoped worker
 //!   threads, used by the sharded microsimulator.
+//! * [`simd`] — the AVX2 probe and the latched `VELOPT_*_SIMD` override
+//!   every SIMD kernel family dispatches through.
 //! * [`error`] — the workspace-wide [`Error`] type.
 //!
 //! # Examples
@@ -33,6 +35,7 @@ pub mod interp;
 pub mod par;
 pub mod rng;
 pub mod series;
+pub mod simd;
 pub mod stats;
 pub mod units;
 

@@ -33,15 +33,18 @@
 //!
 //! # Dispatch
 //!
-//! [`dispatch`] gates the AVX2 path on three independent switches: the
+//! [`dispatch`] gates the AVX2 path on three independent switches (see
+//! [`velopt_common::simd`]): the
 //! [`DpConfig::simd`](crate::dp::DpConfig::simd) knob, the
 //! `VELOPT_DP_SIMD` environment override (`0`/`off`/`scalar`/`false`
 //! forces the portable kernel — how CI exercises the scalar path on any
-//! host), and a runtime `is_x86_feature_detected!("avx2")` probe. Bands
-//! narrower than a full tile always take the portable kernel (the
-//! ragged-edge fallback), which is bit-identical by the argument above.
+//! host), and a runtime AVX2 probe. Bands narrower than a full tile always
+//! take the portable kernel (the ragged-edge fallback), which is
+//! bit-identical by the argument above.
 
-use std::sync::OnceLock;
+#[cfg(target_arch = "x86_64")]
+use velopt_common::simd::avx2;
+use velopt_common::simd::Dispatch;
 
 /// Source rows per tile: live DP states sharing one charge/duration row.
 pub(crate) const MR: usize = 4;
@@ -75,35 +78,12 @@ impl TileOut {
     }
 }
 
-/// Whether `VELOPT_DP_SIMD` forces the portable kernel. Read once and
-/// cached: the override exists so CI can pin the dispatch for a whole
-/// test process, not to be toggled mid-run.
-fn env_forces_scalar() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var("VELOPT_DP_SIMD") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "scalar" | "false"
-        ),
-        Err(_) => false,
-    })
-}
-
 /// Whether the relax loops should attempt the AVX2 kernels: the config
 /// knob must allow it, the `VELOPT_DP_SIMD` override must not force
 /// scalar, and the host must actually report AVX2.
 pub(crate) fn dispatch(config_simd: bool) -> bool {
-    if !config_simd || env_forces_scalar() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    static DP: Dispatch = Dispatch::new("VELOPT_DP_SIMD");
+    DP.simd(config_simd)
 }
 
 /// Portable tile: for each of the `srcs.len()` source rows and `n` target
@@ -151,8 +131,8 @@ pub(crate) fn relax_tile(
     out: &mut TileOut,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
-    if use_simd && n == NR && x86::available() {
-        // SAFETY: `x86::available()` just verified AVX2 on this host, and
+    if use_simd && n == NR && avx2() {
+        // SAFETY: `avx2()` just verified AVX2 on this host, and
         // `n == NR` guarantees `charge` and `dur` hold a full tile (the
         // caller slices them to `n` lanes).
         unsafe { x86::relax_tile(charge, dur, srcs, tw, dwell, out) };
@@ -228,8 +208,8 @@ pub(crate) fn wait_stencil_min(
     dmin: f64,
 ) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    if use_simd && hi - lo + 1 >= NR && x86::available() {
-        // SAFETY: `x86::available()` just verified AVX2 on this host, and
+    if use_simd && hi - lo + 1 >= NR && avx2() {
+        // SAFETY: `avx2()` just verified AVX2 on this host, and
         // the caller guarantees `lo <= hi < next.len() == pen.len()`.
         return unsafe { x86::wait_stencil_min(next, pen, lo, hi, b, dt, dwell, slack, tw, dmin) };
     }
@@ -244,12 +224,6 @@ mod x86 {
         _mm256_add_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd,
         _mm256_set1_pd, _mm256_setr_pd, _mm256_storeu_pd, _mm256_sub_pd,
     };
-
-    /// One-time (cached by std) AVX2 probe.
-    #[inline]
-    pub(super) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
 
     /// Full relax tile over `NR` target lanes × `srcs.len()` source rows:
     /// per lane `cost = (c0 + charge) + tw·dur` and `t1 = (t0 + dur) +

@@ -1,10 +1,16 @@
-//! **Fleet co-simulation**: every microsim EV replans through the cloud.
+//! **Co-simulation drivers**: the paper's TraCI loop, for one EV and for a
+//! whole fleet.
 //!
-//! The paper plans one EV's velocity profile against predicted queue
-//! dynamics; the serving tier exists so *every* vehicle can do that at
-//! once. This crate closes the loop between the two halves the repo
-//! already has — the multi-corridor [`Network`](velopt_microsim::Network)
-//! behind a [`TraciServer`](velopt_traci::TraciServer), and the sharded
+//! The paper checks its plans by driving one EV through SUMO over TraCI:
+//! every step it reads the EV's state and commands its speed (§III-B).
+//! [`EgoDriver`] is that loop, one TraCI message per tick, and
+//! [`replay_through_traci`] runs it on the commuter-hour US-25 scenario of
+//! Fig. 6–8.
+//!
+//! The serving tier exists so *every* vehicle can plan at once. This crate
+//! closes the loop between the two halves the repo already has — the
+//! multi-corridor [`Network`](velopt_microsim::Network) behind a
+//! [`TraciServer`](velopt_traci::TraciServer), and the sharded
 //! [`CloudServer`](velopt_cloud::CloudServer) — with a [`FleetDriver`]
 //! that, each tick:
 //!
@@ -35,6 +41,10 @@
 //! simulation's state plus the (deterministic) plan responses, so fleet
 //! counters — flips seen, replans issued, commands applied — are exactly
 //! pinnable under a lockstep harness.
+
+mod ego;
+
+pub use ego::{replay_through_traci, replay_with, EgoDriver, EgoState, ReplayOutcome, DEPART_S};
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -115,7 +125,10 @@ struct Corridor {
 
 /// One vehicle's planning connection plus what it last planned against.
 struct Pilot {
-    client: CloudClient,
+    /// Opened on the vehicle's first plan, and dropped when a plan fails:
+    /// the next plan reconnects, so a connection the cloud refused is not
+    /// reused.
+    client: Option<CloudClient>,
     /// `(corridor, epoch)` of the last successful (or failed) plan; the
     /// vehicle replans when its corridor moves past this.
     planned: Option<(usize, u64)>,
@@ -376,18 +389,15 @@ impl FleetDriver {
             .map(|c| (c, TripFrame::new(&self.corridor_request(c))))
             .collect();
 
-        // Detach each planning connection (opening it on first use) so the
-        // wave owns them while it is in flight.
-        let mut flights: Vec<(Flight, Pilot)> = Vec::with_capacity(wave.len());
+        // Detach each planning connection (opening it on first use, or
+        // after a failed plan) so the wave owns them while it is in flight.
+        let mut flights: Vec<(Flight, CloudClient)> = Vec::with_capacity(wave.len());
         for (id, corridor, position) in wave {
-            let pilot = match self.pilots.remove(&id) {
-                Some(p) => p,
-                None => Pilot {
-                    client: CloudClient::connect(self.cloud_addr)?,
-                    planned: None,
-                },
+            let client = match self.pilots.get_mut(&id).and_then(|p| p.client.take()) {
+                Some(client) => client,
+                None => CloudClient::connect(self.cloud_addr)?,
             };
-            flights.push(((id, corridor, position), pilot));
+            flights.push(((id, corridor, position), client));
         }
 
         self.stats.replans += flights.len() as u64;
@@ -395,35 +405,38 @@ impl FleetDriver {
         // A failed send or receive is that flight's outcome alone.
         let sent: Vec<Result<()>> = flights
             .iter_mut()
-            .map(|(flight, pilot)| pilot.client.send(&frames[&flight.1]))
+            .map(|(flight, client)| client.send(&frames[&flight.1]))
             .collect();
-        let results: Vec<(Flight, Pilot, Result<OptimizedProfile>)> = flights
+        let results: Vec<(Flight, CloudClient, Result<OptimizedProfile>)> = flights
             .into_iter()
             .zip(sent)
-            .map(|((flight, mut pilot), sent)| {
-                let outcome = sent.and_then(|()| pilot.client.receive());
-                (flight, pilot, outcome)
+            .map(|((flight, mut client), sent)| {
+                let outcome = sent.and_then(|()| client.receive());
+                (flight, client, outcome)
             })
             .collect();
 
         // The tick's last message: the wave's speed commands.
         let mut commands = Vec::new();
-        for ((id, corridor, position), mut pilot, outcome) in results {
+        for ((id, corridor, position), client, outcome) in results {
             // Failed plans still advance the epoch marker: a refused
-            // vehicle retries on the *next* window shift, not every tick.
-            pilot.planned = Some((corridor, self.corridors[corridor].epoch));
-            match outcome {
+            // vehicle retries on the *next* window shift, not every tick,
+            // and on a new connection.
+            let client = match outcome {
                 Ok(profile) => {
                     self.stats.plans_ok += 1;
                     let speed = Self::speed_at(&profile, position).max(self.config.command_floor);
                     commands.push(Command::set_vehicle_speed(&id, speed));
+                    Some(client)
                 }
                 Err(_) => {
                     self.stats.plan_failures += 1;
                     telemetry::add("cosim.plan_failures", 1);
+                    None
                 }
-            }
-            self.pilots.insert(id, pilot);
+            };
+            let planned = Some((corridor, self.corridors[corridor].epoch));
+            self.pilots.insert(id, Pilot { client, planned });
         }
         // A command the simulator refuses is not an error, just not
         // counted.
@@ -624,7 +637,9 @@ mod tests {
     /// Forwards one TraCI connection to `upstream` and counts the
     /// messages its client sends. Returns the address to connect to, the
     /// count, and the forwarding thread (done once both sides hang up).
-    fn counting_proxy(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicU64>, JoinHandle<()>) {
+    pub(crate) fn counting_proxy(
+        upstream: SocketAddr,
+    ) -> (SocketAddr, Arc<AtomicU64>, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let messages = Arc::new(AtomicU64::new(0));
@@ -727,6 +742,9 @@ mod tests {
         assert!(stats.plan_failures > 0, "{stats:?}");
         assert_eq!(stats.plans_ok + stats.plan_failures, stats.replans);
         assert!(cloud.stats().rejected() > 0);
+        // A refused pilot reconnects at its next plan, so each refusal
+        // costs one plan.
+        assert_eq!(stats.plan_failures, cloud.stats().rejected());
         driver.close().unwrap();
         cloud.shutdown();
         traci.join();

@@ -51,16 +51,18 @@
 //!
 //! # Dispatch
 //!
-//! [`dispatch`] gates the AVX2 path on three independent switches: the
+//! [`dispatch`] gates the AVX2 path on three independent switches (see
+//! [`velopt_common::simd`]): the
 //! [`SimConfig::simd`](crate::SimConfig::simd) knob, the
 //! `VELOPT_MICROSIM_SIMD` environment override (`0`/`off`/`scalar`/`false`
 //! forces the portable kernel — how CI exercises the scalar path on any
-//! host), and a runtime `is_x86_feature_detected!("avx2")` probe. Lane 0
-//! (no leader load at `i - 1`) and ragged tails shorter than a vector
-//! block always take the scalar kernel, which is bit-identical by the
-//! argument above.
+//! host), and a runtime AVX2 probe. Lane 0 (no leader load at `i - 1`)
+//! and ragged tails shorter than a vector block always take the scalar
+//! kernel, which is bit-identical by the argument above.
 
-use std::sync::OnceLock;
+#[cfg(target_arch = "x86_64")]
+use velopt_common::simd::avx2;
+use velopt_common::simd::Dispatch;
 
 /// Lanes per AVX2 block (one `ymm` register of doubles).
 pub(crate) const BLOCK: usize = 4;
@@ -92,36 +94,12 @@ pub(crate) struct KraussIn<'a> {
     pub stop_gap: &'a [f64],
 }
 
-/// Whether `VELOPT_MICROSIM_SIMD` forces the portable kernels. Read once
-/// and cached: the override exists so CI can pin the dispatch for a whole
-/// test process, not to be toggled mid-run (same-run comparisons flip the
-/// [`SimConfig::simd`](crate::SimConfig::simd) knob instead).
-fn env_forces_scalar() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var("VELOPT_MICROSIM_SIMD") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "scalar" | "false"
-        ),
-        Err(_) => false,
-    })
-}
-
 /// Whether the step should attempt the AVX2 kernels: the config knob must
 /// allow it, the `VELOPT_MICROSIM_SIMD` override must not force scalar,
 /// and the host must actually report AVX2.
 pub(crate) fn dispatch(config_simd: bool) -> bool {
-    if !config_simd || env_forces_scalar() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    static MICROSIM: Dispatch = Dispatch::new("VELOPT_MICROSIM_SIMD");
+    MICROSIM.simd(config_simd)
 }
 
 /// The portable per-lane Krauss update — the exact expression sequence of
@@ -156,13 +134,13 @@ pub(crate) fn lane_speeds(use_simd: bool, input: &KraussIn<'_>, next: &mut [f64]
         return (0, 0);
     }
     #[cfg(target_arch = "x86_64")]
-    if use_simd && n > 1 + BLOCK && x86::available() {
+    if use_simd && n > 1 + BLOCK && avx2() {
         // Lane 0 has no leader — scalar. Vector blocks start at lane 1 so
         // the `i - 1` leader loads are always in bounds.
         next[0] = lane_speed_scalar(input, 0);
         let mut i = 1usize;
         while i + BLOCK <= n {
-            // SAFETY: `x86::available()` verified AVX2 on this host and
+            // SAFETY: `avx2()` verified AVX2 on this host and
             // `i + BLOCK <= n` with `i >= 1` keeps every load (including
             // the leader loads at `i - 1`) inside the equal-length lanes.
             unsafe { x86::lane_speed_block(input, i, next) };
@@ -189,7 +167,7 @@ pub(crate) fn integrate(use_simd: bool, pos: &mut [f64], next: &[f64], dt: f64) 
     let n = pos.len();
     debug_assert_eq!(next.len(), n);
     #[cfg(target_arch = "x86_64")]
-    if use_simd && n >= BLOCK && x86::available() {
+    if use_simd && n >= BLOCK && avx2() {
         let mut i = 0usize;
         while i + BLOCK <= n {
             // SAFETY: AVX2 verified; `i + BLOCK <= n` bounds the loads and
@@ -215,12 +193,6 @@ mod x86 {
         _mm256_add_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd,
         _mm256_set1_pd, _mm256_sqrt_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
     };
-
-    /// One-time (cached by std) AVX2 probe.
-    #[inline]
-    pub(super) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
 
     /// One block of [`BLOCK`] Krauss lanes starting at `i >= 1`:
     /// `vmulpd`/`vaddpd`/`vsubpd`/`vsqrtpd` only — no FMA — evaluating the

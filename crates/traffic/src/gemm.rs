@@ -40,6 +40,8 @@
 //! [`Dense::forward`]: crate::nn::Dense::forward
 
 use crate::nn::Activation;
+#[cfg(target_arch = "x86_64")]
+use velopt_common::simd::avx2;
 
 /// AVX2 variants of the full-tile microkernels, selected at runtime.
 ///
@@ -55,12 +57,6 @@ mod x86 {
         __m256d, _mm256_add_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
         _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
     };
-
-    /// One-time (cached by std) AVX2 probe.
-    #[inline]
-    pub(super) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
 
     #[inline]
     unsafe fn store_tile(acc0: &[__m256d; MR], acc1: &[__m256d; MR]) -> [[f64; NR]; MR] {
@@ -255,7 +251,20 @@ pub const GRAD_CHUNK: usize = 8;
 pub fn pack_transpose(weights: &[f64], in_dim: usize, out_dim: usize, packed: &mut [f64]) {
     debug_assert_eq!(weights.len(), in_dim * out_dim);
     debug_assert_eq!(packed.len(), in_dim * out_dim);
-    for o in 0..out_dim {
+    // Four weight rows at a time, so each store writes a run of four
+    // contiguous packed values rather than one strided value: this runs
+    // for every layer of every SAE mini-batch.
+    let quads = out_dim / 4 * 4;
+    for o in (0..quads).step_by(4) {
+        let rows = &weights[o * in_dim..(o + 4) * in_dim];
+        let (r0, rest) = rows.split_at(in_dim);
+        let (r1, rest) = rest.split_at(in_dim);
+        let (r2, r3) = rest.split_at(in_dim);
+        for (k, (((&a, &b), &c), &d)) in r0.iter().zip(r1).zip(r2).zip(r3).enumerate() {
+            packed[k * out_dim + o..k * out_dim + o + 4].copy_from_slice(&[a, b, c, d]);
+        }
+    }
+    for o in quads..out_dim {
         let row = &weights[o * in_dim..(o + 1) * in_dim];
         for (k, &w) in row.iter().enumerate() {
             packed[k * out_dim + o] = w;
@@ -275,8 +284,8 @@ fn forward_tile(
     j0: usize,
 ) -> [[f64; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: `available()` verified AVX2; bounds match this
+    if avx2() {
+        // SAFETY: `avx2()` verified AVX2; bounds match this
         // function's contract (full tile at `(b0, j0)`).
         return unsafe { x86::forward_tile(wt, in_dim, out_dim, xs, b0, j0) };
     }
@@ -366,8 +375,8 @@ fn input_grad_tile(
     i0: usize,
 ) -> [[f64; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: `available()` verified AVX2; bounds match this
+    if avx2() {
+        // SAFETY: `avx2()` verified AVX2; bounds match this
         // function's contract (full tile at `(b0, i0)`).
         return unsafe { x86::input_grad_tile(weights, in_dim, out_dim, deltas, b0, i0) };
     }
@@ -452,8 +461,8 @@ fn accumulate_tile(
     i0: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: `available()` verified AVX2; bounds match this
+    if avx2() {
+        // SAFETY: `avx2()` verified AVX2; bounds match this
         // function's contract (full tile at `(o0, i0)`).
         unsafe { x86::accumulate_tile(deltas, xs, batch, in_dim, out_dim, gw, o0, i0) };
         return;
@@ -552,8 +561,8 @@ pub fn vec_add(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: `available()` verified AVX2; lengths are equal.
+    if avx2() {
+        // SAFETY: `avx2()` verified AVX2; lengths are equal.
         done = unsafe { x86::vec_add(dst, src) };
     }
     for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
@@ -585,8 +594,8 @@ pub fn sgd_update(
     debug_assert_eq!(params.len(), grads.len());
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: `available()` verified AVX2; lengths are equal.
+    if avx2() {
+        // SAFETY: `avx2()` verified AVX2; lengths are equal.
         done = unsafe { x86::sgd_update(params, velocity, grads, scale, momentum, learning_rate) };
     }
     for i in done..params.len() {
@@ -604,12 +613,15 @@ mod tests {
 
     #[test]
     fn pack_transpose_round_trips() {
-        let w: Vec<f64> = (0..12).map(|i| i as f64).collect(); // 3 out × 4 in
-        let mut packed = vec![0.0; 12];
-        pack_transpose(&w, 4, 3, &mut packed);
-        for o in 0..3 {
-            for k in 0..4 {
-                assert_eq!(packed[k * 3 + o], w[o * 4 + k]);
+        // Row quads, a remainder, and both.
+        for (out_dim, in_dim) in [(3, 4), (8, 5), (6, 3)] {
+            let w: Vec<f64> = (0..out_dim * in_dim).map(|i| i as f64).collect();
+            let mut packed = vec![0.0; w.len()];
+            pack_transpose(&w, in_dim, out_dim, &mut packed);
+            for o in 0..out_dim {
+                for k in 0..in_dim {
+                    assert_eq!(packed[k * out_dim + o], w[o * in_dim + k]);
+                }
             }
         }
     }

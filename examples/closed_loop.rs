@@ -11,55 +11,30 @@
 //! cargo run --release --example closed_loop
 //! ```
 
+use velopt::cosim::{replay_with, DEPART_S};
 use velopt::optimizer::pipeline::{SystemConfig, VelocityOptimizationSystem};
 use velopt::optimizer::replan::{ReplanConfig, Replanner};
 use velopt::Result;
-use velopt_common::units::{Meters, MetersPerSecond, Seconds, VehiclesPerHour};
-use velopt_microsim::{SimConfig, Simulation};
-use velopt_road::Road;
-use velopt_traci::{TraciClient, TraciServer};
-
-const DEPART: f64 = 420.0;
+use velopt_common::units::{Meters, MetersPerSecond, Seconds};
 
 fn run(closed_loop: bool) -> Result<(f64, usize, f64)> {
     let system = VelocityOptimizationSystem::new(SystemConfig::us25_rush())?;
     let mut replanner = Replanner::new(system, ReplanConfig::default())?;
 
-    let mut sim = Simulation::new(Road::us25(), SimConfig::default())?;
-    sim.set_arrival_rate(VehiclesPerHour::new(120.0));
-    sim.add_entry_point(Meters::new(600.0), VehiclesPerHour::new(680.0))?;
-    sim.run_until(Seconds::new(DEPART))?;
-    let ego_id = sim.spawn_ego(MetersPerSecond::ZERO)?.to_string();
-
-    let server = TraciServer::spawn(sim)?;
-    let mut client = TraciClient::connect(server.addr())?;
-    client.get_version()?;
-
     let mut worst_drift: f64 = 0.0;
-    loop {
-        client.simulation_step(0.0)?;
-        let Ok((x, _)) = client.vehicle_position(&ego_id) else {
-            break;
-        };
-        let v = client.vehicle_speed(&ego_id)?;
-        let t_plan_clock = Seconds::new(client.simulation_time()? - DEPART);
-        let pos = Meters::new(x);
-
-        let cmd = if closed_loop {
-            worst_drift = worst_drift.max(replanner.drift(pos, t_plan_clock).value().abs());
+    let outcome = replay_with(|ego| {
+        let pos = Meters::new(ego.position);
+        let t_plan_clock = Seconds::new(ego.time - DEPART_S);
+        worst_drift = worst_drift.max(replanner.drift(pos, t_plan_clock).value().abs());
+        Ok(if closed_loop {
             replanner
-                .command(pos, MetersPerSecond::new(v), t_plan_clock)?
+                .command(pos, MetersPerSecond::new(ego.speed), t_plan_clock)?
                 .value()
         } else {
-            worst_drift = worst_drift.max(replanner.drift(pos, t_plan_clock).value().abs());
             replanner.plan().speed_at_position(pos).value()
-        };
-        client.set_vehicle_speed(&ego_id, cmd.max(0.3))?;
-    }
-    let trip = client.simulation_time()? - DEPART;
-    client.close()?;
-    server.join();
-    Ok((trip, replanner.replans(), worst_drift))
+        })
+    })?;
+    Ok((outcome.trip.value(), replanner.replans(), worst_drift))
 }
 
 fn main() -> Result<()> {

@@ -1,102 +1,22 @@
 //! Drive an optimized velocity profile through the microscopic traffic
 //! simulator over the TraCI protocol — the paper's Fig. 6 mechanism.
 //!
-//! An external controller (this program) connects to a TraCI server
-//! fronting the Krauss simulator, spawns commuter-hour background traffic,
-//! and commands the ego EV's speed every step from the DP profile.
-//! Car-following safety still binds, so if the profile reaches a light
-//! while a residual queue is discharging, the ego is *forced* to brake —
-//! which is what happens to the queue-oblivious baseline and not to the
-//! queue-aware plan.
+//! An external controller connects to a TraCI server fronting the Krauss
+//! simulator, warmed up with commuter-hour background traffic, and
+//! commands the ego EV's speed every step from the DP profile (the
+//! `velopt-cosim` replay). Car-following safety still binds, so if the
+//! profile reaches a light while a residual queue is discharging, the ego
+//! is *forced* to brake — which is what happens to the queue-oblivious
+//! baseline and not to the queue-aware plan.
 //!
 //! ```sh
 //! cargo run --release --example traci_control
 //! ```
 
-use velopt::optimizer::dp::OptimizedProfile;
+use velopt::cosim::replay_through_traci;
 use velopt::optimizer::pipeline::{SystemConfig, VelocityOptimizationSystem};
 use velopt::Result;
-use velopt_common::units::{MetersPerSecond, Seconds, VehiclesPerHour};
-use velopt_microsim::{SimConfig, Simulation};
-use velopt_road::Road;
-use velopt_traci::{TraciClient, TraciServer};
-
-/// Departure time: 7 whole signal cycles, so the plan's `t = 0` is
-/// phase-aligned with the simulation clock.
-const DEPART: f64 = 420.0;
-
-/// Outcome of replaying one plan through the simulator.
-struct Drive {
-    trip: f64,
-    stops_at_lights: usize,
-    min_speed_at_lights: f64,
-}
-
-/// Runs one profile through the simulator via TraCI.
-fn drive(profile: &OptimizedProfile, label: &str) -> Result<Drive> {
-    let mut sim = Simulation::new(Road::us25(), SimConfig::default())?;
-    // Most of the commuter demand turns onto US-25 from the side road at
-    // the first intersection approach (600 m): the corridor entrance stays
-    // light (no stop-sign queue ahead of the ego), while the lights see the
-    // full ~800 veh/h the plan was built for.
-    sim.set_arrival_rate(VehiclesPerHour::new(120.0));
-    sim.add_entry_point(
-        velopt_common::units::Meters::new(600.0),
-        VehiclesPerHour::new(680.0),
-    )?;
-    // Warm the corridor up so queues are in steady state at departure.
-    sim.run_until(Seconds::new(DEPART))?;
-    let ego = sim.spawn_ego(MetersPerSecond::ZERO)?;
-    let ego_id = ego.to_string();
-
-    let server = TraciServer::spawn(sim)?;
-    let mut client = TraciClient::connect(server.addr())?;
-    println!("[{label}] connected: {}", client.get_version()?.software);
-
-    let light_zones = [(1650.0, 1810.0), (3310.0, 3470.0)];
-    let mut stops_at_lights = 0usize;
-    let mut was_stopped = true; // starts at rest (departure doesn't count)
-    let mut min_speed_at_lights = f64::INFINITY;
-    let mut moved = false;
-    loop {
-        client.simulation_step(0.0)?;
-        let Ok((x, _)) = client.vehicle_position(&ego_id) else {
-            break; // ego finished the corridor
-        };
-        let v = client.vehicle_speed(&ego_id)?;
-        if v > 1.0 {
-            moved = true;
-            was_stopped = false;
-        }
-        let in_light_zone = light_zones.iter().any(|&(a, b)| x >= a && x <= b);
-        if moved && in_light_zone {
-            if v < 0.1 && !was_stopped {
-                stops_at_lights += 1;
-                was_stopped = true;
-            }
-            min_speed_at_lights = min_speed_at_lights.min(v);
-        }
-        // Replay the planned profile: command the plan's speed for the
-        // ego's current *position* (drift-free tracking — the paper applies
-        // the optimal velocity profile in SUMO via TraCI; safety constraints
-        // still bind inside the sim). The small floor lets the ego creep
-        // through the zero-speed point at the stop sign, where the sim's
-        // own stop logic produces the actual halt.
-        let cmd = profile
-            .speed_at_position(velopt_common::units::Meters::new(x))
-            .value()
-            .max(0.3);
-        client.set_vehicle_speed(&ego_id, cmd)?;
-    }
-    let trip = client.simulation_time()? - DEPART;
-    client.close()?;
-    server.join();
-    Ok(Drive {
-        trip,
-        stops_at_lights,
-        min_speed_at_lights,
-    })
-}
+use velopt_common::units::Meters;
 
 fn main() -> Result<()> {
     // Plan under commuter-hour arrival rates (the Fig. 6–8 regime).
@@ -105,25 +25,24 @@ fn main() -> Result<()> {
     let baseline = system.optimize_baseline()?;
     println!(
         "plan arrivals at the lights — ours: {:.1}s/{:.1}s, baseline: {:.1}s/{:.1}s",
-        ours.arrival_time_at(velopt_common::units::Meters::new(1800.0))
-            .value(),
-        ours.arrival_time_at(velopt_common::units::Meters::new(3460.0))
-            .value(),
-        baseline
-            .arrival_time_at(velopt_common::units::Meters::new(1800.0))
-            .value(),
-        baseline
-            .arrival_time_at(velopt_common::units::Meters::new(3460.0))
-            .value(),
+        ours.arrival_time_at(Meters::new(1800.0)).value(),
+        ours.arrival_time_at(Meters::new(3460.0)).value(),
+        baseline.arrival_time_at(Meters::new(1800.0)).value(),
+        baseline.arrival_time_at(Meters::new(3460.0)).value(),
     );
 
-    let a = drive(&ours, "queue-aware")?;
-    let b = drive(&baseline, "baseline")?;
+    let a = replay_through_traci(&ours)?;
+    println!("[queue-aware] connected: {}", a.server.software);
+    let b = replay_through_traci(&baseline)?;
+    println!("[baseline] connected: {}", b.server.software);
+    // The lowest speed the ego drove inside any light area.
+    let min = |speeds: &[f64]| speeds.iter().fold(f64::INFINITY, |m, &v| m.min(v));
 
     println!("\n                       queue-aware    queue-oblivious [2]");
     println!(
         "derived trip (s)       {:>10.1}    {:>10.1}",
-        a.trip, b.trip
+        a.trip.value(),
+        b.trip.value()
     );
     println!(
         "stops at lights        {:>10}    {:>10}",
@@ -131,7 +50,8 @@ fn main() -> Result<()> {
     );
     println!(
         "min speed at lights    {:>10.2}    {:>10.2}",
-        a.min_speed_at_lights, b.min_speed_at_lights
+        min(&a.min_speed_at_lights),
+        min(&b.min_speed_at_lights)
     );
     println!(
         "\nThe queue-aware profile glides through both lights; the baseline\n\

@@ -27,7 +27,7 @@
 //! | [`cloud`] | `velopt-cloud` | the vehicular-cloud optimization service |
 //! | [`microsim`] | `velopt-microsim` | Krauss traffic simulator (SUMO substitute) |
 //! | [`traci`] | `velopt-traci` | TraCI wire protocol client + server |
-//! | [`cosim`] | `velopt-cosim` | fleet co-simulation: microsim EVs replanning through the cloud |
+//! | [`cosim`] | `velopt-cosim` | TraCI loop drivers: the single-EV loop and its Fig. 6 replay, and fleet co-simulation through the cloud |
 //!
 //! # Quickstart
 //!

@@ -1,49 +1,24 @@
 //! The Fig. 6 experiment as an integration test: both DP plans replayed
 //! through the microscopic simulator over the real TraCI protocol.
 
+use velopt::cosim::replay_through_traci;
 use velopt::optimizer::dp::OptimizedProfile;
 use velopt::optimizer::pipeline::{SystemConfig, VelocityOptimizationSystem};
-use velopt_common::units::{Meters, MetersPerSecond, Seconds, VehiclesPerHour};
+use velopt_common::units::{Meters, VehiclesPerHour};
 use velopt_microsim::{SimConfig, Simulation};
 use velopt_road::Road;
 use velopt_traci::{TraciClient, TraciServer};
 
-const DEPART: f64 = 420.0;
-
 /// Replays a plan over TraCI; returns (trip seconds, min speed in the two
 /// light areas).
 fn replay(profile: &OptimizedProfile) -> (f64, f64) {
-    let mut sim = Simulation::new(Road::us25(), SimConfig::default()).unwrap();
-    sim.set_arrival_rate(VehiclesPerHour::new(120.0));
-    sim.add_entry_point(Meters::new(600.0), VehiclesPerHour::new(680.0))
-        .unwrap();
-    sim.run_until(Seconds::new(DEPART)).unwrap();
-    let ego_id = sim.spawn_ego(MetersPerSecond::ZERO).unwrap().to_string();
-
-    let server = TraciServer::spawn(sim).unwrap();
-    let mut client = TraciClient::connect(server.addr()).unwrap();
-    assert!(client.get_version().unwrap().api >= 20);
-
-    let mut min_speed_at_lights = f64::INFINITY;
-    loop {
-        client.simulation_step(0.0).unwrap();
-        let Ok((x, _)) = client.vehicle_position(&ego_id) else {
-            break;
-        };
-        let v = client.vehicle_speed(&ego_id).unwrap();
-        let in_zone = [(1650.0, 1810.0), (3310.0, 3470.0)]
-            .iter()
-            .any(|&(a, b)| x >= a && x <= b);
-        if in_zone {
-            min_speed_at_lights = min_speed_at_lights.min(v);
-        }
-        let cmd = profile.speed_at_position(Meters::new(x)).value().max(0.3);
-        client.set_vehicle_speed(&ego_id, cmd).unwrap();
-    }
-    let trip = client.simulation_time().unwrap() - DEPART;
-    client.close().unwrap();
-    server.join();
-    (trip, min_speed_at_lights)
+    let outcome = replay_through_traci(profile).unwrap();
+    assert!(outcome.server.api >= 20);
+    let min_speed_at_lights = outcome
+        .min_speed_at_lights
+        .iter()
+        .fold(f64::INFINITY, |m, &v| m.min(v));
+    (outcome.trip.value(), min_speed_at_lights)
 }
 
 #[test]
