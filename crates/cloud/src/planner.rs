@@ -5,7 +5,7 @@
 //! checks out one arena per batch thread for
 //! [`DpOptimizer::optimize_batch_with`] (a lone trip runs inline on one
 //! arena, through `optimize_from_with`). No request builds
-//! an optimizer, and a warm arena keeps its layer buffers, transition memo
+//! an optimizer, and a warm arena keeps its layers, transition memo
 //! and window-bound memo, so a miss reuses cost tables earlier misses
 //! built instead of re-evaluating the energy model, and a corridor
 //! re-planned at a new departure under the same windows reuses its pruning
@@ -16,10 +16,10 @@
 //! Everything the pool keeps is bounded by constants:
 //!
 //! * at most `compute_workers` arenas;
-//! * each arena's layer stack, through [`MAX_LATTICE_STATES`]: the trust
+//! * each arena's layers, through [`MAX_LATTICE_STATES`]: the trust
 //!   boundary ([`check_lattice`]) refuses any trip whose exact-DP lattice
-//!   exceeds it, and an arena whose envelope of solved lattices (most
-//!   stations × longest layer) passes it is replaced;
+//!   exceeds it, and an arena's Exact stack keeps only the slots its sweeps
+//!   wrote, never reserving past the largest lattice it solved;
 //! * each arena's transition memo, through [`MAX_ARENA_CLASSES`] classes
 //!   of at most [`MAX_LATTICE_SPEEDS`]² transitions each;
 //! * each arena's window-bound memo, through
@@ -42,8 +42,12 @@ use velopt_road::Road;
 
 /// Largest exact-DP lattice — stations × speed cells × time bins — the
 /// server plans. Twice US-25's 3.8 M states (211 × 20 × 901) plus headroom;
-/// the default `CorridorTemplate`'s 6 km corridors reach about 5.4 M. At
-/// 32 bytes a state, one arena's layer stack stays under 256 MB.
+/// the default `CorridorTemplate`'s 6 km corridors reach about 5.4 M. It
+/// bounds a solve's work (an unbounded sweep relaxes at most every state)
+/// and its worst-case occupancy: at 32 bytes a slot, an arena's Exact stack
+/// stays under 256 MB even if a sweep wrote every slot. A sweep writes far
+/// fewer (15,877 slots, about 0.5 MB, on US-25), and the stack holds only
+/// those.
 pub(crate) const MAX_LATTICE_STATES: u64 = 8_000_000;
 
 /// Largest speed grid (cells of `dv`) the server plans: 63 m/s (227 km/h)
@@ -70,29 +74,6 @@ pub(crate) fn corridor_optimizer() -> Result<DpOptimizer> {
     DpOptimizer::new(energy, DpConfig::default())
 }
 
-/// The shape of an exact solve's layer stack: `stations` layers of `row`
-/// slots (speed cells × time bins) each.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Lattice {
-    stations: u64,
-    row: u64,
-}
-
-impl Lattice {
-    fn states(self) -> u64 {
-        self.stations.saturating_mul(self.row)
-    }
-
-    /// The smallest shape covering both: what a layer pool that served
-    /// both solves keeps.
-    fn envelope(self, other: Self) -> Self {
-        Self {
-            stations: self.stations.max(other.stations),
-            row: self.row.max(other.row),
-        }
-    }
-}
-
 /// The trust-boundary check every planning path runs before any planning:
 /// the road's length and speed limits must be finite, and the exact-DP
 /// lattice of a solve from its origin under `config` must fit
@@ -103,7 +84,7 @@ impl Lattice {
 /// # Errors
 ///
 /// Returns [`Error::InvalidInput`] naming the offending value.
-pub(crate) fn check_lattice(road: &Road, config: &DpConfig) -> Result<Lattice> {
+pub(crate) fn check_lattice(road: &Road, config: &DpConfig) -> Result<()> {
     let length = road.length().value();
     if !length.is_finite() {
         return Err(Error::invalid_input(format!(
@@ -138,10 +119,7 @@ pub(crate) fn check_lattice(road: &Road, config: &DpConfig) -> Result<Lattice> {
              {bins} time bins) exceeds the server's budget of {MAX_LATTICE_STATES}"
         )));
     }
-    Ok(Lattice {
-        stations: stations as u64,
-        row: (speeds * bins) as u64,
-    })
+    Ok(())
 }
 
 /// A trip that passed validation and the lattice check, with its arrival
@@ -149,7 +127,6 @@ pub(crate) fn check_lattice(road: &Road, config: &DpConfig) -> Result<Lattice> {
 pub(crate) struct Admitted<'t> {
     trip: &'t TripRequest,
     signals: Vec<SignalConstraint>,
-    lattice: Lattice,
 }
 
 impl Admitted<'_> {
@@ -169,9 +146,7 @@ impl Admitted<'_> {
 /// compute worker.
 pub(crate) struct Planner {
     optimizer: DpOptimizer,
-    /// Each pooled arena with the envelope of every lattice it has solved,
-    /// which bounds the layer stack it retains.
-    pool: Mutex<Vec<(SolverArena, Lattice)>>,
+    pool: Mutex<Vec<SolverArena>>,
     keep: usize,
     class_cap: usize,
     /// Batch workers: one per available core.
@@ -222,17 +197,13 @@ impl Planner {
     pub(crate) fn admit<'t>(&self, trip: &'t TripRequest) -> Result<Admitted<'t>> {
         let config = self.optimizer.config();
         trip.validated()?;
-        let lattice = check_lattice(&trip.road, config)?;
+        check_lattice(&trip.road, config)?;
         let signals = if trip.queue_aware {
             queue_aware_constraints(&trip.road, &trip.rates, trip.queue, config.horizon)?
         } else {
             green_only_constraints(&trip.road, config.horizon)
         };
-        Ok(Admitted {
-            trip,
-            signals,
-            lattice,
-        })
+        Ok(Admitted { trip, signals })
     }
 
     /// Solves admitted trips concurrently, one pooled arena per batch
@@ -241,15 +212,10 @@ impl Planner {
     pub(crate) fn solve_batch(&self, trips: &[Admitted<'_>]) -> Vec<Result<OptimizedProfile>> {
         let requests: Vec<PlanRequest<'_>> = trips.iter().map(Admitted::plan_request).collect();
         let workers = self.threads.min(trips.len().max(1));
-        let (mut arenas, envelopes): (Vec<SolverArena>, Vec<Lattice>) =
-            (0..workers).map(|_| self.checkout()).unzip();
+        let mut arenas: Vec<SolverArena> = (0..workers).map(|_| self.checkout()).collect();
         let results = self.optimizer.optimize_batch_with(&requests, &mut arenas);
-        // Any worker may have solved any trip's shape; cover them all.
-        let solved = trips
-            .iter()
-            .fold(Lattice::default(), |e, t| e.envelope(t.lattice));
-        for (arena, envelope) in arenas.into_iter().zip(envelopes) {
-            self.checkin(arena, envelope.envelope(solved));
+        for arena in arenas {
+            self.checkin(arena);
         }
         results
     }
@@ -261,21 +227,21 @@ impl Planner {
         release_freed_memory();
     }
 
-    fn checkout(&self) -> (SolverArena, Lattice) {
+    fn checkout(&self) -> SolverArena {
         self.pool.lock().pop().unwrap_or_default()
     }
 
-    /// Returns an arena to the pool, unless it has outgrown a bound (it is
-    /// then replaced: a later checkout starts a fresh one) or the pool
-    /// already keeps `keep` arenas. A dropped arena's memory goes back to
-    /// the operating system.
-    fn checkin(&self, arena: SolverArena, envelope: Lattice) {
-        if arena.cached_classes() > self.class_cap || envelope.states() > MAX_LATTICE_STATES {
+    /// Returns an arena to the pool, unless its transition memo has
+    /// outgrown the class cap (it is then replaced: a later checkout starts
+    /// a fresh one) or the pool already keeps `keep` arenas. A dropped
+    /// arena's memory goes back to the operating system.
+    fn checkin(&self, arena: SolverArena) {
+        if arena.cached_classes() > self.class_cap {
             telemetry::add("cloud.arena.replaced", 1);
         } else {
             let mut pool = self.pool.lock();
             if pool.len() < self.keep {
-                pool.push((arena, envelope));
+                pool.push(arena);
                 return;
             }
         }
@@ -285,8 +251,9 @@ impl Planner {
 }
 
 /// Returns the heap pages freed by dropped arenas to the operating system.
-/// A warm arena is tens to hundreds of megabytes of layer buffers; glibc
-/// keeps freed memory in the malloc arena of the thread that allocated it,
+/// A warm arena holds its layers and memo tables, up to several megabytes
+/// (a 4 MiB window-bound memo alone); glibc keeps freed memory in the
+/// malloc arena of the thread that allocated it,
 /// where the allocations of a fresh arena — on another worker, or in the
 /// next server of the process — need not land, so every dropped arena
 /// would otherwise stay in the resident set on top of its replacement.
@@ -350,8 +317,14 @@ mod tests {
     #[test]
     fn lattice_check_admits_us25_and_the_template_and_names_what_it_refuses() {
         let config = DpConfig::default();
-        let us25 = check_lattice(&velopt_road::Road::us25(), &config).unwrap();
-        assert!(us25.states() * 2 <= MAX_LATTICE_STATES, "{us25:?}");
+        let us25 = velopt_road::Road::us25();
+        check_lattice(&us25, &config).unwrap();
+        // Twice US-25's lattice fits: a corridor twice as long, as fast.
+        let twice = RoadBuilder::new(us25.length() * 2.0)
+            .default_limits(MetersPerSecond::new(5.0), us25.max_speed_limit())
+            .build()
+            .unwrap();
+        check_lattice(&twice, &config).unwrap();
         let longest = trip_on(1, (6000.0, 6000.0), 4.0);
         assert!(check_lattice(&longest.road, &config).is_ok());
 
@@ -406,7 +379,7 @@ mod tests {
             assert_eq!(bits(&warm), bits(&reference), "step {i}");
             let pool = planner.pool.lock();
             assert_eq!(pool.len(), usize::from(kept), "step {i}");
-            assert!(pool.iter().all(|(arena, _)| arena.cached_classes() <= CAP));
+            assert!(pool.iter().all(|arena| arena.cached_classes() <= CAP));
             // The flat trip after the replacement starts on a fresh arena
             // and rebuilds its tables; the one after that reuses them.
             match i {

@@ -102,8 +102,10 @@ impl TripRequest {
             )));
         }
         self.queue.validated()?;
-        if self.departure.value() < 0.0 {
-            return Err(Error::invalid_input("departure must be non-negative"));
+        if !(self.departure.value() >= 0.0 && self.departure.value().is_finite()) {
+            return Err(Error::invalid_input(
+                "departure must be finite and non-negative",
+            ));
         }
         Ok(())
     }
@@ -637,8 +639,10 @@ impl RouteNetRequest {
         if self.origin == self.dest {
             return Err(Error::invalid_input("origin and destination coincide"));
         }
-        if self.depart.value() < 0.0 {
-            return Err(Error::invalid_input("departure must be non-negative"));
+        if !(self.depart.value() >= 0.0 && self.depart.value().is_finite()) {
+            return Err(Error::invalid_input(
+                "departure must be finite and non-negative",
+            ));
         }
         Ok(())
     }

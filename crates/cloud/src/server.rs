@@ -702,10 +702,9 @@ impl CloudServer {
         }
         // No solve can run anymore: give the warm arenas' memory back. The
         // plan cache goes later, when the server drops: freed first, on the
-        // last worker's exit, it raised `fleet_loop`'s peak RSS from 62 to
-        // 76-109 MiB in about half the runs on a 2-vCPU VM. Under a fixed
-        // `MALLOC_MMAP_THRESHOLD_` both orders read 62 MiB, so glibc's
-        // dynamic mmap threshold decides where later layer stacks land.
+        // last worker's exit, it raised `fleet_loop`'s peak RSS from a
+        // median of 13.8 to 16.1 MiB, higher in 10 of 10 paired 20 s runs
+        // on a 2-vCPU VM.
         self.planner.release();
     }
 }

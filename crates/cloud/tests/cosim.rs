@@ -2,8 +2,8 @@
 //! correlated load the fleet driver produces — a replan storm of one trip
 //! (and of an invalid trip) answered by one solve, and the faults a storm
 //! meets on the wire: waiters that hang up mid-solve, a peer that sends
-//! half a frame, a reader too slow for its answers, and a frame larger than
-//! the reactor's reads.
+//! half a frame, a reader too slow for its answers, a frame larger than
+//! the reactor's reads, and departures the signal clock cannot hold.
 //!
 //! This file is the `cargo test -p velopt-cloud --test cosim` CI gate.
 
@@ -13,11 +13,11 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use velopt_cloud::protocol::{
     decode_profile, read_frame, tags, write_frame, BatchPlanRequest, BatchPlanResponse,
-    TripRequest, MAX_BATCH_TRIPS,
+    RouteNetRequest, TripRequest, MAX_BATCH_TRIPS,
 };
 use velopt_cloud::{CloudClient, CloudServer, ServerConfig};
-use velopt_common::units::VehiclesPerHour;
-use velopt_road::CorridorTemplate;
+use velopt_common::units::{Seconds, VehiclesPerHour};
+use velopt_road::{CorridorTemplate, NetworkTemplate, NodeId};
 
 fn connect(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).unwrap();
@@ -407,5 +407,45 @@ fn a_batch_frame_over_256_kb_is_answered_and_its_connection_serves_on() {
     assert!(departs_at(&payload, 285.0));
     assert_eq!(stats.error_responses(), 0);
     drop(stream);
+    server.shutdown();
+}
+
+/// A NaN departure passes every `< 0` test: a trip with one was planned
+/// (NaN arrival times, window violations), and a route with one was
+/// planned as `t = 0`. Each is refused with a framed error naming the
+/// cause, and the same connection then plans a normal trip.
+#[test]
+fn nan_departures_get_error_frames_and_the_connection_serves_on() {
+    let server = CloudServer::spawn(1).unwrap();
+    let graph = NetworkTemplate {
+        rows: 1,
+        cols: 2,
+        ..NetworkTemplate::default()
+    }
+    .generate(5)
+    .unwrap();
+    let nan = Seconds::new(f64::NAN);
+    let requests = [
+        (tags::REQ_TRIP, TripRequest::us25_at(f64::NAN).encode()),
+        (
+            tags::REQ_ROUTE,
+            RouteNetRequest::from_graph(&graph, NodeId(0), NodeId(1), nan).encode(),
+        ),
+    ];
+    let mut stream = connect(server.addr());
+    for (tag, payload) in requests {
+        let (answer, message) = round_trip(&mut stream, tag, &payload);
+        let message = String::from_utf8_lossy(&message);
+        assert_eq!(answer, tags::RESP_ERROR, "request tag {tag}: {message}");
+        assert!(message.contains("finite"), "{message}");
+    }
+    let (tag, payload) = round_trip(
+        &mut stream,
+        tags::REQ_TRIP,
+        &TripRequest::us25_at(30.0).encode(),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert!(departs_at(&payload, 30.0));
+    assert_eq!(server.stats().error_responses(), 2);
     server.shutdown();
 }

@@ -95,7 +95,7 @@
 //! once. Every plan is a pure function of its request, so a batch returns
 //! the same bits as solving its trips one after another.
 
-use crate::arena::{LayerPool, LeaseStats};
+use crate::arena::{LayerPool, LayerStack, StackLayer};
 use crate::memo::{
     BoundsKey, BoundsMemo, ClassKey, CostTable, MemoStats, TransitionTable, WindowBounds,
 };
@@ -454,8 +454,8 @@ struct GNode {
     violations: u32,
 }
 
-/// Reusable solver scratch: the DP layer stacks, backtrack buffers and the
-/// cross-solve transition-cost and window-bound caches.
+/// Reusable solver scratch: the DP layers and the cross-solve
+/// transition-cost and window-bound caches.
 ///
 /// `optimize_from` allocates these afresh on every call; a caller that
 /// solves repeatedly (the [`Replanner`](crate::replan::Replanner) tick
@@ -466,140 +466,39 @@ struct GNode {
 /// match an earlier one's on this arena skips the window-bound build,
 /// whatever its start time or speed (at most
 /// [`BOUNDS_MEMO_BYTES`](crate::memo::BOUNDS_MEMO_BYTES) of tables are
-/// kept). The resulting profile and work counters are identical either
-/// way; only the arena and memo counters in [`SolverMetrics`] differ.
+/// kept). The Exact layers are one dense `n_speeds × n_bins` scratch layer
+/// and a compact stack of the slots each sweep wrote (see
+/// [`crate::arena`]), so what an arena retains follows the states its
+/// solves reached. The resulting profile and work counters are identical
+/// either way; only the arena and memo counters in [`SolverMetrics`]
+/// differ.
 #[derive(Debug, Clone, Default)]
 pub struct SolverArena {
-    exact: LayerPool<Option<Node>>,
-    exact_dirty: Option<DirtyLog>,
+    exact: LayerStack<Node>,
     greedy: LayerPool<Option<GNode>>,
-    speeds_idx: Vec<usize>,
-    times: Vec<f64>,
     transitions: TransitionTable,
     bounds: BoundsMemo,
     repair: Option<RepairState>,
 }
 
-/// Physical write log for the pooled Exact layer stack: per layer, per
-/// speed row, the inclusive time-bin span of slots that may hold `Some`
-/// since the stack was last fully refilled. An Exact sweep touches ~1% of
-/// the `n_stations × n_speeds × n_bins` stack, so the vectorized solver
-/// path resets a sweep by clearing only the logged spans instead of
-/// rewriting every slot (`reset_exact_layers`) — by far the solver's
-/// largest memory traffic. Both dispatch flavors *maintain* the log (a
-/// span union per relaxed layer, a few hundred words), so scalar and AVX2
-/// solves can interleave on one arena; only the reset strategy differs,
-/// and a shape change or a missing log falls back to the full refill.
-///
-/// Correctness invariant: every slot outside the logged spans is `None`.
-/// Spans are merged into the log as layers are relaxed — before any
-/// infeasible/verification early-return — so the invariant holds even for
-/// failed sweeps.
-/// Inclusive occupied/written time-bin span per `(layer, speed row)`;
-/// `None` = untouched. Shared by the arena's [`DirtyLog`], the retained
-/// [`RepairState::spans`], and the relax sweep's span log.
-type BinSpans = Vec<Vec<Option<(u32, u32)>>>;
-
+/// What an Exact sweep prunes with: the reachability mask and the rows it
+/// retired, the cost-to-go floor, the window-bound tables, and the
+/// aspiration rung (`None` = unbounded).
 #[derive(Debug, Clone)]
-struct DirtyLog {
-    /// `(n_speeds, n_bins)` of every tracked layer. The *layer count* is
-    /// deliberately not part of the shape: replanning mid-trip shrinks and
-    /// grows the station count from solve to solve, and a solve needing
-    /// `n ≤ spans.len()` layers can still sparse-reset the first `n`
-    /// tracked buffers. A solve needing more layers than the log tracks
-    /// falls back to the full refill (pooled buffers beyond the tracked
-    /// set have unknown contents).
-    rows_shape: (usize, usize),
-    /// `spans[layer][row]` — inclusive written-bin span, `None` = clean.
-    spans: BinSpans,
-}
-
-impl DirtyLog {
-    /// A log for a freshly refilled (all-`None`) stack.
-    fn clean(n_stations: usize, n_speeds: usize, n_bins: usize) -> Self {
-        Self {
-            rows_shape: (n_speeds, n_bins),
-            spans: vec![vec![None; n_speeds]; n_stations],
-        }
-    }
-
-    /// Whether the log covers a sparse reset of `n_stations` layers of
-    /// this row shape.
-    fn covers(&self, n_stations: usize, n_speeds: usize, n_bins: usize) -> bool {
-        self.rows_shape == (n_speeds, n_bins) && self.spans.len() >= n_stations
-    }
-
-    /// Widens `spans[layer][row]` to cover `[lo, hi]`.
-    fn merge(&mut self, layer: usize, row: usize, lo: u32, hi: u32) {
-        let slot = &mut self.spans[layer][row];
-        *slot = Some(match *slot {
-            None => (lo, hi),
-            Some((a, b)) => (a.min(lo), b.max(hi)),
-        });
-    }
-
-    /// The safe over-approximation for a stack whose write history is
-    /// unknown: every row fully dirty, so the next sparse clear degrades
-    /// to a full refill instead of missing a stale slot.
-    fn all_dirty(n_stations: usize, n_speeds: usize, n_bins: usize) -> Self {
-        Self {
-            rows_shape: (n_speeds, n_bins),
-            spans: vec![vec![Some((0, (n_bins - 1) as u32)); n_speeds]; n_stations],
-        }
-    }
-}
-
-/// Hands back an all-`None` Exact layer stack. The portable path refills
-/// the whole pool ([`LayerPool::take_layers`]); the vectorized path, when
-/// the dirty log covers the pooled stack's writes, clears only the logged
-/// spans — equivalent by the [`DirtyLog`] invariant, at a small fraction
-/// of the memory traffic. Either way the returned stack is bit-for-bit the
-/// all-`None` stack, and the log is left clean.
-fn reset_exact_layers<'p>(
-    pool: &'p mut LayerPool<Option<Node>>,
-    dirty: &mut Option<DirtyLog>,
-    use_simd: bool,
-    n_stations: usize,
-    n_speeds: usize,
-    n_bins: usize,
-) -> (&'p mut [Vec<Option<Node>>], LeaseStats) {
-    let len = n_speeds * n_bins;
-    let sparse = use_simd
-        && dirty
-            .as_ref()
-            .is_some_and(|log| log.covers(n_stations, n_speeds, n_bins))
-        && pool.can_resume(n_stations, len);
-    if sparse {
-        let layers = pool
-            .resume_layers(n_stations, len)
-            .expect("can_resume verified the shape");
-        let log = dirty.as_mut().expect("the sparse path checked for a log");
-        for (layer, rows) in layers.iter_mut().zip(log.spans[..n_stations].iter_mut()) {
-            for (vi, span) in rows.iter_mut().enumerate() {
-                if let Some((lo, hi)) = span.take() {
-                    layer[vi * n_bins + lo as usize..=vi * n_bins + hi as usize].fill(None);
-                }
-            }
-        }
-        let stats = LeaseStats {
-            reuse_hits: n_stations as u64,
-            allocations: 0,
-        };
-        telemetry::add("arena.reuse_hits", stats.reuse_hits);
-        return (layers, stats);
-    }
-    let (layers, stats) = pool.take_layers(n_stations, len, None);
-    *dirty = Some(DirtyLog::clean(n_stations, n_speeds, n_bins));
-    (layers, stats)
+struct Pruning {
+    live: Vec<Vec<bool>>,
+    rows_skipped: u64,
+    ctg: Vec<Vec<f64>>,
+    bounds: Arc<WindowBounds>,
+    limit: Option<f64>,
 }
 
 /// Everything a warm-started window refresh needs to reuse the previous
-/// solve ([`DpOptimizer::optimize_windows_refresh`]): the *window-free*
-/// pruning floors, each retained layer's occupied-bin spans, the windows
-/// the retention sweep was solved under, its certified pruning limit, and
-/// the resulting profile. The retained layer contents themselves stay in
-/// the arena's exact [`LayerPool`] (repair resumes them in place), which
-/// is why any direct solve through the same arena invalidates this state.
+/// solve ([`DpOptimizer::optimize_windows_refresh`]): the windows the
+/// retained sweep was solved under, its window-free pruning and the rung
+/// it was certified under, and the resulting profile. The retained layers
+/// themselves are the arena's Exact stack (a repair keeps its prefix),
+/// which is why any direct solve through the same arena drops this state.
 #[derive(Debug, Clone)]
 struct RepairState {
     /// Fingerprint of everything the retained solve depended on *except*
@@ -608,28 +507,16 @@ struct RepairState {
     /// cannot reuse the layers.
     signature: u64,
     /// Per-station windows of the retained solve (`None` = no signal).
-    /// The diff against a refresh's windows yields the dirty-layer set.
+    /// The diff against a refresh's windows yields the first layer a
+    /// repair must redo.
     windows: Vec<Option<Vec<TimeWindow>>>,
-    /// Reachability mask (window-independent).
-    live: Vec<Vec<bool>>,
-    /// `rows_skipped` of the retained solve (window-independent).
-    rows_skipped: u64,
-    /// Window-free joint cost-to-go (`cost_to_go` with no dead stations).
-    b_free: Vec<Vec<f64>>,
-    /// Window-free pruning tables (`window_bounds` with no windows).
-    bounds_free: Arc<WindowBounds>,
-    /// Occupied time-bin span per `(layer, speed row)` of the retained
-    /// sweep; `spans[d - 1]` seeds a repair that re-relaxes from layer
-    /// `d`.
-    spans: BinSpans,
-    /// The rung the retention sweep was certified under (`None` =
-    /// unbounded). Repairs relax with this same limit and re-verify.
-    limit: Option<f64>,
+    /// Window-free floors (`cost_to_go` with no dead stations,
+    /// `window_bounds` with no windows) and the certified rung: a repair
+    /// relaxes under the same and re-verifies.
+    pruning: Pruning,
     /// The retained solve's profile, returned as-is on a zero-diff
     /// refresh.
     profile: OptimizedProfile,
-    /// Time-bin count of the retained layers.
-    n_bins: usize,
 }
 
 impl SolverArena {
@@ -911,51 +798,45 @@ fn refresh_signature(config: &DpConfig, prep: &Prepared<'_>) -> u64 {
 
 /// The cheapest Exact-mode terminal state: the best occupied `v = 0` time
 /// bin of the last layer, with its bin index.
-fn exact_terminal(last: &[Option<Node>], n_bins: usize) -> Option<(usize, Node)> {
+fn exact_terminal(last: StackLayer<'_, Node>) -> Option<(usize, Node)> {
+    let (first, run) = last.row(0);
     let mut best: Option<(usize, Node)> = None;
-    for (ti, slot) in last[..n_bins].iter().enumerate() {
+    for (k, slot) in run.iter().enumerate() {
         if let Some(node) = slot {
             if best.is_none_or(|(_, b)| node.cost < b.cost) {
-                best = Some((ti, *node));
+                best = Some((first + k, *node));
             }
         }
     }
     best
 }
 
-/// Walks the winning terminal's parent links back to the start, filling
-/// `speeds_idx`/`times` (station-indexed).
+/// Walks the winning terminal's parent links back to the start: the
+/// station-indexed speed cells and arrival times.
 fn backtrack_exact(
     ctx: &SolveCtx<'_>,
-    layers: &[Vec<Option<Node>>],
-    n_bins: usize,
+    stack: &LayerStack<Node>,
     terminal_ti: usize,
     terminal: Node,
-    speeds_idx: &mut Vec<usize>,
-    times: &mut Vec<f64>,
-) -> Result<()> {
+) -> Result<(Vec<usize>, Vec<f64>)> {
     let n_stations = ctx.stations.len();
-    speeds_idx.clear();
-    speeds_idx.resize(n_stations, 0);
-    times.clear();
-    times.resize(n_stations, 0.0);
+    let mut speeds_idx = vec![0; n_stations];
+    let mut times = vec![0.0; n_stations];
     let mut vi = 0usize;
     let mut ti = terminal_ti;
     times[n_stations - 1] = terminal.time;
     for i in (1..n_stations).rev() {
-        let node = layers[i][vi * n_bins + ti].ok_or_else(|| {
+        let node = stack.layer(i).get(vi, ti).ok_or_else(|| {
             Error::infeasible("backtrack lost its parent state (inconsistent DP layers)")
         })?;
         times[i] = node.time;
-        let pv = node.prev_v as usize;
-        let pt = node.prev_t as usize;
         speeds_idx[i] = vi;
-        vi = pv;
-        ti = pt;
+        vi = node.prev_v as usize;
+        ti = node.prev_t as usize;
     }
     speeds_idx[0] = ctx.start_vi;
     times[0] = ctx.start_time;
-    Ok(())
+    Ok((speeds_idx, times))
 }
 
 /// Forward/backward reachability over `(station, speed)` rows: a row is
@@ -1127,50 +1008,7 @@ impl DpOptimizer {
         start: StartState,
         arena: &mut SolverArena,
     ) -> Result<OptimizedProfile> {
-        let _solve_span = telemetry::span("dp.optimize_seconds");
-        let setup_started = Instant::now();
-        let prep = self.prepare(road, signals, start)?;
-        let SolverArena {
-            exact,
-            exact_dirty,
-            greedy,
-            speeds_idx,
-            times,
-            transitions,
-            bounds,
-            repair,
-        } = arena;
-        // A direct solve clobbers the layer pools, so any retained repair
-        // state no longer describes their contents.
-        *repair = None;
-        let (owned_tables, memo_ids, mut metrics) =
-            self.resolve_tables(&prep, transitions, setup_started);
-        let tables: Vec<&CostTable> = if self.config.memo {
-            memo_ids.iter().map(|&id| transitions.table(id)).collect()
-        } else {
-            owned_tables.iter().collect()
-        };
-        let ctx = prep.ctx(&tables);
-        let result = match self.config.time_handling {
-            TimeHandling::Exact => self.solve_exact(
-                &ctx,
-                exact,
-                exact_dirty,
-                greedy,
-                speeds_idx,
-                times,
-                bounds,
-                &mut metrics,
-            ),
-            TimeHandling::Greedy => {
-                self.solve_greedy(&ctx, greedy, speeds_idx, times, &mut metrics)
-            }
-        };
-        match &result {
-            Ok(profile) => profile.metrics.publish(),
-            Err(_) => telemetry::add("dp.failed_solves", 1),
-        }
-        result
+        self.solve(road, signals, start, arena, false)
     }
 
     /// Validates the start state and builds the road-and-start-dependent
@@ -1187,10 +1025,12 @@ impl DpOptimizer {
                 "start position must lie strictly inside the corridor",
             ));
         }
-        if start.speed.value() < 0.0 {
-            return Err(Error::invalid_input("start speed must be non-negative"));
+        if !(start.speed.value() >= 0.0 && start.speed.value().is_finite()) {
+            return Err(Error::invalid_input(
+                "start speed must be finite and non-negative",
+            ));
         }
-        if start.time.value() < 0.0 || start.time >= self.config.horizon {
+        if !(start.time.value() >= 0.0 && start.time < self.config.horizon) {
             return Err(Error::invalid_input(
                 "start time must be within [0, horizon)",
             ));
@@ -1316,31 +1156,28 @@ impl DpOptimizer {
     }
 
     /// Resolves every segment's V×V transition-cost table against the
-    /// arena memo cache (or builds them outright when memoization is off)
-    /// and seeds the solve metrics with the setup accounting. Exactly one
-    /// of the returned vectors is non-empty: memo class ids when
-    /// `config.memo`, owned tables otherwise — the caller assembles the
-    /// `&CostTable` slice from whichever applies, keeping the borrows on
-    /// its own stack frame.
-    fn resolve_tables(
+    /// arena memo cache (or builds them into `owned` when memoization is
+    /// off) and seeds the solve metrics with the setup accounting.
+    fn resolve_tables<'t>(
         &self,
         prep: &Prepared<'_>,
-        transitions: &mut TransitionTable,
+        transitions: &'t mut TransitionTable,
+        owned: &'t mut Vec<CostTable>,
         setup_started: Instant,
-    ) -> (Vec<CostTable>, Vec<usize>, SolverMetrics) {
+    ) -> (Vec<&'t CostTable>, SolverMetrics) {
         transitions.reconcile(prep.table_sig);
         let mut stats = MemoStats::default();
-        let mut owned_tables = Vec::new();
-        let mut memo_ids = Vec::new();
-        if self.config.memo {
-            memo_ids = prep
+        let tables = if self.config.memo {
+            let ids: Vec<usize> = prep
                 .classes
                 .iter()
                 .zip(&prep.grids)
                 .map(|(key, spec)| transitions.class_for(*key, &self.energy, spec, &mut stats))
                 .collect();
+            let transitions: &'t TransitionTable = transitions;
+            ids.iter().map(|&id| transitions.table(id)).collect()
         } else {
-            owned_tables = prep
+            *owned = prep
                 .grids
                 .iter()
                 .map(|spec| {
@@ -1350,7 +1187,9 @@ impl DpOptimizer {
                     table
                 })
                 .collect();
-        }
+            let owned: &'t Vec<CostTable> = owned;
+            owned.iter().collect()
+        };
         let metrics = SolverMetrics {
             setup_seconds: setup_started.elapsed().as_secs_f64(),
             memo_hits: stats.hits,
@@ -1358,7 +1197,7 @@ impl DpOptimizer {
             energy_evals: stats.energy_evals,
             ..SolverMetrics::default()
         };
-        (owned_tables, memo_ids, metrics)
+        (tables, metrics)
     }
 
     /// A window-only re-solve through the arena's retained repair state:
@@ -1374,8 +1213,8 @@ impl DpOptimizer {
     /// falls back to a full retention solve
     /// ([`SolverMetrics::repair_full_resolves`]), which re-arms the
     /// repair state for the next refresh. Greedy time handling has no
-    /// layer stack worth retaining and delegates to `optimize_from_with`
-    /// unchanged.
+    /// layer stack worth retaining and solves as `optimize_from_with`
+    /// does.
     ///
     /// # Errors
     ///
@@ -1387,48 +1226,7 @@ impl DpOptimizer {
         start: StartState,
         arena: &mut SolverArena,
     ) -> Result<OptimizedProfile> {
-        if self.config.time_handling == TimeHandling::Greedy {
-            return self.optimize_from_with(road, signals, start, arena);
-        }
-        let _solve_span = telemetry::span("dp.optimize_seconds");
-        let setup_started = Instant::now();
-        let prep = self.prepare(road, signals, start)?;
-        let SolverArena {
-            exact,
-            exact_dirty,
-            greedy,
-            speeds_idx,
-            times,
-            transitions,
-            bounds,
-            repair,
-        } = arena;
-        let (owned_tables, memo_ids, mut metrics) =
-            self.resolve_tables(&prep, transitions, setup_started);
-        let tables: Vec<&CostTable> = if self.config.memo {
-            memo_ids.iter().map(|&id| transitions.table(id)).collect()
-        } else {
-            owned_tables.iter().collect()
-        };
-        let sig = refresh_signature(&self.config, &prep);
-        let ctx = prep.ctx(&tables);
-        let result = self.solve_exact_refresh(
-            &ctx,
-            exact,
-            exact_dirty,
-            greedy,
-            speeds_idx,
-            times,
-            bounds,
-            &mut metrics,
-            repair,
-            sig,
-        );
-        match &result {
-            Ok(profile) => profile.metrics.publish(),
-            Err(_) => telemetry::add("dp.failed_solves", 1),
-        }
-        result
+        self.solve(road, signals, start, arena, true)
     }
 
     /// Certified lower bounds on any full traversal of `road` from the
@@ -1464,16 +1262,9 @@ impl DpOptimizer {
     pub fn edge_bound_with(&self, road: &Road, arena: &mut SolverArena) -> Result<EdgeBound> {
         let setup_started = Instant::now();
         let prep = self.prepare(road, &[], StartState::default())?;
-        let (owned_tables, memo_ids, _metrics) =
-            self.resolve_tables(&prep, &mut arena.transitions, setup_started);
-        let tables: Vec<&CostTable> = if self.config.memo {
-            memo_ids
-                .iter()
-                .map(|&id| arena.transitions.table(id))
-                .collect()
-        } else {
-            owned_tables.iter().collect()
-        };
+        let mut owned = Vec::new();
+        let (tables, _) =
+            self.resolve_tables(&prep, &mut arena.transitions, &mut owned, setup_started);
         // Energy-only cost-to-go, the sweep `window_bounds` runs — the
         // profile must terminate at rest (`v = 0`).
         let energy_floor = energy_to_go(&tables, prep.n_speeds)[0][prep.start_vi];
@@ -1500,259 +1291,124 @@ impl DpOptimizer {
         self.edge_bound_with(road, &mut arena)
     }
 
-    /// Exact-mode refresh dispatch: try, in order, a zero-diff cache hit,
-    /// an incremental dirty-suffix repair, and the full retention solve.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_exact_refresh(
+    /// The one solve behind [`optimize_from_with`](Self::optimize_from_with)
+    /// and [`optimize_windows_refresh`](Self::optimize_windows_refresh)
+    /// (`refresh`): Greedy, or one Exact ladder. A refresh first tries the
+    /// retained sweep ([`reuse`](Self::reuse): zero-diff, then suffix
+    /// repair) and retains the full ladder it falls back to; a direct solve
+    /// runs the full ladder alone and drops any retained state, since it
+    /// rewrites the stack.
+    fn solve(
         &self,
-        ctx: &SolveCtx<'_>,
-        exact_pool: &mut LayerPool<Option<Node>>,
-        exact_dirty: &mut Option<DirtyLog>,
-        greedy_pool: &mut LayerPool<Option<GNode>>,
-        speeds_idx: &mut Vec<usize>,
-        times: &mut Vec<f64>,
-        bounds_memo: &mut BoundsMemo,
-        metrics: &mut SolverMetrics,
-        repair: &mut Option<RepairState>,
-        sig: u64,
+        road: &Road,
+        signals: &[SignalConstraint],
+        start: StartState,
+        arena: &mut SolverArena,
+        refresh: bool,
     ) -> Result<OptimizedProfile> {
-        let n_stations = ctx.stations.len();
-        let n_bins = (self.config.horizon.value() / self.config.dt_bin.value()).ceil() as usize + 1;
-        let new_windows: Vec<Option<Vec<TimeWindow>>> = ctx
-            .station_windows
-            .iter()
-            .map(|o| o.map(|sc| sc.windows.clone()))
-            .collect();
-        if let Some(state) = repair.as_mut() {
-            if state.signature == sig && state.n_bins == n_bins && state.windows.len() == n_stations
-            {
-                match (0..n_stations).find(|&i| state.windows[i] != new_windows[i]) {
-                    None => {
-                        // Nothing moved: the retained profile *is* the
-                        // answer (it was certified bit-identical to a
-                        // from-scratch solve under these exact windows).
-                        metrics.rows_skipped = state.rows_skipped;
-                        metrics.repair_hits += 1;
-                        metrics.repair_layers_skipped += (n_stations - 1) as u64;
-                        let mut profile = state.profile.clone();
-                        profile.metrics = *metrics;
-                        return Ok(profile);
-                    }
-                    // Station 0 sits behind the start and never carries a
-                    // window, so a dirty index is ≥ 1 in practice — which
-                    // is also what the resume needs (layer 0 is the seed).
-                    Some(d) if d >= 1 => {
-                        if let Some(profile) = self.try_repair(
-                            ctx,
-                            exact_pool,
-                            exact_dirty,
-                            speeds_idx,
-                            times,
-                            metrics,
-                            state,
-                            &new_windows,
-                            d,
-                            n_bins,
-                        ) {
-                            return Ok(profile);
-                        }
-                    }
-                    Some(_) => {}
-                }
+        let _solve_span = telemetry::span("dp.optimize_seconds");
+        let setup_started = Instant::now();
+        let prep = self.prepare(road, signals, start)?;
+        let mut owned = Vec::new();
+        let (tables, mut metrics) =
+            self.resolve_tables(&prep, &mut arena.transitions, &mut owned, setup_started);
+        let ctx = prep.ctx(&tables);
+        let result = 'solve: {
+            if self.config.time_handling == TimeHandling::Greedy {
+                arena.repair = None;
+                break 'solve self.solve_greedy(&ctx, &mut arena.greedy, &mut metrics);
             }
+            let mut retain = None;
+            if refresh {
+                let signature = refresh_signature(&self.config, &prep);
+                let windows: Vec<Option<Vec<TimeWindow>>> = ctx
+                    .station_windows
+                    .iter()
+                    .map(|o| o.map(|sc| sc.windows.clone()))
+                    .collect();
+                let retained = arena.repair.as_mut().filter(|state| {
+                    state.signature == signature && state.windows.len() == windows.len()
+                });
+                if let Some(profile) = retained.and_then(|state| {
+                    self.reuse(&ctx, &mut arena.exact, state, &windows, &mut metrics)
+                }) {
+                    break 'solve Ok(profile);
+                }
+                metrics.repair_full_resolves += 1;
+                retain = Some((signature, windows));
+            }
+            // The ladder rewrites the stack: no snapshot survives it, even
+            // when it fails.
+            arena.repair = None;
+            let solved = self.ladder(
+                &ctx,
+                &mut arena.exact,
+                &mut arena.greedy,
+                &mut arena.bounds,
+                refresh,
+                &mut metrics,
+            );
+            solved.map(|(profile, pruning)| {
+                if let Some((signature, windows)) = retain {
+                    arena.repair = Some(RepairState {
+                        signature,
+                        windows,
+                        pruning,
+                        profile: profile.clone(),
+                    });
+                }
+                profile
+            })
+        };
+        match &result {
+            Ok(profile) => profile.metrics.publish(),
+            Err(_) => telemetry::add("dp.failed_solves", 1),
         }
-        metrics.repair_full_resolves += 1;
-        self.solve_exact_retained(
-            ctx,
-            exact_pool,
-            exact_dirty,
-            greedy_pool,
-            speeds_idx,
-            times,
-            bounds_memo,
-            metrics,
-            repair,
-            sig,
-            new_windows,
-            n_bins,
-        )
+        result
     }
 
-    /// Attempts the incremental repair: resume the retained layer stack,
-    /// wipe and re-relax layers `d..` under the retained *window-free*
-    /// floors and certified limit, and re-verify the terminal against
-    /// that limit. Layers before `d` are exactly what a from-scratch
-    /// bounded sweep under the new windows would compute — they depend
-    /// only on windows at stations `< d` (unchanged, `d` is the first
-    /// diff) and on the floors/limit (window-independent) — so a passing
-    /// verification certifies the repaired profile bit-identical to a
-    /// from-scratch solve. Returns `None` whenever that proof does not go
-    /// through (resume shape mismatch, terminal over the limit, or no
-    /// terminal at all); the caller then runs the authoritative full
-    /// retention solve.
-    #[allow(clippy::too_many_arguments)]
-    fn try_repair(
+    /// Rungs 1 and 2 of a refresh, through the retained sweep `state`: its
+    /// profile as-is when no window moved, else a suffix repair that keeps
+    /// the stack's layers before the first station whose windows differ
+    /// and re-relaxes the rest under the retained floors and limit. The
+    /// kept layers are what a from-scratch sweep under the new windows
+    /// computes — they depend only on windows at earlier stations and on
+    /// the window-independent floors — so a repair that certifies is
+    /// bit-identical to a from-scratch solve. `None` when it does not
+    /// certify; the caller then runs the full ladder.
+    fn reuse(
         &self,
         ctx: &SolveCtx<'_>,
-        exact_pool: &mut LayerPool<Option<Node>>,
-        exact_dirty: &mut Option<DirtyLog>,
-        speeds_idx: &mut Vec<usize>,
-        times: &mut Vec<f64>,
-        metrics: &mut SolverMetrics,
+        stack: &mut LayerStack<Node>,
         state: &mut RepairState,
-        new_windows: &[Option<Vec<TimeWindow>>],
-        d: usize,
-        n_bins: usize,
-    ) -> Option<OptimizedProfile> {
-        let relax_started = Instant::now();
-        let n_stations = ctx.stations.len();
-        let use_simd = simd::dispatch(self.config.simd);
-        let layers = exact_pool.resume_layers(n_stations, ctx.n_speeds * n_bins)?;
-        // Wipe the dirty suffix. The vectorized path clears only the
-        // logged spans (see [`DirtyLog`]); a missing or reshaped log
-        // degrades to `all_dirty`, making the sparse clear a full one.
-        if !exact_dirty
-            .as_ref()
-            .is_some_and(|log| log.covers(n_stations, ctx.n_speeds, n_bins))
-        {
-            *exact_dirty = Some(DirtyLog::all_dirty(n_stations, ctx.n_speeds, n_bins));
-        }
-        let dirty_log = exact_dirty.as_mut().expect("installed just above");
-        for (layer, rows) in layers[d..]
-            .iter_mut()
-            .zip(dirty_log.spans[d..n_stations].iter_mut())
-        {
-            if use_simd {
-                for (vi, span) in rows.iter_mut().enumerate() {
-                    if let Some((lo, hi)) = span.take() {
-                        layer[vi * n_bins + lo as usize..=vi * n_bins + hi as usize].fill(None);
-                    }
-                }
-            } else {
-                layer.fill(None);
-                rows.fill(None);
-            }
-        }
-        metrics.rows_skipped = state.rows_skipped;
-        let mut span_log = state.spans.clone();
-        span_log.truncate(d);
-        self.relax_exact_layers(
-            ctx,
-            layers,
-            d,
-            state.spans[d - 1].clone(),
-            &state.live,
-            &state.b_free,
-            &state.bounds_free,
-            state.limit,
-            n_bins,
-            use_simd,
-            metrics,
-            dirty_log,
-            Some(&mut span_log),
-        );
-        let (ti, terminal) = exact_terminal(&layers[n_stations - 1], n_bins)?;
-        if let Some(limit) = state.limit {
-            // Same certification as a ladder rung: the repaired sweep is
-            // provably lossless only while its value stays under the
-            // retained limit.
-            if terminal.cost > limit {
-                return None;
-            }
-        }
-        metrics.relax_seconds = relax_started.elapsed().as_secs_f64();
-        let backtrack_started = Instant::now();
-        backtrack_exact(ctx, layers, n_bins, ti, terminal, speeds_idx, times).ok()?;
-        metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
-        metrics.repair_hits += 1;
-        metrics.repair_layers_skipped += (d - 1) as u64;
-        let profile = match self.assemble(ctx, speeds_idx, times, terminal.violations(), *metrics) {
-            Ok(profile) => profile,
-            Err(_) => {
-                metrics.repair_hits -= 1;
-                metrics.repair_layers_skipped -= (d - 1) as u64;
-                return None;
-            }
-        };
-        state.windows = new_windows.to_vec();
-        state.spans = span_log;
-        state.profile = profile.clone();
-        Some(profile)
-    }
-
-    /// A full Exact solve that *retains* its layer stack for later window
-    /// repairs: identical result to [`solve_exact`](Self::solve_exact),
-    /// except the pruning floors are computed window-free (`cost_to_go`
-    /// with no cone-dead stations, `window_bounds` against no windows) so
-    /// they stay admissible under any later window shift, the aspiration
-    /// ladder starts at correspondingly looser rungs, and the winning
-    /// rung's layer spans, floors, limit and profile are stored in the
-    /// arena as [`RepairState`].
-    #[allow(clippy::too_many_arguments)]
-    fn solve_exact_retained(
-        &self,
-        ctx: &SolveCtx<'_>,
-        exact_pool: &mut LayerPool<Option<Node>>,
-        exact_dirty: &mut Option<DirtyLog>,
-        greedy_pool: &mut LayerPool<Option<GNode>>,
-        speeds_idx: &mut Vec<usize>,
-        times: &mut Vec<f64>,
-        bounds_memo: &mut BoundsMemo,
+        windows: &[Option<Vec<TimeWindow>>],
         metrics: &mut SolverMetrics,
-        repair: &mut Option<RepairState>,
-        sig: u64,
-        new_windows: Vec<Option<Vec<TimeWindow>>>,
-        n_bins: usize,
-    ) -> Result<OptimizedProfile> {
-        // A failed solve must not leave a stale snapshot behind.
-        *repair = None;
-        let relax_started = Instant::now();
+    ) -> Option<OptimizedProfile> {
         let n_stations = ctx.stations.len();
-        let (live, rows_skipped) = reachability(ctx);
-        metrics.rows_skipped = rows_skipped;
-        if !live[0][ctx.start_vi] {
-            return Err(Error::infeasible("no kinematically feasible profile"));
-        }
-        let no_dead = vec![false; n_stations];
-        let b_free = self.cost_to_go(ctx, &live, &no_dead);
-        let none_windows: Vec<Option<&SignalConstraint>> = vec![None; n_stations];
-        let ctx_free = SolveCtx {
-            station_windows: &none_windows,
-            ..*ctx
+        metrics.rows_skipped = state.pruning.rows_skipped;
+        let (profile, skipped) = match (0..n_stations).find(|&i| state.windows[i] != windows[i]) {
+            // Nothing moved: the retained profile was certified
+            // bit-identical to a from-scratch solve under these windows.
+            None => (state.profile.clone(), n_stations - 1),
+            // Station 0 sits behind the start and never carries a window,
+            // so a changed station is ≥ 1 in practice, which is also what
+            // keeping the seed layer needs.
+            Some(d) if d >= 1 => {
+                let started = Instant::now();
+                let repaired = self.step(ctx, stack, d, &state.pruning, metrics, started);
+                let profile = repaired.ok().flatten()?;
+                state.windows = windows.to_vec();
+                state.profile = profile.clone();
+                (profile, d - 1)
+            }
+            Some(_) => return None,
         };
-        let bounds_free = self.window_bounds(&ctx_free, n_bins, bounds_memo);
-        let mut span_log: BinSpans = Vec::new();
-        let (profile, limit) = self.solve_exact_core(
-            ctx,
-            exact_pool,
-            exact_dirty,
-            greedy_pool,
-            speeds_idx,
-            times,
-            metrics,
-            &live,
-            &b_free,
-            &bounds_free,
-            // Window-free floors undercut window-forced waiting, so the
-            // tight 6/24 s rungs would rarely certify; start looser.
-            &[96.0, 384.0],
-            n_bins,
-            Some(&mut span_log),
-            relax_started,
-        )?;
-        *repair = Some(RepairState {
-            signature: sig,
-            windows: new_windows,
-            live,
-            rows_skipped,
-            b_free,
-            bounds_free,
-            spans: span_log,
-            limit,
-            profile: profile.clone(),
-            n_bins,
-        });
-        Ok(profile)
+        metrics.repair_hits += 1;
+        metrics.repair_layers_skipped += skipped as u64;
+        Some(OptimizedProfile {
+            metrics: *metrics,
+            ..profile
+        })
     }
 }
 
@@ -2078,20 +1734,29 @@ impl DpOptimizer {
         c
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn solve_exact(
+    /// Time bins of the Exact lattice: `[0, horizon]` in steps of `dt_bin`.
+    fn n_bins(&self) -> usize {
+        (self.config.horizon.value() / self.config.dt_bin.value()).ceil() as usize + 1
+    }
+
+    /// Rung 3, the full ladder: reachability and the pruning floors, then
+    /// one step per aspiration rung, tightest first, each on a freshly
+    /// seeded stack. A refresh prunes with window-free floors, which a
+    /// later window shift cannot invalidate; a direct solve with the
+    /// cone-dead floors. Returns the profile with the pruning it was
+    /// certified under.
+    fn ladder(
         &self,
         ctx: &SolveCtx<'_>,
-        exact_pool: &mut LayerPool<Option<Node>>,
-        exact_dirty: &mut Option<DirtyLog>,
+        stack: &mut LayerStack<Node>,
         greedy_pool: &mut LayerPool<Option<GNode>>,
-        speeds_idx: &mut Vec<usize>,
-        times: &mut Vec<f64>,
         bounds_memo: &mut BoundsMemo,
+        refresh: bool,
         metrics: &mut SolverMetrics,
-    ) -> Result<OptimizedProfile> {
+    ) -> Result<(OptimizedProfile, Pruning)> {
         let relax_started = Instant::now();
-        let n_bins = (self.config.horizon.value() / self.config.dt_bin.value()).ceil() as usize + 1;
+        let n_stations = ctx.stations.len();
+        let n_bins = self.n_bins();
 
         // Reachability masks (exact — see `reachability`). If the start row
         // cannot reach the terminal at all, no sweep can succeed.
@@ -2100,63 +1765,59 @@ impl DpOptimizer {
         if !live[0][ctx.start_vi] {
             return Err(Error::infeasible("no kinematically feasible profile"));
         }
-        let dead = self.cone_dead(ctx, &live);
-        let ctg = self.cost_to_go(ctx, &live, &dead);
-        let bounds = self.window_bounds(ctx, n_bins, bounds_memo);
-        self.solve_exact_core(
-            ctx,
-            exact_pool,
-            exact_dirty,
-            greedy_pool,
-            speeds_idx,
-            times,
-            metrics,
-            &live,
-            &ctg,
-            &bounds,
-            &[6.0, 24.0, 96.0, 384.0],
-            n_bins,
-            None,
-            relax_started,
-        )
-        .map(|(profile, _)| profile)
+        let (ctg, bounds, slacks): (_, _, &[f64]) = if refresh {
+            let ctg = self.cost_to_go(ctx, &live, &vec![false; n_stations]);
+            let none_windows = vec![None; n_stations];
+            let ctx_free = SolveCtx {
+                station_windows: &none_windows,
+                ..*ctx
+            };
+            let bounds = self.window_bounds(&ctx_free, n_bins, bounds_memo);
+            // Window-free floors undercut window-forced waiting, so the
+            // tight 6/24 s rungs would rarely certify; start looser.
+            (ctg, bounds, &[96.0, 384.0])
+        } else {
+            let dead = self.cone_dead(ctx, &live);
+            let ctg = self.cost_to_go(ctx, &live, &dead);
+            let bounds = self.window_bounds(ctx, n_bins, bounds_memo);
+            (ctg, bounds, &[6.0, 24.0, 96.0, 384.0])
+        };
+        let b0 = ctg[0][ctx.start_vi];
+        let mut pruning = Pruning {
+            live,
+            rows_skipped,
+            ctg,
+            bounds,
+            limit: None,
+        };
+        for limit in self.rungs(ctx, greedy_pool, b0, slacks, metrics) {
+            pruning.limit = limit;
+            if let Some(profile) = self.step(ctx, stack, 0, &pruning, metrics, relax_started)? {
+                return Ok((profile, pruning));
+            }
+        }
+        // The last rung is unbounded: it fails only for want of a terminal.
+        Err(Error::infeasible("no kinematically feasible profile"))
     }
 
-    /// The ladder-driven Exact sweep over caller-supplied masks and floor
-    /// tables. `slacks` parameterizes the optimistic aspiration rungs (a
-    /// window-refresh retention sweep uses looser ones, so its certified
-    /// limit survives window shifts); when `span_log` is given, the
-    /// *winning* rung's occupied-bin spans are recorded per layer (layer 0
-    /// first) so a later repair can resume relaxation mid-stack. Returns
-    /// the profile together with the rung it was certified under
-    /// (`None` = unbounded).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_exact_core(
+    /// The aspiration ladder: each rung is a candidate pruning limit,
+    /// tightest first. The first rungs are `b0` (the start's cost-to-go)
+    /// plus `time_weight` times each of `slacks`, capped by the Greedy
+    /// presolve's achievable-path cost; then that cost itself, then the
+    /// unbounded `None`.
+    fn rungs(
         &self,
         ctx: &SolveCtx<'_>,
-        exact_pool: &mut LayerPool<Option<Node>>,
-        exact_dirty: &mut Option<DirtyLog>,
         greedy_pool: &mut LayerPool<Option<GNode>>,
-        speeds_idx: &mut Vec<usize>,
-        times: &mut Vec<f64>,
-        metrics: &mut SolverMetrics,
-        live: &[Vec<bool>],
-        ctg: &[Vec<f64>],
-        bounds: &WindowBounds,
+        b0: f64,
         slacks: &[f64],
-        n_bins: usize,
-        mut span_log: Option<&mut BinSpans>,
-        relax_started: Instant,
-    ) -> Result<(OptimizedProfile, Option<f64>)> {
+        metrics: &mut SolverMetrics,
+    ) -> Vec<Option<f64>> {
         let n_stations = ctx.stations.len();
-        let n_speeds = ctx.n_speeds;
-        let dt_bin = self.config.dt_bin.value();
-        let use_simd = simd::dispatch(self.config.simd);
-
         // Presolve: the Greedy DP's terminal cost is an achievable-path
         // cost accumulated with bit-identical float expressions, so it
         // upper-bounds the candidate costs along *some* complete path.
-        let (glayers, glease) = greedy_pool.take_layers(n_stations, n_speeds, None);
+        let (glayers, glease) = greedy_pool.take_layers(n_stations, ctx.n_speeds, None);
         metrics.arena_reuse_hits += glease.reuse_hits;
         metrics.arena_allocations += glease.allocations;
         self.relax_greedy(ctx, glayers).add_to(metrics);
@@ -2165,15 +1826,11 @@ impl DpOptimizer {
         let greedy_ub =
             glayers[n_stations - 1][0].map(|node| node.cost + 1e-9 * node.cost.abs().max(1.0));
 
-        // Aspiration ladder: each rung is a candidate pruning limit,
-        // tightest first. The verification below certifies a passing
-        // rung bit-identical to the unbounded sweep *without* needing
-        // the limit to be achievable, so the first rungs can undercut
-        // the greedy path cost — crucial when the greedy presolve pays
-        // a window penalty and its bound degenerates to ~`penalty_m`.
-        // A failing rung costs one (heavily pruned, therefore cheap)
-        // sweep; the ladder always ends in the unbounded `None`.
-        let b0 = ctg[0][ctx.start_vi];
+        // A rung is certified by the step's verification *without* needing
+        // the limit to be achievable, so the first rungs can undercut the
+        // greedy path cost — crucial when the greedy presolve pays a window
+        // penalty and its bound degenerates to ~`penalty_m`. A failing rung
+        // costs one (heavily pruned, therefore cheap) sweep.
         let tw = self.config.time_weight;
         let mut ladder: Vec<Option<f64>> = Vec::new();
         if b0.is_finite() && tw > 0.0 {
@@ -2188,133 +1845,103 @@ impl DpOptimizer {
         ladder.push(greedy_ub);
         ladder.push(None);
         ladder.dedup();
+        ladder
+    }
 
-        // Bounded sweeps, verified; fall back down the ladder (ending
-        // unbounded) if time-bin merging pushed the DP value past the
-        // rung (rare — see the module docs).
-        for use_bound in ladder {
-            let (layers, lease) = reset_exact_layers(
-                exact_pool,
-                exact_dirty,
-                use_simd,
-                n_stations,
-                n_speeds,
-                n_bins,
-            );
-            metrics.arena_reuse_hits += lease.reuse_hits;
-            metrics.arena_allocations += lease.allocations;
-            let dirty_log = exact_dirty
-                .as_mut()
-                .expect("reset_exact_layers installs a log");
-
-            let start_ti = ((ctx.start_time / dt_bin).round() as usize).min(n_bins - 1);
-            layers[0][ctx.start_vi * n_bins + start_ti] = Some(Node {
+    /// One step of the solve ladder: keep the stack's first `from` layers
+    /// (a rung passes 0 and reseeds the start state), relax the rest under
+    /// `pruning`, and verify the cheapest terminal against its limit. A
+    /// rung is certified only when the bounded sweep's value stays under
+    /// it; otherwise the rung undercut the optimum (or bin merging pushed
+    /// the DP value past the greedy path cost) and pruning is not provably
+    /// lossless. A certified step backtracks and assembles the profile;
+    /// `Ok(None)` means no terminal came in under the limit.
+    fn step(
+        &self,
+        ctx: &SolveCtx<'_>,
+        stack: &mut LayerStack<Node>,
+        from: usize,
+        pruning: &Pruning,
+        metrics: &mut SolverMetrics,
+        relax_started: Instant,
+    ) -> Result<Option<OptimizedProfile>> {
+        let n_stations = ctx.stations.len();
+        let reserved = stack.capacity();
+        if from == 0 {
+            let n_bins = self.n_bins();
+            stack.reset(n_stations, ctx.n_speeds, n_bins);
+            let start_ti =
+                ((ctx.start_time / self.config.dt_bin.value()).round() as usize).min(n_bins - 1);
+            let seed = Node {
                 cost: 0.0,
                 time: ctx.start_time,
                 prev_v: ctx.start_vi as u32,
                 prev_t: start_ti as u32,
                 violations_1: NonZeroU32::MIN,
-            });
-            dirty_log.merge(0, ctx.start_vi, start_ti as u32, start_ti as u32);
-            // Occupied time-bin span per source row, maintained layer to
-            // layer so the relax scans only bins that can hold a state.
-            let mut spans0: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
-            spans0[ctx.start_vi] = Some((start_ti as u32, start_ti as u32));
-            if let Some(log) = span_log.as_deref_mut() {
-                log.clear();
-                log.push(spans0.clone());
-            }
-            self.relax_exact_layers(
-                ctx,
-                layers,
-                1,
-                spans0,
-                live,
-                ctg,
-                bounds,
-                use_bound,
-                n_bins,
-                use_simd,
-                metrics,
-                dirty_log,
-                span_log.as_deref_mut(),
-            );
-
-            // Pick the cheapest terminal state at v = 0.
-            let best = exact_terminal(&layers[n_stations - 1], n_bins);
-            if let Some(limit) = use_bound {
-                // A rung is only certified when the bounded sweep's
-                // value stays under it; otherwise the rung undercut
-                // the optimum (or bin merging pushed the DP value past
-                // the greedy path cost) and pruning is not provably
-                // lossless — retry with the next, looser rung. The
-                // ladder ends in `None`, which always verifies.
-                if !matches!(best, Some((_, node)) if node.cost <= limit) {
-                    continue;
-                }
-            }
-            let (ti, terminal) =
-                best.ok_or_else(|| Error::infeasible("no kinematically feasible profile"))?;
-            metrics.relax_seconds = relax_started.elapsed().as_secs_f64();
-
-            let backtrack_started = Instant::now();
-            backtrack_exact(ctx, layers, n_bins, ti, terminal, speeds_idx, times)?;
-            metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
-
-            let profile = self.assemble(ctx, speeds_idx, times, terminal.violations(), *metrics)?;
-            return Ok((profile, use_bound));
+            };
+            stack.seed(ctx.start_vi, start_ti, seed);
+        } else {
+            stack.truncate(from);
         }
-        // The final rung is `None`, whose sweep is unbounded and always
-        // either returns a profile or fails with `infeasible` above.
-        unreachable!("the unbounded ladder rung always returns")
+        self.relax_exact(ctx, stack, pruning, metrics);
+        // One lease of the scratch layer and the stack per step: served
+        // from retained capacity, or grown.
+        let grew = u64::from(stack.capacity() > reserved);
+        metrics.arena_allocations += grew;
+        metrics.arena_reuse_hits += 1 - grew;
+        telemetry::add("arena.allocations", grew);
+        telemetry::add("arena.reuse_hits", 1 - grew);
+
+        let Some((ti, terminal)) = exact_terminal(stack.layer(n_stations - 1)) else {
+            return Ok(None);
+        };
+        if pruning.limit.is_some_and(|limit| terminal.cost > limit) {
+            return Ok(None);
+        }
+        metrics.relax_seconds = relax_started.elapsed().as_secs_f64();
+        let backtrack_started = Instant::now();
+        let (speeds_idx, times) = backtrack_exact(ctx, stack, ti, terminal)?;
+        metrics.backtrack_seconds = backtrack_started.elapsed().as_secs_f64();
+        let profile = self.assemble(ctx, &speeds_idx, &times, terminal.violations(), *metrics)?;
+        Ok(Some(profile))
     }
 
-    /// Relaxes Exact-mode layers `first..n_stations` in place, given the
-    /// occupied-bin spans of layer `first - 1`. This is the hot loop shared
-    /// by a full ladder sweep (`first == 1`) and an incremental window
-    /// repair, which resumes at the first dirty layer with the retained
-    /// spans. Appends each relaxed layer's spans to `span_log` when given.
-    #[allow(clippy::too_many_arguments)]
-    fn relax_exact_layers(
+    /// Relaxes the Exact layers past the stack's top: layer `i` reads layer
+    /// `i - 1`'s committed rows, is written into the scratch layer, and
+    /// commits the written span of every row. This is the hot loop of
+    /// every ladder step, a full sweep's and a repair's alike.
+    fn relax_exact(
         &self,
         ctx: &SolveCtx<'_>,
-        layers: &mut [Vec<Option<Node>>],
-        first: usize,
-        spans_first: Vec<Option<(u32, u32)>>,
-        live: &[Vec<bool>],
-        ctg: &[Vec<f64>],
-        bounds: &WindowBounds,
-        limit: Option<f64>,
-        n_bins: usize,
-        use_simd: bool,
+        stack: &mut LayerStack<Node>,
+        pruning: &Pruning,
         metrics: &mut SolverMetrics,
-        dirty: &mut DirtyLog,
-        mut span_log: Option<&mut BinSpans>,
     ) {
         let n_stations = ctx.stations.len();
         let n_speeds = ctx.n_speeds;
+        let n_bins = self.n_bins();
         let tw = self.config.time_weight;
+        let use_simd = simd::dispatch(self.config.simd);
         let mut c = RelaxCounters::default();
-        let mut spans_prev = spans_first;
-        for i in first..n_stations {
+        // Written time-bin span per target row of the layer being relaxed.
+        let mut spans: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
+        for i in stack.layers()..n_stations {
             let table = ctx.tables[i - 1];
             let ds = ctx.layer_ds[i - 1];
-            let (done, rest) = layers.split_at_mut(i);
-            let prev_layer: &[Option<Node>] = &done[i - 1];
-            let layer: &mut [Option<Node>] = &mut rest[0];
             let env = RelaxEnv {
                 horizon: self.config.horizon.value(),
                 dt_bin: self.config.dt_bin.value(),
                 dwell: ctx.dwell[i],
                 penalty_m: self.config.penalty_m,
-                limit,
+                limit: pruning.limit,
                 window: ctx.station_windows[i],
-                live: &live[i],
-                ctg: &ctg[i],
-                emin: &bounds.emin[i],
-                wait: &bounds.wait[i],
+                live: &pruning.live[i],
+                ctg: &pruning.ctg[i],
+                emin: &pruning.bounds.emin[i],
+                wait: &pruning.bounds.wait[i],
             };
-            let mut spans_next: Vec<Option<(u32, u32)>> = vec![None; n_speeds];
+            spans.fill(None);
+            let (prev, layer) = stack.relax_view();
 
             // Source-speed-outer over SoA cost rows: each group of up to
             // MR source states (one vi, ti ascending) is relaxed over
@@ -2323,10 +1950,11 @@ impl DpOptimizer {
             // same winner under either kernel dispatch.
             let mut srcs = [simd::TileSrc::default(); simd::MR];
             let mut metas = [(0u32, NonZeroU32::MIN); simd::MR];
-            for (vi, span) in spans_prev.iter().enumerate() {
-                let Some((ti_lo, ti_hi)) = *span else {
+            for vi in 0..n_speeds {
+                let (ti_first, run) = prev.row(vi);
+                if run.is_empty() {
                     continue;
-                };
+                }
                 // The feasible target band from the acceleration bounds
                 // (the same float expressions in memoized and direct
                 // solves, via the snapped length).
@@ -2344,36 +1972,25 @@ impl DpOptimizer {
                 // Table-infeasible (vi, vj) pairs prune once per pair,
                 // exactly like the old loop's per-pair `table.get` miss.
                 for (k, d) in dur_row.iter().enumerate() {
-                    if live[i][lo + k] && d.is_nan() {
+                    if env.live[lo + k] && d.is_nan() {
                         c.pruned += 1;
                     }
                 }
                 let mut m = 0usize;
-                for ti in ti_lo as usize..=ti_hi as usize {
-                    let Some(node) = prev_layer[vi * n_bins + ti] else {
+                for (k, slot) in run.iter().enumerate() {
+                    let Some(node) = *slot else {
                         continue;
                     };
                     srcs[m] = simd::TileSrc {
                         cost: node.cost,
                         time: node.time,
                     };
-                    metas[m] = (ti as u32, node.violations_1);
+                    metas[m] = ((ti_first + k) as u32, node.violations_1);
                     m += 1;
                     if m == simd::MR {
                         relax_exact_group(
-                            use_simd,
-                            tw,
-                            vi as u32,
-                            charge_row,
-                            dur_row,
-                            &srcs,
-                            &metas,
-                            lo,
-                            n_bins,
-                            &env,
-                            layer,
-                            &mut spans_next,
-                            &mut c,
+                            use_simd, tw, vi as u32, charge_row, dur_row, &srcs, &metas, lo,
+                            n_bins, &env, layer, &mut spans, &mut c,
                         );
                         m = 0;
                     }
@@ -2391,20 +2008,12 @@ impl DpOptimizer {
                         n_bins,
                         &env,
                         layer,
-                        &mut spans_next,
+                        &mut spans,
                         &mut c,
                     );
                 }
             }
-            for (vj, span) in spans_next.iter().enumerate() {
-                if let Some((s_lo, s_hi)) = *span {
-                    dirty.merge(i, vj, s_lo, s_hi);
-                }
-            }
-            spans_prev = spans_next;
-            if let Some(log) = span_log.as_deref_mut() {
-                log.push(spans_prev.clone());
-            }
+            stack.commit(&spans);
         }
         c.add_to(metrics);
     }
@@ -2413,8 +2022,6 @@ impl DpOptimizer {
         &self,
         ctx: &SolveCtx<'_>,
         greedy_pool: &mut LayerPool<Option<GNode>>,
-        speeds_idx: &mut Vec<usize>,
-        times: &mut Vec<f64>,
         metrics: &mut SolverMetrics,
     ) -> Result<OptimizedProfile> {
         let relax_started = Instant::now();
@@ -2430,10 +2037,8 @@ impl DpOptimizer {
         let backtrack_started = Instant::now();
         let terminal = layers[n_stations - 1][0]
             .ok_or_else(|| Error::infeasible("no kinematically feasible profile"))?;
-        speeds_idx.clear();
-        speeds_idx.resize(n_stations, 0);
-        times.clear();
-        times.resize(n_stations, 0.0);
+        let mut speeds_idx = vec![0; n_stations];
+        let mut times = vec![0.0; n_stations];
         let mut vi = 0usize;
         times[n_stations - 1] = terminal.time;
         for i in (1..n_stations).rev() {
@@ -2450,8 +2055,8 @@ impl DpOptimizer {
 
         self.assemble(
             ctx,
-            speeds_idx,
-            times,
+            &speeds_idx,
+            &times,
             terminal.violations as usize,
             *metrics,
         )
@@ -2904,7 +2509,7 @@ mod tests {
         assert!(bitwise_equal(&cached, &repaired));
     }
 
-    /// A direct solve through the same arena clobbers the layer pools, so
+    /// A direct solve through the same arena rewrites the Exact stack, so
     /// the next refresh must fall back to a full retention solve rather
     /// than repairing against foreign layer contents.
     #[test]
@@ -2925,6 +2530,59 @@ mod tests {
         assert_eq!(after.metrics.repair_full_resolves, 1);
         assert_eq!(after.metrics.repair_hits, 0);
         assert!(bitwise_equal(&first, &after));
+    }
+
+    /// The Exact stack keeps exactly what the winning sweep wrote. On the
+    /// US-25 green-only trip from rest, the winning rung wrote 15,877 of
+    /// the 211 × 20 × 901 lattice's 3,802,220 slots, in 1,768 of its 4,220
+    /// rows, and the scratch layer ends clean; a second solve on the same
+    /// arena holds the same and plans the same bits.
+    #[test]
+    fn exact_stack_holds_what_the_sweep_wrote() {
+        let road = Road::us25();
+        let signals = crate::windows::green_only_constraints(&road, DpConfig::default().horizon);
+        let opt = optimizer();
+        let mut arena = SolverArena::new();
+        let start = StartState::default();
+        let first = opt
+            .optimize_from_with(&road, &signals, start, &mut arena)
+            .unwrap();
+        let held = |arena: &SolverArena| (arena.exact.held(), arena.exact.occupied_rows());
+        assert_eq!(held(&arena), (15_877, 1_768));
+        assert!(arena.exact.scratch_is_clear());
+        let second = opt
+            .optimize_from_with(&road, &signals, start, &mut arena)
+            .unwrap();
+        assert_eq!(held(&arena), (15_877, 1_768));
+        assert!(arena.exact.scratch_is_clear());
+        assert!(bitwise_equal(&first, &second));
+    }
+
+    /// A start state the clock or the speed grid cannot hold is refused,
+    /// not planned: a NaN passes every `< 0` and `>= horizon` test, and a
+    /// NaN or infinite speed would snap to a speed cell.
+    #[test]
+    fn non_finite_start_states_are_refused() {
+        let road = simple_road(800.0);
+        let opt = optimizer();
+        let at = |time: f64, speed: f64| StartState {
+            position: Meters::new(100.0),
+            speed: MetersPerSecond::new(speed),
+            time: Seconds::new(time),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for start in [at(bad, 10.0), at(10.0, bad)] {
+                let mut arena = SolverArena::new();
+                let direct = opt.optimize_from_with(&road, &[], start, &mut arena);
+                let refresh = opt.optimize_windows_refresh(&road, &[], start, &mut arena);
+                for got in [direct, refresh] {
+                    assert!(
+                        matches!(got, Err(Error::InvalidInput(_))),
+                        "{start:?}: {got:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// The tentpole exactness claim: replacing per-candidate energy-model

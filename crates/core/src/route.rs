@@ -498,8 +498,10 @@ impl Router {
                 "origin equals destination; nothing to route",
             ));
         }
-        if query.depart.value() < 0.0 {
-            return Err(Error::invalid_input("departure time must be non-negative"));
+        if !(query.depart.value() >= 0.0 && query.depart.value().is_finite()) {
+            return Err(Error::invalid_input(
+                "departure time must be finite and non-negative",
+            ));
         }
         let mut metrics = RouteMetrics::default();
         let tw = self.optimizer.config().time_weight;

@@ -170,9 +170,15 @@ impl TrafficLight {
     ) {
         windows.clear();
         let end = from + horizon;
-        // Start scanning from the cycle containing `from`.
+        // Start scanning from the cycle containing `from`, for at most the
+        // whole cycles the span holds: once a cycle is under half an ulp of
+        // the clock, `cycle_start += cycle` stops advancing.
         let mut cycle_start = self.cycle_start_at(from);
-        while cycle_start < end {
+        let cycles = ((end - cycle_start).value() / self.cycle().value()).ceil() as u64 + 1;
+        for _ in 0..cycles {
+            if cycle_start >= end {
+                break;
+            }
             let g0 = cycle_start + self.red;
             let g1 = cycle_start + self.cycle();
             let clipped = (g0.max(from), g1.min(end));
@@ -286,6 +292,28 @@ mod tests {
         // An empty horizon clears the buffer instead of appending.
         l.green_windows_into(Seconds::ZERO, Seconds::ZERO, &mut buf);
         assert!(buf.is_empty());
+    }
+
+    /// At a clock so large that a cycle is under half an ulp, stepping
+    /// `cycle_start += cycle` stops advancing; the scan must still end,
+    /// with every window inside `[from, from + horizon]`.
+    #[test]
+    fn green_windows_end_where_the_clock_cannot_hold_a_cycle() {
+        let (from, horizon) = (Seconds::new(1e18), Seconds::new(900.0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut windows = Vec::new();
+            light(7.0).green_windows_into(from, horizon, &mut windows);
+            let _ = tx.send(windows);
+        });
+        let windows = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("green_windows_into did not return");
+        let end = from + horizon;
+        assert!(
+            windows.iter().all(|&(a, b)| from <= a && a < b && b <= end),
+            "{windows:?}"
+        );
     }
 
     #[test]
