@@ -100,8 +100,11 @@ pub(crate) fn check_lattice(road: &Road, config: &DpConfig) -> Result<()> {
         return Err(Error::invalid_input("speed limits must be finite"));
     }
     // Upper bounds of the station, speed and bin counts `DpOptimizer`
-    // derives, computed in floating point so no count can overflow.
-    let stations = (length / config.ds.value()).ceil() + 1.0;
+    // derives, computed in floating point so no count can overflow. Besides
+    // the grid, a solve adds at most one station between each two
+    // consecutive rest stops: origin, stop signs, destination.
+    let rest_pairs = road.stop_signs().len() as f64 + 1.0;
+    let stations = (length / config.ds.value()).ceil() + 1.0 + rest_pairs;
     let speeds = (road.max_speed_limit().value() / config.dv.value())
         .floor()
         .max(0.0)
@@ -327,6 +330,19 @@ mod tests {
         check_lattice(&twice, &config).unwrap();
         let longest = trip_on(1, (6000.0, 6000.0), 4.0);
         assert!(check_lattice(&longest.road, &config).is_ok());
+        // The stations a solve may add between rest stops count: 441 grid
+        // segments and one added station fit, one sign more does not.
+        let signed = |signs: &[f64]| {
+            let mut builder = RoadBuilder::new(Meters::new(8820.0));
+            builder.default_limits(MetersPerSecond::new(5.0), us25.max_speed_limit());
+            for &x in signs {
+                builder.stop_sign(Meters::new(x));
+            }
+            builder.build().unwrap()
+        };
+        check_lattice(&signed(&[]), &config).unwrap();
+        let err = check_lattice(&signed(&[4000.0]), &config).unwrap_err();
+        assert!(err.to_string().contains("budget"), "{err}");
 
         let road = |length: f64, hi: f64| {
             RoadBuilder::new(Meters::new(length))

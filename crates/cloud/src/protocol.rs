@@ -11,7 +11,7 @@ use velopt_common::units::{Meters, MetersPerSecond, MetersPerSecondSq, Seconds, 
 use velopt_common::{Error, Result};
 use velopt_core::dp::OptimizedProfile;
 use velopt_core::metrics::SolverMetrics;
-use velopt_core::route::RoutePlan;
+use velopt_core::route::{check_departure, RoutePlan};
 use velopt_queue::QueueParams;
 use velopt_road::{EdgeId, NodeId, Road, RoadBuilder, RoadGraph, SpeedZone};
 
@@ -611,7 +611,9 @@ impl RouteNetRequest {
     ///
     /// Returns [`Error::InvalidInput`] when counts exceed the protocol
     /// ceilings, an edge endpoint or query junction is out of range,
-    /// `origin == dest`, or the departure is negative.
+    /// `origin == dest`, or the departure is one
+    /// [`check_departure`] refuses (NaN, negative, or at or past
+    /// [`MAX_DEPARTURE_S`](velopt_core::route::MAX_DEPARTURE_S)).
     pub fn validated(&self) -> Result<()> {
         if self.nodes < 2 || self.nodes as usize > MAX_ROUTE_NODES {
             return Err(Error::invalid_input(format!(
@@ -639,12 +641,7 @@ impl RouteNetRequest {
         if self.origin == self.dest {
             return Err(Error::invalid_input("origin and destination coincide"));
         }
-        if !(self.depart.value() >= 0.0 && self.depart.value().is_finite()) {
-            return Err(Error::invalid_input(
-                "departure must be finite and non-negative",
-            ));
-        }
-        Ok(())
+        check_departure(self.depart)
     }
 
     /// Validates and rebuilds the [`RoadGraph`] this request describes.

@@ -17,6 +17,7 @@ use velopt_cloud::protocol::{
 };
 use velopt_cloud::{CloudClient, CloudServer, ServerConfig};
 use velopt_common::units::{Seconds, VehiclesPerHour};
+use velopt_core::route::MAX_DEPARTURE_S;
 use velopt_road::{CorridorTemplate, NetworkTemplate, NodeId};
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -446,6 +447,40 @@ fn nan_departures_get_error_frames_and_the_connection_serves_on() {
     );
     assert_eq!(tag, tags::RESP_PROFILE);
     assert!(departs_at(&payload, 30.0));
+    assert_eq!(server.stats().error_responses(), 2);
+    server.shutdown();
+}
+
+/// A finite departure far out on the clock, where a signal cycle is a few
+/// ulps, was planned against distorted windows (a route at 1e17 s paid a
+/// window violation). It is refused with a framed error naming the bound,
+/// and the same connection then plans a route departing just under it.
+#[test]
+fn far_future_route_departures_get_error_frames_and_the_connection_serves_on() {
+    let server = CloudServer::spawn(1).unwrap();
+    let graph = NetworkTemplate {
+        rows: 2,
+        cols: 2,
+        ..NetworkTemplate::default()
+    }
+    .generate(5)
+    .unwrap();
+    let route = |depart: f64| {
+        RouteNetRequest::from_graph(&graph, NodeId(0), NodeId(3), Seconds::new(depart)).encode()
+    };
+    let mut stream = connect(server.addr());
+    for depart in [1e17, MAX_DEPARTURE_S] {
+        let (answer, message) = round_trip(&mut stream, tags::REQ_ROUTE, &route(depart));
+        let message = String::from_utf8_lossy(&message);
+        assert_eq!(
+            answer,
+            tags::RESP_ERROR,
+            "departing at {depart} s: {message}"
+        );
+        assert!(message.contains("MAX_DEPARTURE_S"), "{message}");
+    }
+    let (answer, _) = round_trip(&mut stream, tags::REQ_ROUTE, &route(MAX_DEPARTURE_S - 1.0));
+    assert_eq!(answer, tags::RESP_ROUTE);
     assert_eq!(server.stats().error_responses(), 2);
     server.shutdown();
 }

@@ -1035,8 +1035,7 @@ impl DpOptimizer {
                 "start time must be within [0, horizon)",
             ));
         }
-        let stations = build_stations_from(road, start.position, self.config.ds);
-        let n_stations = stations.len();
+        let grid = build_stations_from(road, start.position, self.config.ds);
         let v_max_global = road.max_speed_limit();
         let n_speeds = (v_max_global.value() / self.config.dv.value()).floor() as usize + 1;
         let start_vi =
@@ -1044,10 +1043,10 @@ impl DpOptimizer {
 
         // Mandatory stop stations: stop signs still ahead, the destination,
         // and — only when departing from rest at the origin — the source.
-        let mut must_stop = vec![false; n_stations];
+        let mut must_stop = vec![false; grid.len()];
         for stop in road.mandatory_stops() {
             if stop > start.position {
-                must_stop[nearest_index(&stations, stop)] = true;
+                must_stop[nearest_index(&grid, stop)] = true;
             }
         }
         if start.position == Meters::ZERO && start_vi == 0 {
@@ -1055,12 +1054,15 @@ impl DpOptimizer {
         }
 
         // Signal windows snapped to stations (only lights still ahead).
-        let mut station_windows: Vec<Option<&SignalConstraint>> = vec![None; n_stations];
+        let mut station_windows: Vec<Option<&SignalConstraint>> = vec![None; grid.len()];
         for sc in signals {
             if sc.position > start.position {
-                station_windows[nearest_index(&stations, sc.position)] = Some(sc);
+                station_windows[nearest_index(&grid, sc.position)] = Some(sc);
             }
         }
+        let (stations, must_stop, station_windows) =
+            split_rest_pairs(grid, must_stop, station_windows, start_vi == 0);
+        let n_stations = stations.len();
 
         // Minimum-speed lower bound (Eq. 7a). Near a mandatory stop the hard
         // bound `v >= v_min(s)` is physically impossible (the EV must launch
@@ -1413,50 +1415,57 @@ impl DpOptimizer {
 }
 
 impl DpOptimizer {
-    /// Stations whose every arrival window is provably unreachable: the
-    /// earliest possible arrival (a min-plus sweep of the duration tables
-    /// over live rows) already postdates each window's close, or the window
-    /// opens beyond the horizon. Every surviving path pays `M` there, so
-    /// the cost-to-go bound may charge it unconditionally.
+    /// Stations whose every arrival window is provably unreachable. Two
+    /// sweeps of the duration tables over live rows bound every arrival,
+    /// with the DP clock's association `(t + dur) + dwell`: a min-plus
+    /// sweep gives the earliest and a max-plus sweep the latest. A window
+    /// is unreachable when it closes before the earliest arrival, opens
+    /// after the latest, or opens beyond the horizon. Every surviving path
+    /// pays `M` at a station whose windows are all unreachable, so the
+    /// cost-to-go bound may charge it unconditionally.
     fn cone_dead(&self, ctx: &SolveCtx<'_>, live: &[Vec<bool>]) -> Vec<bool> {
         let n_stations = ctx.stations.len();
         let n = ctx.n_speeds;
         let horizon = self.config.horizon.value();
         let mut dead = vec![false; n_stations];
-        let mut tmin_prev = vec![f64::INFINITY; n];
-        tmin_prev[ctx.start_vi] = ctx.start_time;
+        // Per speed row, the earliest and latest arrival; `None` where no
+        // live path arrives.
+        let mut prev: Vec<Option<(f64, f64)>> = vec![None; n];
+        prev[ctx.start_vi] = Some((ctx.start_time, ctx.start_time));
+        let mut next = vec![None; n];
         for i in 1..n_stations {
             let table = ctx.tables[i - 1];
-            let mut tmin = vec![f64::INFINITY; n];
-            let mut global = f64::INFINITY;
-            for (u, slot) in tmin.iter_mut().enumerate() {
+            let (mut earliest, mut latest) = (f64::INFINITY, f64::NEG_INFINITY);
+            for (u, slot) in next.iter_mut().enumerate() {
+                *slot = None;
                 if !live[i][u] {
                     continue;
                 }
-                let mut best = f64::INFINITY;
-                for v in 0..n {
+                for (v, from) in prev.iter().enumerate() {
                     if !live[i - 1][v] && i > 1 {
                         continue;
                     }
-                    if tmin_prev[v].is_infinite() {
+                    let (Some((lo, hi)), Some((_, dur))) = (*from, table.get(v, u)) else {
                         continue;
-                    }
-                    if let Some((_, dur)) = table.get(v, u) {
-                        // Same association as the DP's arrival clock.
-                        let t = (tmin_prev[v] + dur) + ctx.dwell[i];
-                        best = best.min(t);
-                    }
+                    };
+                    // Same association as the DP's arrival clock.
+                    let (lo, hi) = ((lo + dur) + ctx.dwell[i], (hi + dur) + ctx.dwell[i]);
+                    *slot =
+                        Some(slot.map_or((lo, hi), |(a, b): (f64, f64)| (a.min(lo), b.max(hi))));
                 }
-                *slot = best;
-                global = global.min(best);
+                if let Some((lo, hi)) = *slot {
+                    earliest = earliest.min(lo);
+                    latest = latest.max(hi);
+                }
             }
             if let Some(sc) = ctx.station_windows[i] {
-                dead[i] = sc
-                    .windows
-                    .iter()
-                    .all(|w| w.end.value() <= global - CONE_SLACK || w.start.value() > horizon);
+                dead[i] = sc.windows.iter().all(|w| {
+                    w.end.value() <= earliest - CONE_SLACK
+                        || w.start.value() >= latest + CONE_SLACK
+                        || w.start.value() > horizon
+                });
             }
-            tmin_prev = tmin;
+            std::mem::swap(&mut prev, &mut next);
         }
         dead
     }
@@ -2095,6 +2104,47 @@ impl DpOptimizer {
     }
 }
 
+/// Stations on the Δs grid, with what each must satisfy: rest, and an
+/// arrival window.
+type Stations<'a> = (Vec<Meters>, Vec<bool>, Vec<Option<&'a SignalConstraint>>);
+
+/// Puts a midpoint station, with no stop and no window, between every two
+/// adjacent stations that must both be at rest (station 0 is at rest when
+/// the start is, `start_at_rest`): no constant acceleration takes a vehicle
+/// from rest to rest, so the segment between them has no finite duration.
+/// Stops and lights stay where they snapped on the grid, and stations with
+/// no such pair come back unchanged.
+fn split_rest_pairs(
+    stations: Vec<Meters>,
+    must_stop: Vec<bool>,
+    windows: Vec<Option<&SignalConstraint>>,
+    start_at_rest: bool,
+) -> Stations<'_> {
+    let at_rest = |i: usize| must_stop[i] || (i == 0 && start_at_rest);
+    let split = |i: usize| i > 0 && at_rest(i - 1) && at_rest(i);
+    let added = (0..stations.len()).filter(|&i| split(i)).count();
+    if added == 0 {
+        return (stations, must_stop, windows);
+    }
+    let n = stations.len() + added;
+    let (mut xs, mut stops, mut ws) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for (i, &x) in stations.iter().enumerate() {
+        if split(i) {
+            xs.push(stations[i - 1] + (x - stations[i - 1]) * 0.5);
+            stops.push(false);
+            ws.push(None);
+        }
+        xs.push(x);
+        stops.push(must_stop[i]);
+        ws.push(windows[i]);
+    }
+    (xs, stops, ws)
+}
+
 /// Builds the station grid from `from` in steps of Δs plus the exact road
 /// end. A regular station closer than Δs/2 to the end is dropped so the
 /// final segment is never degenerately short (a near-zero segment makes any
@@ -2213,6 +2263,75 @@ mod tests {
         assert_eq!(profile.speeds[idx], MetersPerSecond::ZERO);
     }
 
+    /// A 601 m road with 40–70 km/h limits and stop signs at `signs`.
+    fn signed_road(signs: &[f64]) -> Road {
+        let mut builder = RoadBuilder::new(Meters::new(601.0));
+        builder.default_limits(
+            KilometersPerHour::new(40.0).to_meters_per_second(),
+            KilometersPerHour::new(70.0).to_meters_per_second(),
+        );
+        for &x in signs {
+            builder.stop_sign(Meters::new(x));
+        }
+        builder.build().unwrap()
+    }
+
+    /// The planned speed at the station at `x`.
+    fn speed_at_station(profile: &OptimizedProfile, x: f64) -> f64 {
+        let i = profile
+            .stations
+            .iter()
+            .position(|s| (s.value() - x).abs() < 1e-9)
+            .unwrap_or_else(|| panic!("no station at {x}: {:?}", profile.stations));
+        profile.speeds[i].value()
+    }
+
+    /// Two adjacent stations that must both be at rest get a midpoint
+    /// station between them, so the trip plans instead of being refused:
+    /// a sign that snaps to the station after a start at rest (11–30 m,
+    /// where a 601 m trip departing at 19 s once read infeasible), a sign
+    /// 16 or 26 m before the road's end, two signs 20 m apart, and a replan
+    /// from rest 25 m before a sign. Each plan rests at both stations and
+    /// moves in between. Signs that snap elsewhere keep their stations.
+    #[test]
+    fn adjacent_rest_stations_plan_through_a_midpoint() {
+        let opt = optimizer();
+        let grid = build_stations_from(&signed_road(&[]), Meters::ZERO, Meters::new(20.0));
+        let rests = |profile: &OptimizedProfile, a: f64, b: f64| {
+            assert_eq!(speed_at_station(profile, a), 0.0, "at {a}");
+            assert_eq!(speed_at_station(profile, b), 0.0, "at {b}");
+            assert!(speed_at_station(profile, 0.5 * (a + b)) > 0.0);
+            assert_eq!(profile.stations.len(), grid.len() + 1);
+        };
+        for sign in 11..=30 {
+            let profile = opt.optimize(&signed_road(&[f64::from(sign)]), &[]).unwrap();
+            rests(&profile, 0.0, 20.0);
+        }
+        for sign in [601.0 - 16.0, 601.0 - 26.0] {
+            let profile = opt.optimize(&signed_road(&[sign]), &[]).unwrap();
+            rests(&profile, 580.0, 601.0);
+        }
+        let profile = opt.optimize(&signed_road(&[300.0, 320.0]), &[]).unwrap();
+        rests(&profile, 300.0, 320.0);
+        for sign in [9.0, 10.0, 31.0] {
+            let profile = opt.optimize(&signed_road(&[sign]), &[]).unwrap();
+            assert_eq!(profile.stations, grid, "sign at {sign}");
+        }
+
+        let start = StartState {
+            position: Meters::new(275.0),
+            speed: MetersPerSecond::ZERO,
+            time: Seconds::new(40.0),
+        };
+        let profile = opt
+            .optimize_from(&signed_road(&[300.0]), &[], start)
+            .unwrap();
+        assert_eq!(speed_at_station(&profile, 275.0), 0.0);
+        assert_eq!(speed_at_station(&profile, 295.0), 0.0);
+        assert!(speed_at_station(&profile, 285.0) > 0.0);
+        assert_eq!(profile.times[0], start.time);
+    }
+
     #[test]
     fn window_constraint_shifts_arrival() {
         let road = simple_road(1000.0);
@@ -2253,6 +2372,63 @@ mod tests {
         };
         let profile = optimizer().optimize(&road, &[constraint]).unwrap();
         assert!(profile.window_violations > 0);
+    }
+
+    /// The stations `cone_dead` marks on `road` under `signals`, from the
+    /// origin at rest.
+    fn cone_dead_stations(
+        opt: &DpOptimizer,
+        road: &Road,
+        signals: &[SignalConstraint],
+    ) -> Vec<bool> {
+        let prep = opt.prepare(road, signals, StartState::default()).unwrap();
+        let mut arena = SolverArena::new();
+        let mut owned = Vec::new();
+        let (tables, _) =
+            opt.resolve_tables(&prep, &mut arena.transitions, &mut owned, Instant::now());
+        let ctx = prep.ctx(&tables);
+        let (live, _) = reachability(&ctx);
+        opt.cone_dead(&ctx, &live)
+    }
+
+    /// A light whose only window opens after the latest arrival the speed
+    /// floors allow is marked dead, though it closes long after the
+    /// earliest arrival, so the cost-to-go charges its penalty up front:
+    /// the plan keeps the bits a window-free-floor solve certifies, and
+    /// the bits of a solve whose cone swept only the earliest arrival,
+    /// which expanded 19,463 states here (this one expands 2,255).
+    #[test]
+    fn a_window_after_the_latest_arrival_is_cone_dead() {
+        let opt = optimizer();
+        let road = simple_road(600.0);
+        let light = |start: f64| SignalConstraint {
+            position: Meters::new(400.0),
+            windows: vec![TimeWindow {
+                start: Seconds::new(start),
+                end: Seconds::new(start + 20.0),
+            }],
+        };
+        let station = 400 / 20;
+        for (start, dead) in [(200.0, true), (20.0, false)] {
+            let marked = cone_dead_stations(&opt, &road, &[light(start)]);
+            assert_eq!(marked[station], dead, "window opening at {start} s");
+            assert_eq!(marked.iter().filter(|&&d| d).count(), usize::from(dead));
+        }
+        let late = [light(200.0)];
+        let profile = opt.optimize(&road, &late).unwrap();
+        assert_eq!(profile.window_violations, 1);
+        let reference = opt
+            .optimize_windows_refresh(&road, &late, StartState::default(), &mut SolverArena::new())
+            .unwrap();
+        let bits = |p: &OptimizedProfile| {
+            let mut bits = vec![p.total_energy.value().to_bits(), p.window_violations as u64];
+            bits.extend(p.speeds.iter().map(|v| v.value().to_bits()));
+            bits.extend(p.times.iter().map(|t| t.value().to_bits()));
+            bits
+        };
+        assert_eq!(bits(&profile), bits(&reference));
+        let expanded = profile.metrics.states_expanded;
+        assert!(expanded < 19_463, "{expanded} states expanded");
     }
 
     #[test]

@@ -67,6 +67,31 @@ use velopt_common::{par, Error, Result};
 use velopt_queue::TimeWindow;
 use velopt_road::{EdgeId, NodeId, Road, RoadGraph};
 
+/// Latest departure, in seconds, a route is planned for: 2³² s, about 136
+/// years. There an `f64` second still resolves to about a microsecond;
+/// further out the clock coarsens until a signal cycle is a few ulps (a
+/// cycle at 1e17 s), and the green windows built from it no longer hold
+/// the lights' timing.
+pub const MAX_DEPARTURE_S: f64 = 4_294_967_296.0;
+
+/// Refuses a departure the signal clock cannot resolve: NaN, negative,
+/// or at or past [`MAX_DEPARTURE_S`].
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidInput`] naming the bound.
+pub fn check_departure(depart: Seconds) -> Result<()> {
+    if (0.0..MAX_DEPARTURE_S).contains(&depart.value()) {
+        Ok(())
+    } else {
+        Err(Error::invalid_input(format!(
+            "departure {} s must be finite, non-negative and below \
+             MAX_DEPARTURE_S ({MAX_DEPARTURE_S} s)",
+            depart.value()
+        )))
+    }
+}
+
 /// Router knobs. Every knob is a work/throughput trade-off only — the
 /// returned route and profile are bit-identical for every setting (see the
 /// module docs).
@@ -484,8 +509,8 @@ impl Router {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] on out-of-range junctions, equal
-    /// origin and destination, a negative departure time, or a graph whose
-    /// edge lower bounds admit a negative-cost cycle, and
+    /// origin and destination, a departure [`check_departure`] refuses, or
+    /// a graph whose edge lower bounds admit a negative-cost cycle, and
     /// [`Error::Infeasible`] when no feasible route exists (or the search
     /// exceeded [`RouteConfig::max_states`]).
     pub fn plan(&mut self, graph: &RoadGraph, query: RouteQuery) -> Result<RoutePlan> {
@@ -498,11 +523,7 @@ impl Router {
                 "origin equals destination; nothing to route",
             ));
         }
-        if !(query.depart.value() >= 0.0 && query.depart.value().is_finite()) {
-            return Err(Error::invalid_input(
-                "departure time must be finite and non-negative",
-            ));
-        }
+        check_departure(query.depart)?;
         let mut metrics = RouteMetrics::default();
         let tw = self.optimizer.config().time_weight;
 
@@ -1272,6 +1293,29 @@ mod tests {
                 }
             )
             .is_err());
+    }
+
+    /// A departure the signal clock cannot resolve is refused with an
+    /// error naming the bound: at 1e17 s a second is 16 ulps wide and a
+    /// route was once planned there against distorted windows. Just under
+    /// the bound a route plans without a window violation.
+    #[test]
+    fn departures_past_the_clock_bound_are_refused() {
+        let graph = grid(2, 2, 5);
+        let mut r = router(RouteConfig::default());
+        let query = |depart: f64| RouteQuery {
+            origin: NodeId(0),
+            dest: NodeId(3),
+            depart: Seconds::new(depart),
+        };
+        for depart in [1e17, MAX_DEPARTURE_S, f64::INFINITY, f64::NAN, -1.0] {
+            let err = r.plan(&graph, query(depart)).unwrap_err();
+            assert!(err.to_string().contains("MAX_DEPARTURE_S"), "{err}");
+        }
+        for depart in [30.0, MAX_DEPARTURE_S - 1.0] {
+            let plan = r.plan(&graph, query(depart)).unwrap();
+            assert_eq!(plan.window_violations, 0, "departing at {depart} s");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use velopt_core::dp::OptimizedProfile;
 use velopt_microsim::{SimConfig, Simulation};
 use velopt_road::Road;
 use velopt_traci::protocol::ids;
-use velopt_traci::{Command, TraciClient, TraciServer, Version};
+use velopt_traci::{Message, TraciClient, TraciServer, Version};
 
 /// The departure time used by the simulation experiments: seven whole 60 s
 /// signal cycles, so the plan's `t = 0` is phase-aligned.
@@ -40,9 +40,12 @@ pub struct EgoState {
 pub struct EgoDriver {
     traci: TraciClient,
     version: Version,
-    ego: String,
-    /// Built once: a slot for the speed command, the step, then the reads.
-    message: Vec<Command>,
+    /// Both built once: the step and the reads, and the same behind a
+    /// `setSpeed` whose 8-byte speed at `speed_at` each commanded tick
+    /// rewrites in place.
+    reads: Message,
+    steered: Message,
+    speed_at: usize,
     time: f64,
     loop_counts: Vec<i32>,
 }
@@ -57,26 +60,30 @@ impl EgoDriver {
     pub fn connect(traci_addr: SocketAddr, ego_id: &str, loops: &[&str]) -> Result<Self> {
         let mut traci = TraciClient::connect(traci_addr)?;
         let version = traci.get_version()?;
-        let vehicle = |variable| Command::get(ids::CMD_GET_VEHICLE_VARIABLE, variable, ego_id);
-        let mut message = vec![
-            Command::set_vehicle_speed(ego_id, 0.0),
-            Command::simulation_step(0.0),
-            vehicle(ids::VAR_POSITION),
-            vehicle(ids::VAR_SPEED),
-            Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
-        ];
-        message.extend(loops.iter().map(|id| {
-            Command::get(
-                ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
-                ids::LAST_STEP_VEHICLE_NUMBER,
-                id,
-            )
-        }));
+        let put_reads = |message: &mut Message| {
+            message
+                .simulation_step(0.0)
+                .get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, ego_id)
+                .get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, ego_id)
+                .get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "");
+            for id in loops {
+                message.get(
+                    ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
+                    ids::LAST_STEP_VEHICLE_NUMBER,
+                    id,
+                );
+            }
+        };
+        let (mut reads, mut steered) = (Message::new(), Message::new());
+        put_reads(&mut reads);
+        let speed_at = steered.set_vehicle_speed(ego_id, 0.0);
+        put_reads(&mut steered);
         Ok(Self {
             traci,
             version,
-            ego: ego_id.to_owned(),
-            message,
+            reads,
+            steered,
+            speed_at,
             time: 0.0,
             loop_counts: vec![0; loops.len()],
         })
@@ -97,31 +104,33 @@ impl EgoDriver {
     /// rejects the speed command, the step or a loop read, or a read does
     /// not decode.
     pub fn tick(&mut self, command: Option<f64>) -> Result<Option<EgoState>> {
-        if let Some(speed) = command {
-            self.message[0] = Command::set_vehicle_speed(&self.ego, speed);
-        }
-        let sent = &self.message[usize::from(command.is_none())..];
-        let replies = self.traci.exchange(sent)?;
-        let (set, reads) = replies.split_at(usize::from(command.is_some()));
-        let [step, position, speed, time, loops @ ..] = reads else {
-            unreachable!("an exchange answers every command");
+        let message = match command {
+            Some(speed) => {
+                self.steered.set_speed_at(self.speed_at, speed);
+                &self.steered
+            }
+            None => &self.reads,
         };
-        if let [set] = set {
-            set.check()?;
+        let mut answers = self.traci.send(message)?;
+        if command.is_some() {
+            answers.check()?;
         }
-        step.check()?;
-        self.time = time.value()?.as_double()?;
-        for (count, reply) in self.loop_counts.iter_mut().zip(loops) {
-            *count = reply.value()?.as_integer()?;
-        }
+        answers.check()?;
         // The position read fails once the ego has left.
-        let Ok(position) = position.value() else {
+        let position = answers.position();
+        let speed = answers.f64();
+        self.time = answers.f64()?;
+        for count in &mut self.loop_counts {
+            *count = answers.i32()?;
+        }
+        answers.finish()?;
+        let Ok((position, _)) = position else {
             return Ok(None);
         };
         Ok(Some(EgoState {
             time: self.time,
-            position: position.as_position()?.0,
-            speed: speed.value()?.as_double()?,
+            position,
+            speed: speed?,
         }))
     }
 

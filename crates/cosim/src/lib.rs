@@ -28,14 +28,16 @@
 //!    the vehicle's current position.
 //!
 //! The TraCI side of a tick is one pipelined message (see
-//! [`TraciClient::exchange`]) unless the tick lists a new vehicle or
-//! plans: the step with every signal, loop and vehicle-list read, then the
-//! position of every vehicle the last tick listed. Those positions are
-//! read after the step, so they are this tick's. A second message reads
-//! the vehicles listed for the first time, and on planning ticks a last
-//! one carries the wave's speed commands, so a tick sends at most three.
-//! Commands are applied at the positions read in the same tick, since no
-//! step runs in between.
+//! [`TraciClient::send`]) unless the tick lists a new vehicle or plans: the
+//! step with every signal, loop and vehicle-list read, then the position of
+//! every vehicle the last tick listed. Those positions are read after the
+//! step, so they are this tick's. A second message reads the vehicles
+//! listed for the first time, and on planning ticks a last one carries the
+//! wave's speed commands, so a tick sends at most three. Commands are
+//! applied at the positions read in the same tick, since no step runs in
+//! between. Each message is encoded in place into a buffer the driver
+//! keeps, and each reply is read in place: a tick that lists no new
+//! vehicle, loses none, sees no flip and plans nothing allocates nothing.
 //!
 //! Everything the driver does is a pure function of the seeded
 //! simulation's state plus the (deterministic) plan responses, so fleet
@@ -47,6 +49,7 @@ mod ego;
 pub use ego::{replay_through_traci, replay_with, EgoDriver, EgoState, ReplayOutcome, DEPART_S};
 
 use std::collections::{HashMap, HashSet};
+use std::mem;
 use std::net::SocketAddr;
 use velopt_cloud::{CloudClient, TripFrame, TripRequest};
 use velopt_common::units::{Seconds, VehiclesPerHour};
@@ -55,7 +58,7 @@ use velopt_core::dp::OptimizedProfile;
 use velopt_queue::QueueParams;
 use velopt_road::Road;
 use velopt_traci::protocol::ids;
-use velopt_traci::{Command, Reply, TraciClient};
+use velopt_traci::{Answers, Message, TraciClient};
 
 /// Tuning knobs for the [`FleetDriver`].
 #[derive(Debug, Clone)]
@@ -112,7 +115,7 @@ pub struct FleetStats {
 struct Corridor {
     road: Road,
     /// Concatenated phase states of every light, as last observed.
-    signature: String,
+    signature: Vec<u8>,
     /// Bumped on every signature change; vehicles replan when their
     /// planned epoch falls behind.
     epoch: u64,
@@ -123,7 +126,38 @@ struct Corridor {
     volume: u64,
 }
 
+impl Corridor {
+    /// Reads the corridor's light states, then its entrance-loop count,
+    /// from `answers`, and bumps the replan epoch if the states flipped.
+    /// `states` is scratch, swapped with the signature on a flip. Returns
+    /// whether they flipped; the first observation is not a flip.
+    fn observe(
+        &mut self,
+        now: f64,
+        states: &mut Vec<u8>,
+        answers: &mut Answers<'_>,
+    ) -> Result<bool> {
+        states.clear();
+        for _ in 0..self.road.traffic_lights().len() {
+            states.extend_from_slice(answers.str()?.as_bytes());
+        }
+        let crossings = answers.i32()?;
+        self.volume += crossings.max(0) as u64;
+        if self.signature == *states {
+            return Ok(false);
+        }
+        let flipped = !self.signature.is_empty();
+        if flipped {
+            self.epoch += 1;
+            self.epoch_time = now;
+        }
+        mem::swap(&mut self.signature, states);
+        Ok(flipped)
+    }
+}
+
 /// One vehicle's planning connection plus what it last planned against.
+#[derive(Default)]
 struct Pilot {
     /// Opened on the vehicle's first plan, and dropped when a plan fails:
     /// the next plan reconnects, so a connection the cloud refused is not
@@ -134,9 +168,32 @@ struct Pilot {
     planned: Option<(usize, u64)>,
 }
 
-/// A vehicle chosen for replanning: its id, corridor, and the position
-/// its speed command will be computed for.
-type Flight = (String, usize, f64);
+/// A vehicle the simulation lists.
+struct Vehicle {
+    /// Its TraCI id, made once, when it is first listed.
+    id: String,
+    /// `(corridor offset, corridor index)`, read this tick.
+    position: (f64, f64),
+    /// Whether this tick's id list named it; a vehicle it did not name
+    /// has left, and its pilot goes with it.
+    listed: bool,
+    pilot: Pilot,
+}
+
+impl Vehicle {
+    fn new(id: &str) -> Self {
+        Self {
+            id: id.to_owned(),
+            position: (0.0, 0.0),
+            listed: true,
+            pilot: Pilot::default(),
+        }
+    }
+}
+
+/// A vehicle chosen for replanning: its index in the listed vehicles, its
+/// corridor, and the position its speed command will be computed for.
+type Flight = (usize, usize, f64);
 
 /// The fleet driver: one TraCI connection to the network simulation, one
 /// cloud connection per vehicle.
@@ -145,15 +202,22 @@ pub struct FleetDriver {
     cloud_addr: SocketAddr,
     config: CosimConfig,
     corridors: Vec<Corridor>,
-    /// Every tick's first message. Its first `observed` commands are built
-    /// once: the step, the simulation time, each corridor's light states
-    /// then entrance-loop count, and the vehicle id list. A position read
-    /// per vehicle in `listed` follows, rebuilt every tick.
-    message: Vec<Command>,
+    /// Every tick's first message. Everything before `observed` is
+    /// encoded once: the step, the simulation time, each corridor's light
+    /// states then entrance-loop count, and the vehicle id list. A position
+    /// read per vehicle in `vehicles` follows, re-encoded every tick.
+    message: Message,
     observed: usize,
-    /// The vehicles the last tick listed, sorted.
-    listed: Vec<String>,
-    pilots: HashMap<String, Pilot>,
+    /// The tick's second and third messages: the position reads of newly
+    /// listed vehicles, then the wave's speed commands.
+    extra: Message,
+    /// The vehicles the last tick listed, sorted by id.
+    vehicles: Vec<Vehicle>,
+    /// Scratch, kept across ticks: vehicles listed for the first time, a
+    /// corridor's light states, and the replan wave.
+    arrived: Vec<Vehicle>,
+    states: Vec<u8>,
+    wave: Vec<Flight>,
     stats: FleetStats,
 }
 
@@ -173,34 +237,30 @@ impl FleetDriver {
         config: CosimConfig,
     ) -> Result<Self> {
         let traci = TraciClient::connect(traci_addr)?;
-        let mut message = vec![
-            Command::simulation_step(0.0),
-            Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
-        ];
+        let mut message = Message::new();
+        message
+            .simulation_step(0.0)
+            .get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "");
         for (c, road) in roads.iter().enumerate() {
             for i in 0..road.traffic_lights().len() {
-                message.push(Command::get(
+                message.get(
                     ids::CMD_GET_TL_VARIABLE,
                     ids::TL_RED_YELLOW_GREEN_STATE,
                     &format!("tl{c}:{i}"),
-                ));
+                );
             }
-            message.push(Command::get(
+            message.get(
                 ids::CMD_GET_INDUCTIONLOOP_VARIABLE,
                 ids::LAST_STEP_VEHICLE_NUMBER,
                 &format!("loop{c}:0"),
-            ));
+            );
         }
-        message.push(Command::get(
-            ids::CMD_GET_VEHICLE_VARIABLE,
-            ids::ID_LIST,
-            "",
-        ));
+        message.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::ID_LIST, "");
         let corridors = roads
             .into_iter()
             .map(|road| Corridor {
                 road,
-                signature: String::new(),
+                signature: Vec::new(),
                 epoch: 0,
                 epoch_time: 0.0,
                 volume: 0,
@@ -211,10 +271,13 @@ impl FleetDriver {
             cloud_addr,
             config,
             corridors,
-            observed: message.len(),
+            observed: message.mark(),
             message,
-            listed: Vec::new(),
-            pilots: HashMap::new(),
+            extra: Message::new(),
+            vehicles: Vec::new(),
+            arrived: Vec::new(),
+            states: Vec::new(),
+            wave: Vec::new(),
             stats: FleetStats::default(),
         })
     }
@@ -238,50 +301,66 @@ impl FleetDriver {
         // Message 1: the step, every read the tick decides on, and the
         // position of every vehicle the last tick listed.
         self.message.truncate(self.observed);
-        self.message
-            .extend(self.listed.iter().map(|id| position_read(id)));
-        let replies = self.traci.exchange(&self.message)?;
-        let (observed, known) = replies.split_at(self.observed);
-        let [step, time, reads @ .., listed] = observed else {
-            unreachable!("an exchange answers every command");
-        };
-        step.check()?;
+        for vehicle in &self.vehicles {
+            position_read(&mut self.message, &vehicle.id);
+        }
+        let mut answers = self.traci.send(&self.message)?;
+        answers.check()?;
         self.stats.ticks += 1;
-        let now = time.value()?.as_double()?;
-        self.observe(now, reads)?;
-        let mut vehicles = listed.value()?.into_string_list()?;
-        vehicles.sort();
-        let positions = self.positions(&vehicles, known)?;
-        let wave = self.plan_wave(&vehicles, &positions);
-        self.listed = vehicles;
-        self.replan(wave)
-    }
-
-    /// The positions of `vehicles` (sorted). A vehicle the last tick
-    /// listed was read in this tick's first message, after the step, and
-    /// `known` holds those replies in `self.listed` order; message 2 reads
-    /// the vehicles listed for the first time. Replies for vehicles that
-    /// have left are skipped.
-    fn positions(&mut self, vehicles: &[String], known: &[Reply]) -> Result<Vec<(f64, f64)>> {
-        let mut last = self.listed.iter().zip(known).peekable();
-        let mut positions = Vec::with_capacity(vehicles.len());
-        let (mut fresh, mut fresh_at) = (Vec::new(), Vec::new());
-        for id in vehicles {
-            while last.next_if(|(prev, _)| *prev < id).is_some() {}
-            match last.next_if(|(prev, _)| *prev == id) {
-                Some((_, reply)) => positions.push(reply.value()?.as_position()?),
-                None => {
-                    fresh_at.push(positions.len());
-                    positions.push((0.0, 0.0));
-                    fresh.push(position_read(id));
-                }
+        let now = answers.f64()?;
+        for corridor in &mut self.corridors {
+            if corridor.observe(now, &mut self.states, &mut answers)? {
+                self.stats.flips += 1;
+                telemetry::add("cosim.flips", 1);
             }
         }
-        // Message 2, on ticks that list a vehicle for the first time.
-        for (at, reply) in fresh_at.into_iter().zip(self.traci.exchange(&fresh)?) {
-            positions[at] = reply.value()?.as_position()?;
+        // Merge the id list into the sorted vehicles: a known id is marked
+        // listed, an unknown one arrives.
+        for vehicle in &mut self.vehicles {
+            vehicle.listed = false;
         }
-        Ok(positions)
+        self.arrived.clear();
+        for id in answers.ids()? {
+            match self.vehicles.binary_search_by(|v| v.id.as_str().cmp(id)) {
+                Ok(k) => self.vehicles[k].listed = true,
+                Err(_) => self.arrived.push(Vehicle::new(id)),
+            }
+        }
+        // The positions, in last tick's order; a vehicle that has left
+        // fails its read, and its answer is skipped.
+        for vehicle in &mut self.vehicles {
+            if vehicle.listed {
+                vehicle.position = answers.position()?;
+            } else {
+                let _ = answers.check();
+            }
+        }
+        answers.finish()?;
+        // Vehicles that left the network take their connection with them.
+        self.vehicles.retain(|v| v.listed);
+        if !self.arrived.is_empty() {
+            self.arrive()?;
+        }
+        self.plan_wave();
+        self.replan()
+    }
+
+    /// Message 2: reads the positions of the vehicles listed for the first
+    /// time and merges them into the sorted vehicles.
+    fn arrive(&mut self) -> Result<()> {
+        self.arrived.sort_unstable_by(|a, b| a.id.cmp(&b.id));
+        self.extra.clear();
+        for vehicle in &self.arrived {
+            position_read(&mut self.extra, &vehicle.id);
+        }
+        let mut answers = self.traci.send(&self.extra)?;
+        for vehicle in &mut self.arrived {
+            vehicle.position = answers.position()?;
+        }
+        answers.finish()?;
+        self.vehicles.append(&mut self.arrived);
+        self.vehicles.sort_unstable_by(|a, b| a.id.cmp(&b.id));
+        Ok(())
     }
 
     /// Runs `n` lockstep ticks.
@@ -296,61 +375,27 @@ impl FleetDriver {
         Ok(())
     }
 
-    /// Takes every corridor's signal phases and entrance-loop count from
-    /// the replies to the tick's first message, bumping the replan epoch
-    /// of corridors whose phase state flipped.
-    fn observe(&mut self, now: f64, mut reads: &[Reply]) -> Result<()> {
-        for corridor in &mut self.corridors {
-            let (lights, rest) = reads.split_at(corridor.road.traffic_lights().len());
-            let (count, rest) = rest
-                .split_first()
-                .expect("each corridor ends in a loop read");
-            reads = rest;
-            let mut signature = String::new();
-            for light in lights {
-                signature.push_str(light.value()?.as_string()?);
-            }
-            let crossings = count.value()?.as_integer()?;
-            corridor.volume += crossings.max(0) as u64;
-            if corridor.signature != signature {
-                if !corridor.signature.is_empty() {
-                    corridor.epoch += 1;
-                    corridor.epoch_time = now;
-                    self.stats.flips += 1;
-                    telemetry::add("cosim.flips", 1);
-                }
-                corridor.signature = signature;
-            }
-        }
-        Ok(())
-    }
-
     /// Collects the vehicles whose corridor epoch moved past their last
-    /// plan, from the sorted id list and its positions, in sorted-id order
-    /// (deterministic, and stable under the `max_replans_per_tick` cap).
-    fn plan_wave(&mut self, vehicles: &[String], positions: &[(f64, f64)]) -> Vec<Flight> {
-        // Vehicles that left the network take their connection with them.
-        let live: HashSet<&String> = vehicles.iter().collect();
-        self.pilots.retain(|id, _| live.contains(id));
-
-        let mut wave = Vec::new();
-        for (id, &(x, y)) in vehicles.iter().zip(positions) {
+    /// plan into `wave`, in sorted-id order (deterministic, and stable
+    /// under the `max_replans_per_tick` cap).
+    fn plan_wave(&mut self) {
+        self.wave.clear();
+        for (k, vehicle) in self.vehicles.iter().enumerate() {
+            let (x, y) = vehicle.position;
             let corridor = y as usize;
             if corridor >= self.corridors.len() {
                 continue;
             }
             let epoch = self.corridors[corridor].epoch;
-            let planned = self.pilots.get(id).and_then(|p| p.planned);
-            if planned != Some((corridor, epoch)) {
-                wave.push((id.clone(), corridor, x));
+            if vehicle.pilot.planned != Some((corridor, epoch)) {
+                self.wave.push((k, corridor, x));
                 if self.config.max_replans_per_tick > 0
-                    && wave.len() >= self.config.max_replans_per_tick
+                    && self.wave.len() >= self.config.max_replans_per_tick
                 {
                     break;
                 }
             }
         }
-        wave
     }
 
     /// The corridor's current plan request: shared by every vehicle of
@@ -372,16 +417,18 @@ impl FleetDriver {
     }
 
     /// Issues the wave's plan requests and feeds the profiles back as
-    /// speed commands, all in the tick's last TraCI message. Every flight's request is
-    /// written, each on its vehicle's own connection, before any reply is
-    /// read, so the whole wave is in flight together — the storm the
-    /// cloud's single-flight table sees — without a thread per vehicle.
-    fn replan(&mut self, wave: Vec<Flight>) -> Result<()> {
-        if wave.is_empty() {
+    /// speed commands, all in the tick's last TraCI message. Every flight's
+    /// request is written, each on its vehicle's own connection, before
+    /// any reply is read, so the whole wave is in flight together — the
+    /// storm the cloud's single-flight table sees — without a thread per
+    /// vehicle.
+    fn replan(&mut self) -> Result<()> {
+        if self.wave.is_empty() {
             return Ok(());
         }
         // Per-corridor requests are encoded once and shared byte-for-byte.
-        let frames: HashMap<usize, TripFrame> = wave
+        let frames: HashMap<usize, TripFrame> = self
+            .wave
             .iter()
             .map(|&(_, c, _)| c)
             .collect::<HashSet<_>>()
@@ -391,42 +438,44 @@ impl FleetDriver {
 
         // Detach each planning connection (opening it on first use, or
         // after a failed plan) so the wave owns them while it is in flight.
-        let mut flights: Vec<(Flight, CloudClient)> = Vec::with_capacity(wave.len());
-        for (id, corridor, position) in wave {
-            let client = match self.pilots.get_mut(&id).and_then(|p| p.client.take()) {
+        let mut clients: Vec<CloudClient> = Vec::with_capacity(self.wave.len());
+        for &(k, _, _) in &self.wave {
+            clients.push(match self.vehicles[k].pilot.client.take() {
                 Some(client) => client,
                 None => CloudClient::connect(self.cloud_addr)?,
-            };
-            flights.push(((id, corridor, position), client));
+            });
         }
 
-        self.stats.replans += flights.len() as u64;
-        telemetry::add("cosim.replans", flights.len() as u64);
+        self.stats.replans += clients.len() as u64;
+        telemetry::add("cosim.replans", clients.len() as u64);
         // A failed send or receive is that flight's outcome alone.
-        let sent: Vec<Result<()>> = flights
+        let sent: Vec<Result<()>> = clients
             .iter_mut()
-            .map(|(flight, client)| client.send(&frames[&flight.1]))
+            .zip(&self.wave)
+            .map(|(client, flight)| client.send(&frames[&flight.1]))
             .collect();
-        let results: Vec<(Flight, CloudClient, Result<OptimizedProfile>)> = flights
-            .into_iter()
+        let outcomes: Vec<Result<OptimizedProfile>> = clients
+            .iter_mut()
             .zip(sent)
-            .map(|((flight, mut client), sent)| {
-                let outcome = sent.and_then(|()| client.receive());
-                (flight, client, outcome)
-            })
+            .map(|(client, sent)| sent.and_then(|()| client.receive()))
             .collect();
 
         // The tick's last message: the wave's speed commands.
-        let mut commands = Vec::new();
-        for ((id, corridor, position), client, outcome) in results {
+        self.extra.clear();
+        let mut commands = 0u64;
+        for ((&(k, corridor, position), client), outcome) in
+            self.wave.iter().zip(clients).zip(outcomes)
+        {
             // Failed plans still advance the epoch marker: a refused
             // vehicle retries on the *next* window shift, not every tick,
             // and on a new connection.
+            let vehicle = &mut self.vehicles[k];
             let client = match outcome {
                 Ok(profile) => {
                     self.stats.plans_ok += 1;
                     let speed = Self::speed_at(&profile, position).max(self.config.command_floor);
-                    commands.push(Command::set_vehicle_speed(&id, speed));
+                    self.extra.set_vehicle_speed(&vehicle.id, speed);
+                    commands += 1;
                     Some(client)
                 }
                 Err(_) => {
@@ -436,16 +485,16 @@ impl FleetDriver {
                 }
             };
             let planned = Some((corridor, self.corridors[corridor].epoch));
-            self.pilots.insert(id, Pilot { client, planned });
+            vehicle.pilot = Pilot { client, planned };
         }
         // A command the simulator refuses is not an error, just not
         // counted.
-        let applied = self
-            .traci
-            .exchange(&commands)?
-            .iter()
-            .filter(|reply| reply.check().is_ok())
-            .count() as u64;
+        let mut answers = self.traci.send(&self.extra)?;
+        let mut applied = 0;
+        for _ in 0..commands {
+            applied += u64::from(answers.check().is_ok());
+        }
+        answers.finish()?;
         self.stats.commands += applied;
         telemetry::add("cosim.commands", applied);
         Ok(())
@@ -458,7 +507,7 @@ impl FleetDriver {
     ///
     /// Returns [`velopt_common::Error::Io`] if the close handshake fails.
     pub fn close(mut self) -> Result<()> {
-        self.pilots.clear();
+        self.vehicles.clear();
         self.traci.close()
     }
 
@@ -477,9 +526,9 @@ impl FleetDriver {
     }
 }
 
-/// A read of vehicle `id`'s position.
-fn position_read(id: &str) -> Command {
-    Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, id)
+/// Appends a read of vehicle `id`'s position to `message`.
+fn position_read(message: &mut Message, id: &str) {
+    message.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, id);
 }
 
 impl std::fmt::Debug for FleetDriver {
@@ -487,7 +536,7 @@ impl std::fmt::Debug for FleetDriver {
         f.debug_struct("FleetDriver")
             .field("cloud_addr", &self.cloud_addr)
             .field("corridors", &self.corridors.len())
-            .field("pilots", &self.pilots.len())
+            .field("vehicles", &self.vehicles.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }

@@ -12,16 +12,20 @@
 //!   command lengths), typed values ([`TraciValue`]), command/status/result
 //!   encoding, request builders ([`Command::get`],
 //!   [`Command::simulation_step`], [`Command::set_vehicle_speed`]), the
-//!   reply splitter ([`protocol::split_replies`]), and the command and
-//!   variable identifier constants from SUMO's `TraCIConstants`.
+//!   in-place outgoing [`Message`] and the reply cursor [`Answers`], and
+//!   the command and variable identifier constants from SUMO's
+//!   `TraCIConstants`.
 //! * [`TraciClient`] — a blocking client over TCP. Its one transport is
-//!   [`TraciClient::exchange`]: any number of commands go out in one
-//!   message, the one reply comes back, and it is split per command into a
-//!   [`Reply`] — the command's status and its results — so a rejected
-//!   command fails only itself. The typed methods (`get_version`,
-//!   `simulation_step`, vehicle speed/position/id-list reads,
-//!   `set_vehicle_speed`, traffic-light state, induction-loop counts,
-//!   simulation time, subscriptions, `close`) are exchanges of one command.
+//!   [`TraciClient::send`]: the caller encodes any number of commands into
+//!   a reused [`Message`], it goes out in one write, and the one reply is
+//!   read in place through [`Answers`] — one typed read per command, in
+//!   order, returning `f64`, `i32`, a position, a `&str` or an iterator of
+//!   `&str` borrowed from the reply — so a rejected command fails only its
+//!   own read and a fleet tick decodes nothing into owned values. The
+//!   typed methods (`get_version`, `simulation_step`, vehicle
+//!   speed/position/id-list reads, `set_vehicle_speed`, traffic-light
+//!   state, induction-loop counts, simulation time, subscriptions, `close`)
+//!   send one command each through the same path.
 //! * [`TraciServer`] — serves one client per connection, answering every
 //!   command of a message in order in one reply, and translating TraCI
 //!   commands into calls on a [`TraciBackend`]. Each answer is written
@@ -52,20 +56,22 @@
 //! assert!(client.simulation_time()? > 0.0);
 //!
 //! // One round trip: step, then read the time and a light that exists
-//! // and one that does not. Each command gets its own reply.
+//! // and one that does not. Each command gets its own answer, read in
+//! // order from the reply in place.
 //! use velopt_traci::protocol::ids;
-//! use velopt_traci::Command;
-//! let light = |id| Command::get(ids::CMD_GET_TL_VARIABLE, ids::TL_RED_YELLOW_GREEN_STATE, id);
-//! let replies = client.exchange(&[
-//!     Command::simulation_step(0.0),
-//!     Command::get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, ""),
-//!     light("tl0"),
-//!     light("tl9"),
-//! ])?;
-//! replies[0].check()?;
-//! assert!(replies[1].value()?.as_double()? > 0.1);
-//! assert!(replies[2].value().is_ok());
-//! assert!(replies[3].check().is_err()); // US-25 has two lights
+//! use velopt_traci::Message;
+//! let mut message = Message::new();
+//! message.simulation_step(0.0);
+//! message.get(ids::CMD_GET_SIM_VARIABLE, ids::VAR_TIME, "");
+//! for light in ["tl0", "tl9"] {
+//!     message.get(ids::CMD_GET_TL_VARIABLE, ids::TL_RED_YELLOW_GREEN_STATE, light);
+//! }
+//! let mut answers = client.send(&message)?;
+//! answers.check()?;
+//! assert!(answers.f64()? > 0.1);
+//! assert!(answers.str().is_ok());
+//! assert!(answers.str().is_err()); // US-25 has two lights
+//! answers.finish()?;
 //! client.close()?;
 //! # Ok(())
 //! # }
@@ -78,5 +84,5 @@ mod server;
 
 pub use backend::{TraciBackend, VehicleView};
 pub use client::{TraciClient, Version};
-pub use protocol::{Command, Reply, SubscriptionResult, TraciValue};
+pub use protocol::{Answers, Command, Ids, Message, SubscriptionResult, TraciValue};
 pub use server::TraciServer;

@@ -13,8 +13,10 @@
 //!   id, result code, description string), optionally followed by a result
 //!   command whose id is `command id + 0x10` for "get variable" commands.
 //! * A message may carry many commands; the reply message carries their
-//!   answers in the same order, and [`split_replies`] cuts it back into one
-//!   [`Reply`] per command. A rejected command fails only its own reply.
+//!   answers in the same order. A client encodes its commands into a
+//!   reused [`Message`] and reads the reply in place through [`Answers`],
+//!   one typed read per command. A rejected command fails only its own
+//!   read.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{ErrorKind, Read};
@@ -300,8 +302,7 @@ impl Command {
     /// A "get variable" command reading `variable` of `object`.
     pub fn get(command: u8, variable: u8, object: &str) -> Self {
         let mut buf = BytesMut::with_capacity(5 + object.len());
-        buf.put_u8(variable);
-        put_string(&mut buf, object);
+        put_get(&mut buf, variable, object);
         Self::new(command, buf.freeze())
     }
 
@@ -314,9 +315,7 @@ impl Command {
     /// car-following model.
     pub fn set_vehicle_speed(vehicle: &str, speed: f64) -> Self {
         let mut buf = BytesMut::with_capacity(14 + vehicle.len());
-        buf.put_u8(ids::VAR_SPEED);
-        put_string(&mut buf, vehicle);
-        TraciValue::Double(speed).encode(&mut buf);
+        put_set_speed(&mut buf, vehicle, speed);
         Self::new(ids::CMD_SET_VEHICLE_VARIABLE, buf.freeze())
     }
 
@@ -458,87 +457,6 @@ impl Status {
     }
 }
 
-/// The answer to one command of a message: its status, and the result
-/// commands that followed it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Reply {
-    /// The command's status response.
-    pub status: Status,
-    /// What followed the status: nothing for a rejected command or a
-    /// set, subscribe or close; the result for a get or a version
-    /// request; for a step, the subscription count and one
-    /// [`ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE`] per delivered
-    /// subscription.
-    pub results: Vec<Command>,
-}
-
-impl Reply {
-    /// Succeeds if the server accepted the command.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Protocol`] with the server's description if the
-    /// command was rejected or is not implemented.
-    pub fn check(&self) -> Result<()> {
-        if self.status.result == ids::RTYPE_OK {
-            Ok(())
-        } else {
-            Err(Error::protocol(format!(
-                "server rejected command 0x{:02x}: {}",
-                self.status.command, self.status.description
-            )))
-        }
-    }
-
-    /// The typed value of an accepted "get variable" command.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Protocol`] if the command was rejected or its
-    /// result does not decode.
-    pub fn value(&self) -> Result<TraciValue> {
-        self.check()?;
-        let result = self
-            .results
-            .first()
-            .ok_or_else(|| Error::protocol("missing get-variable result"))?;
-        let mut payload = result.payload.clone();
-        take_u8(&mut payload)?; // variable, checked by `split_replies`
-        take_string(&mut payload)?; // object id
-        TraciValue::decode(&mut payload)
-    }
-
-    /// The subscription values delivered with an accepted step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Protocol`] if the step was rejected or a
-    /// subscription result does not decode.
-    pub fn subscriptions(&self) -> Result<Vec<SubscriptionResult>> {
-        self.check()?;
-        let mut out = Vec::new();
-        for cmd in &self.results {
-            if cmd.id != ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE {
-                continue;
-            }
-            let mut payload = cmd.payload.clone();
-            let object = take_string(&mut payload)?;
-            let count = take_u8(&mut payload)? as usize;
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                let var = take_u8(&mut payload)?;
-                let status = take_u8(&mut payload)?;
-                let value = TraciValue::decode(&mut payload)?;
-                if status == ids::RTYPE_OK {
-                    values.push((var, value));
-                }
-            }
-            out.push(SubscriptionResult { object, values });
-        }
-        Ok(out)
-    }
-}
-
 /// One subscription's values delivered with a simulation step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubscriptionResult {
@@ -564,88 +482,465 @@ fn is_get(id: u8) -> bool {
     (0xA0..=0xAF).contains(&id)
 }
 
-/// Splits the reply to a message of `requests` into one [`Reply`] per
-/// request, in order. Each answer starts with a status for the request's
-/// command id; what follows an accepted status depends on the command
-/// (see [`Reply::results`]).
+/// An outgoing message, encoded in place: a length header, then commands
+/// appended behind it. The header is kept current after every append, so
+/// the message can be sent at any point, and a caller that sends one
+/// shape of message every tick keeps it and rewrites only what changes —
+/// truncating back to a [`mark`](Self::mark), or patching a speed in place.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Message {
+    bytes: Vec<u8>,
+}
+
+impl Default for Message {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Message {
+    /// A message with no commands.
+    pub fn new() -> Self {
+        Self {
+            bytes: 4i32.to_be_bytes().to_vec(),
+        }
+    }
+
+    /// Whether the message holds no command.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.len() == 4
+    }
+
+    /// The encoded length so far, header included: a point to
+    /// [`truncate`](Self::truncate) back to.
+    pub fn mark(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Drops every command appended after `mark`.
+    pub fn truncate(&mut self, mark: usize) {
+        self.bytes.truncate(mark.max(4));
+        self.patch();
+    }
+
+    /// Drops every command.
+    pub fn clear(&mut self) {
+        self.truncate(4);
+    }
+
+    /// The whole message, header included, ready to write.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Appends a command with id `id` and raw `payload`.
+    pub fn command(&mut self, id: u8, payload: &[u8]) -> &mut Self {
+        self.with(id, |out| out.extend_from_slice(payload))
+    }
+
+    /// Appends `command`.
+    pub fn push(&mut self, command: &Command) -> &mut Self {
+        self.command(command.id, &command.payload)
+    }
+
+    /// Appends a "get variable" command reading `variable` of `object`,
+    /// encoded as [`Command::get`] encodes it.
+    pub fn get(&mut self, command: u8, variable: u8, object: &str) -> &mut Self {
+        self.with(command, |out| put_get(out, variable, object))
+    }
+
+    /// Appends a `CMD_SIMSTEP` to `target_time` seconds (0 = one step).
+    pub fn simulation_step(&mut self, target_time: f64) -> &mut Self {
+        self.with(ids::CMD_SIMSTEP, |out| out.put_f64(target_time))
+    }
+
+    /// Appends a vehicle `setSpeed`, encoded as
+    /// [`Command::set_vehicle_speed`] encodes it, and returns where its
+    /// 8-byte speed lies for [`set_speed_at`](Self::set_speed_at).
+    pub fn set_vehicle_speed(&mut self, vehicle: &str, speed: f64) -> usize {
+        self.with(ids::CMD_SET_VEHICLE_VARIABLE, |out| {
+            put_set_speed(out, vehicle, speed)
+        });
+        self.bytes.len() - 8
+    }
+
+    /// Rewrites the speed of the `setSpeed` whose speed lies at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` does not leave 8 bytes of the message.
+    pub fn set_speed_at(&mut self, at: usize, speed: f64) {
+        self.bytes[at..at + 8].copy_from_slice(&speed.to_be_bytes());
+    }
+
+    /// Appends one command whose payload `put` writes.
+    fn with(&mut self, id: u8, put: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        let at = begin_command(&mut self.bytes, id);
+        put(&mut self.bytes);
+        end_command(&mut self.bytes, at);
+        self.patch();
+        self
+    }
+
+    fn patch(&mut self) {
+        patch_message_len(&mut self.bytes, 0);
+    }
+
+    /// The commands behind the header.
+    fn body(&self) -> &[u8] {
+        &self.bytes[4..]
+    }
+}
+
+/// A "get variable" payload: the variable, then the object id.
+fn put_get(buf: &mut impl BufMut, variable: u8, object: &str) {
+    buf.put_u8(variable);
+    put_string(buf, object);
+}
+
+/// A vehicle `setSpeed` payload: the variable, the vehicle, the speed as a
+/// typed double last.
+fn put_set_speed(buf: &mut impl BufMut, vehicle: &str, speed: f64) {
+    buf.put_u8(ids::VAR_SPEED);
+    put_string(buf, vehicle);
+    TraciValue::Double(speed).encode(buf);
+}
+
+/// The reply to a [`Message`], read in place: one typed read per command,
+/// in the message's order, each borrowing from the reply body.
 ///
-/// # Errors
-///
-/// Returns [`Error::Protocol`] if an answer is missing, answers the wrong
-/// command, carries a mismatched result, or the reply has trailing
-/// commands.
-pub fn split_replies(requests: &[Command], responses: Vec<Command>) -> Result<Vec<Reply>> {
-    let mut responses = responses.into_iter();
-    let mut next = |what: &str| {
-        responses
-            .next()
-            .ok_or_else(|| Error::protocol(format!("reply ended before {what}")))
-    };
-    let mut replies = Vec::with_capacity(requests.len());
-    for request in requests {
-        let status = Status::from_command(&next("a status")?)?;
-        if status.command != request.id {
+/// Every read first splits the next command's answer off the reply and
+/// checks it against that command: a status for the command's id; after an
+/// accepted get, one result whose id is the command's plus
+/// [`ids::RESPONSE_OFFSET`] and which echoes the command's variable; after
+/// an accepted step, its subscription count and that many results; after a
+/// version request, its result. A rejected command fails only its own read,
+/// with the server's description. An answer that does not fit its command
+/// fails that read and every later one, since the rest of the reply can no
+/// longer be matched to the commands. [`finish`](Self::finish) reads what
+/// the caller skipped and checks the reply ends with the last answer.
+#[derive(Debug, Clone)]
+pub struct Answers<'a> {
+    /// The commands not yet answered.
+    requests: &'a [u8],
+    /// The answers not yet read.
+    replies: &'a [u8],
+    /// Set once an answer does not fit its command.
+    broken: bool,
+}
+
+/// One command's answer, split off the reply.
+struct Answer<'a> {
+    /// The command's id.
+    command: u8,
+    /// Its status code ([`ids::RTYPE_OK`] on success).
+    result: u8,
+    description: &'a str,
+    /// The payload of an accepted get's result or a version's result;
+    /// empty otherwise.
+    value: &'a [u8],
+    /// An accepted step's subscription results, still framed.
+    subscriptions: &'a [u8],
+}
+
+impl<'a> Answers<'a> {
+    /// The answers in `reply`, a message body, to the commands of
+    /// `message`.
+    pub fn new(message: &'a Message, reply: &'a [u8]) -> Self {
+        Self {
+            requests: message.body(),
+            replies: reply,
+            broken: false,
+        }
+    }
+
+    /// Reads the next answer: `Ok` if the server accepted its command,
+    /// whatever the command. Any results are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] with the server's description if the
+    /// command was rejected, or if the answer does not fit its command.
+    pub fn check(&mut self) -> Result<()> {
+        self.accepted().map(drop)
+    }
+
+    /// Reads an accepted get's double.
+    ///
+    /// # Errors
+    ///
+    /// As [`check`](Self::check), or if the next command is not a get or
+    /// its value is not a double.
+    pub fn f64(&mut self) -> Result<f64> {
+        read_f64(&mut self.value(type_codes::TYPE_DOUBLE, "double")?)
+    }
+
+    /// Reads an accepted get's integer.
+    ///
+    /// # Errors
+    ///
+    /// As [`f64`](Self::f64), for an integer.
+    pub fn i32(&mut self) -> Result<i32> {
+        read_i32(&mut self.value(type_codes::TYPE_INTEGER, "integer")?)
+    }
+
+    /// Reads an accepted get's 2-D position.
+    ///
+    /// # Errors
+    ///
+    /// As [`f64`](Self::f64), for a position.
+    pub fn position(&mut self) -> Result<(f64, f64)> {
+        let mut value = self.value(type_codes::POSITION_2D, "position")?;
+        Ok((read_f64(&mut value)?, read_f64(&mut value)?))
+    }
+
+    /// Reads an accepted get's string, borrowed from the reply.
+    ///
+    /// # Errors
+    ///
+    /// As [`f64`](Self::f64), for a UTF-8 string.
+    pub fn str(&mut self) -> Result<&'a str> {
+        read_str(&mut self.value(type_codes::TYPE_STRING, "string")?)
+    }
+
+    /// Reads an accepted get's string list as an iterator over strings
+    /// borrowed from the reply. Every string is checked before the
+    /// iterator is returned.
+    ///
+    /// # Errors
+    ///
+    /// As [`f64`](Self::f64), for a list of UTF-8 strings.
+    pub fn ids(&mut self) -> Result<Ids<'a>> {
+        let mut value = self.value(type_codes::TYPE_STRINGLIST, "id list")?;
+        let n = read_i32(&mut value)?;
+        // Every string needs at least its 4-byte length prefix.
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= value.len() / 4)
+            .ok_or_else(|| Error::protocol("implausible string-list length"))?;
+        let mut rest = value;
+        for _ in 0..n {
+            read_str(&mut rest)?;
+        }
+        Ok(Ids {
+            rest: value,
+            left: n,
+        })
+    }
+
+    /// Reads the answer to a version request: the API level and the
+    /// simulator's identity.
+    ///
+    /// # Errors
+    ///
+    /// As [`check`](Self::check), or if the next command is not a version
+    /// request or its result does not decode.
+    pub fn version(&mut self) -> Result<(i32, &'a str)> {
+        let answer = self.accepted()?;
+        if answer.command != ids::CMD_GETVERSION {
+            return Err(Error::protocol("not the answer to a version request"));
+        }
+        let mut value = answer.value;
+        Ok((read_i32(&mut value)?, read_str(&mut value)?))
+    }
+
+    /// Reads an accepted step's subscription values.
+    ///
+    /// # Errors
+    ///
+    /// As [`check`](Self::check), or if the next command is not a step or
+    /// a subscription result does not decode.
+    pub fn subscriptions(&mut self) -> Result<Vec<SubscriptionResult>> {
+        let answer = self.accepted()?;
+        if answer.command != ids::CMD_SIMSTEP {
+            return Err(Error::protocol("not the answer to a step"));
+        }
+        let mut results = answer.subscriptions;
+        let mut out = Vec::new();
+        while !results.is_empty() {
+            let (id, mut payload) = read_command(&mut results)?;
+            if id != ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE {
+                continue;
+            }
+            let object = read_str(&mut payload)?.to_owned();
+            let count = read_u8(&mut payload)? as usize;
+            let mut values = Vec::with_capacity(count);
+            for _ in 0..count {
+                let var = read_u8(&mut payload)?;
+                let status = read_u8(&mut payload)?;
+                let value = TraciValue::read(&mut payload)?;
+                if status == ids::RTYPE_OK {
+                    values.push((var, value));
+                }
+            }
+            out.push(SubscriptionResult { object, values });
+        }
+        Ok(out)
+    }
+
+    /// Reads every answer not yet read and checks that the reply ends with
+    /// the last one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] if an answer does not fit its command
+    /// or the reply has more answers than the message had commands.
+    /// Rejected commands are not errors here.
+    pub fn finish(mut self) -> Result<()> {
+        while !self.requests.is_empty() {
+            self.answer()?;
+        }
+        if self.broken {
+            return Err(malformed());
+        }
+        if !self.replies.is_empty() {
+            return Err(Error::protocol("reply has more answers than commands"));
+        }
+        Ok(())
+    }
+
+    /// The next answer, whose command the server must have accepted.
+    fn accepted(&mut self) -> Result<Answer<'a>> {
+        let answer = self.answer()?;
+        if answer.result == ids::RTYPE_OK {
+            Ok(answer)
+        } else {
+            Err(Error::protocol(format!(
+                "server rejected command 0x{:02x}: {}",
+                answer.command, answer.description
+            )))
+        }
+    }
+
+    /// The value of an accepted get, past its type code, which must be
+    /// `code`.
+    fn value(&mut self, code: u8, what: &str) -> Result<&'a [u8]> {
+        let answer = self.accepted()?;
+        if !is_get(answer.command) {
             return Err(Error::protocol(format!(
-                "status for wrong command: 0x{:02x} vs 0x{:02x}",
-                status.command, request.id
+                "command 0x{:02x} is not a get",
+                answer.command
             )));
         }
-        let mut results = Vec::new();
-        if status.result == ids::RTYPE_OK {
-            match request.id {
-                ids::CMD_GETVERSION => results.push(next("a version result")?),
-                ids::CMD_SIMSTEP => {
-                    let counted = next("a step result")?;
-                    let count = take_i32(&mut counted.payload.clone())?;
-                    let count = usize::try_from(count)
-                        .map_err(|_| Error::protocol("negative subscription count"))?;
-                    results.push(counted);
-                    for _ in 0..count {
-                        results.push(next("a subscription result")?);
-                    }
-                }
-                id if is_get(id) => {
-                    let result = next("a get-variable result")?;
-                    if result.id != id.wrapping_add(ids::RESPONSE_OFFSET) {
-                        return Err(Error::protocol(format!(
-                            "unexpected result command 0x{:02x}",
-                            result.id
-                        )));
-                    }
-                    if result.payload.first() != request.payload.first() {
-                        return Err(Error::protocol("result variable mismatch"));
-                    }
-                    results.push(result);
-                }
-                _ => {}
-            }
+        let mut value = answer.value;
+        read_u8(&mut value)?; // the variable, checked by `split`
+        read_str(&mut value)?; // the object id
+        match read_u8(&mut value)? {
+            c if c == code => Ok(value),
+            other => Err(Error::protocol(format!(
+                "expected {what}, got type code 0x{other:02x}"
+            ))),
         }
-        replies.push(Reply { status, results });
     }
-    if responses.next().is_some() {
-        return Err(Error::protocol("reply has more answers than commands"));
+
+    /// Splits the next answer off the reply; once one does not fit, every
+    /// later call fails.
+    fn answer(&mut self) -> Result<Answer<'a>> {
+        if self.broken {
+            return Err(malformed());
+        }
+        let answer = self.split();
+        self.broken = answer.is_err();
+        answer
     }
-    Ok(replies)
+
+    fn split(&mut self) -> Result<Answer<'a>> {
+        let (command, request) = read_command(&mut self.requests)
+            .map_err(|_| Error::protocol("read past the message's last command"))?;
+        let replies = &mut self.replies;
+        let (id, mut status) = next_answer(replies, "a status")?;
+        if id != command {
+            return Err(Error::protocol(format!(
+                "status for wrong command: 0x{id:02x} vs 0x{command:02x}"
+            )));
+        }
+        let result = read_u8(&mut status)?;
+        let description = read_str(&mut status)?;
+        let mut answer = Answer {
+            command,
+            result,
+            description,
+            value: &[],
+            subscriptions: &[],
+        };
+        if result != ids::RTYPE_OK {
+            return Ok(answer);
+        }
+        match command {
+            ids::CMD_GETVERSION => answer.value = next_answer(replies, "a version result")?.1,
+            ids::CMD_SIMSTEP => {
+                let count = read_i32(&mut next_answer(replies, "a step result")?.1)?;
+                let count = usize::try_from(count)
+                    .map_err(|_| Error::protocol("negative subscription count"))?;
+                let before = *replies;
+                for _ in 0..count {
+                    next_answer(replies, "a subscription result")?;
+                }
+                answer.subscriptions = &before[..before.len() - replies.len()];
+            }
+            id if is_get(id) => {
+                let (result_id, value) = next_answer(replies, "a get-variable result")?;
+                if result_id != id.wrapping_add(ids::RESPONSE_OFFSET) {
+                    return Err(Error::protocol(format!(
+                        "unexpected result command 0x{result_id:02x}"
+                    )));
+                }
+                if value.first() != request.first() {
+                    return Err(Error::protocol("result variable mismatch"));
+                }
+                answer.value = value;
+            }
+            _ => {}
+        }
+        Ok(answer)
+    }
 }
+
+/// Splits the next command off `replies`, which must hold `what`.
+fn next_answer<'a>(replies: &mut &'a [u8], what: &str) -> Result<(u8, &'a [u8])> {
+    if replies.is_empty() {
+        return Err(Error::protocol(format!("reply ended before {what}")));
+    }
+    read_command(replies)
+}
+
+/// The error of every read after an answer did not fit its command.
+fn malformed() -> Error {
+    Error::protocol("reply does not answer the message's commands")
+}
+
+/// The strings of an id list, borrowed from the reply
+/// ([`Answers::ids`]).
+#[derive(Debug, Clone)]
+pub struct Ids<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Ids<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.left = self.left.checked_sub(1)?;
+        // Checked by `Answers::ids`.
+        read_str(&mut self.rest).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Ids<'_> {}
 
 /// Encodes a whole message (length header + commands) ready to write to a
 /// socket.
 pub fn encode_message(commands: &[Command]) -> Bytes {
-    let mut msg = Vec::new();
-    put_message(&mut msg, commands);
-    Bytes::from(msg)
-}
-
-/// Appends a whole message to `out`: a length header, patched in place
-/// once the commands are written behind it.
-pub(crate) fn put_message(out: &mut Vec<u8>, commands: &[Command]) {
-    let at = out.len();
-    out.reserve(4 + commands.iter().map(|c| 6 + c.payload.len()).sum::<usize>());
-    out.put_i32(0);
+    let mut message = Message::new();
     for c in commands {
-        c.encode(out);
+        message.push(c);
     }
-    patch_message_len(out, at);
+    Bytes::from(message.bytes)
 }
 
 /// Writes the length of the message that starts at `at` and runs to the
@@ -1070,11 +1365,18 @@ mod tests {
         )
     }
 
+    /// A reply to `message`: `body`'s answers, read through [`Answers`].
+    fn answers<'a>(message: &'a Message, body: &'a [u8]) -> Answers<'a> {
+        Answers::new(message, body)
+    }
+
     #[test]
-    fn split_replies_answers_each_command_in_order() {
-        let get = Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, "veh0");
-        let set = Command::set_vehicle_speed("veh9", 1.0);
-        let step = Command::simulation_step(0.0);
+    fn answers_read_each_command_in_order() {
+        let mut message = Message::new();
+        message.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, "veh0");
+        message.set_vehicle_speed("veh9", 1.0);
+        message.simulation_step(0.0);
+        message.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, "veh0");
         let mut sub = BytesMut::new();
         put_string(&mut sub, "veh0");
         sub.put_u8(1);
@@ -1090,34 +1392,79 @@ mod tests {
         Command::new(ids::RESPONSE_SUBSCRIBE_VEHICLE_VARIABLE, sub.freeze()).encode(&mut body);
         Status::ok(ids::CMD_GET_VEHICLE_VARIABLE).encode(&mut body);
         speed_result(3.5).encode(&mut body);
-        let responses = decode_message_body(Bytes::from(body)).unwrap();
-        let requests = [get.clone(), set.clone(), step, get.clone()];
-        let replies = split_replies(&requests, responses.clone()).unwrap();
-        assert_eq!(replies.len(), 4);
-        assert_eq!(replies[0].value().unwrap(), TraciValue::Double(2.5));
-        let rejected = replies[1].check().unwrap_err().to_string();
+
+        let mut read = answers(&message, &body);
+        assert_eq!(read.f64().unwrap(), 2.5);
+        let rejected = read.check().unwrap_err().to_string();
         assert!(rejected.contains("no vehicle 'veh9'"), "{rejected}");
-        assert!(replies[1].results.is_empty());
-        let subs = replies[2].subscriptions().unwrap();
+        let subs = read.subscriptions().unwrap();
         assert_eq!(subs.len(), 1);
         assert_eq!(
             subs[0].value_of(ids::VAR_SPEED),
             Some(&TraciValue::Double(4.0))
         );
-        assert_eq!(replies[3].value().unwrap(), TraciValue::Double(3.5));
+        // A read of the wrong type fails that read alone.
+        assert!(read.str().is_err());
+        read.finish().unwrap();
+        // Skipped answers are read by `finish`.
+        answers(&message, &body).finish().unwrap();
 
         // A reply that does not answer exactly these commands is an error.
-        let position = Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, "veh0");
-        assert!(split_replies(&[get.clone(), set.clone()], responses.clone()).is_err());
-        let mut more = requests.to_vec();
-        more.push(get.clone());
-        assert!(split_replies(&more, responses.clone()).is_err());
-        let mut swapped = requests.to_vec();
-        swapped.swap(0, 1);
-        assert!(split_replies(&swapped, responses.clone()).is_err());
-        let mut wrong_variable = requests.to_vec();
-        wrong_variable[0] = position;
-        assert!(split_replies(&wrong_variable, responses).is_err());
+        let position = |m: &mut Message| {
+            m.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, "veh0");
+        };
+        let mut fewer = Message::new();
+        fewer.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, "veh0");
+        fewer.set_vehicle_speed("veh9", 1.0);
+        assert!(answers(&fewer, &body).finish().is_err());
+        let mut more = message.clone();
+        position(&mut more);
+        assert!(answers(&more, &body).finish().is_err());
+        let mut swapped = Message::new();
+        swapped.set_vehicle_speed("veh9", 1.0);
+        swapped.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_SPEED, "veh0");
+        let mut read = answers(&swapped, &body);
+        assert!(read.check().is_err());
+        assert!(
+            read.check().is_err(),
+            "a misfit answer fails every later read"
+        );
+        assert!(read.finish().is_err());
+        let mut wrong_variable = Message::new();
+        position(&mut wrong_variable);
+        let mut read = answers(&wrong_variable, &body);
+        assert!(read.position().is_err());
+        assert!(read.finish().is_err());
+    }
+
+    /// A message encodes its commands as the command builders do, keeps
+    /// its header current, truncates back to a mark, and patches a
+    /// `setSpeed` in place to the bytes a fresh encoding writes.
+    #[test]
+    fn message_encodes_in_place() {
+        let commands = [
+            Command::simulation_step(0.0),
+            Command::get(ids::CMD_GET_VEHICLE_VARIABLE, ids::ID_LIST, ""),
+            Command::set_vehicle_speed("veh3", 2.0),
+        ];
+        let mut message = Message::new();
+        assert!(message.is_empty());
+        message.simulation_step(0.0);
+        let mark = message.mark();
+        message.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::ID_LIST, "");
+        let at = message.set_vehicle_speed("veh3", 7.0);
+        message.set_speed_at(at, 2.0);
+        assert_eq!(message.as_bytes(), &encode_message(&commands)[..]);
+        message.truncate(mark);
+        assert_eq!(message.as_bytes(), &encode_message(&commands[..1])[..]);
+        message.clear();
+        assert!(message.is_empty());
+        assert_eq!(message.as_bytes(), &encode_message(&[])[..]);
+        let long = "v".repeat(300);
+        let at = message.set_vehicle_speed(&long, 1.0);
+        message.set_speed_at(at, 4.0);
+        let expected = encode_message(&[Command::set_vehicle_speed(&long, 4.0)]);
+        assert_eq!(message.as_bytes(), &expected[..]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests: the wire format round-trips arbitrary values, the
-//! decoders reject truncated and mutated bytes without panicking, and a
-//! pipelined message is answered exactly as its commands one by one.
+//! decoders and the reply cursor reject truncated and mutated bytes without
+//! panicking, and a pipelined message is answered exactly as its commands
+//! one by one.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
@@ -8,8 +9,8 @@ use velopt_common::units::{Meters, Seconds, VehiclesPerHour};
 use velopt_microsim::{CorridorSpec, Network, SimConfig};
 use velopt_road::Road;
 use velopt_traci::protocol::{
-    decode_message_body, encode_message, ids, put_string, read_message, Command, Reply, Status,
-    TraciValue, MAX_COMPOUND_DEPTH,
+    decode_message_body, encode_message, ids, put_string, read_message, Answers, Command, Message,
+    Status, TraciValue, MAX_COMPOUND_DEPTH,
 };
 use velopt_traci::{TraciBackend, TraciClient, TraciServer};
 
@@ -351,34 +352,47 @@ fn bits(value: &TraciValue) -> String {
     }
 }
 
-/// A reply in comparable form: status code and description, then the
-/// decoded result values, every double compared by `f64::to_bits`.
-fn outcome(reply: &Reply) -> (u8, String, Vec<String>) {
-    let status = &reply.status;
-    let values = if reply.check().is_err() {
-        assert!(reply.results.is_empty(), "a rejected command has no result");
-        Vec::new()
-    } else if status.command == ids::CMD_SIMSTEP {
-        let subscriptions = reply.subscriptions().unwrap();
-        subscriptions
-            .iter()
-            .flat_map(|s| {
-                s.values
+impl Op {
+    /// Reads this op's answer with the cursor read its command calls for:
+    /// the value, every double compared by `f64::to_bits`, or the error.
+    fn read(&self, answers: &mut Answers<'_>) -> Result<String, String> {
+        let value = match self {
+            Op::Step(_) => answers.subscriptions().map(|subscriptions| {
+                let values: Vec<String> = subscriptions
                     .iter()
-                    .map(move |(var, v)| format!("{} {var:#04x} {}", s.object, bits(v)))
-            })
-            .collect()
-    } else if (0xA0..=0xAF).contains(&status.command) {
-        vec![bits(&reply.value().unwrap())]
-    } else {
-        assert!(
-            reply.results.is_empty(),
-            "0x{:02x} has no result",
-            status.command
-        );
-        Vec::new()
-    };
-    (status.result, status.description.clone(), values)
+                    .flat_map(|s| {
+                        s.values
+                            .iter()
+                            .map(move |(var, v)| format!("{} {var:#04x} {}", s.object, bits(v)))
+                    })
+                    .collect();
+                values.join(", ")
+            }),
+            Op::Time | Op::Speed(_) | Op::UnsupportedVariable(_) => {
+                answers.f64().map(|v| bits(&TraciValue::Double(v)))
+            }
+            Op::IdList => answers.ids().map(|ids| ids.collect::<Vec<_>>().join(" ")),
+            Op::Position(_) => answers
+                .position()
+                .map(|(x, y)| bits(&TraciValue::Position2D(x, y))),
+            Op::Light(..) => answers.str().map(str::to_owned),
+            Op::BadObject(ids::CMD_GET_TL_VARIABLE, _) => answers.str().map(str::to_owned),
+            Op::Loop(..) | Op::BadObject(..) => answers.i32().map(|n| n.to_string()),
+            Op::SetSpeed(..) | Op::Subscribe(..) | Op::Unimplemented(_) => {
+                answers.check().map(|()| String::new())
+            }
+        };
+        value.map_err(|e| e.to_string())
+    }
+}
+
+/// The message of `ops`' commands.
+fn message(ops: &[Op], live: &[String]) -> Message {
+    let mut message = Message::new();
+    for op in ops {
+        message.push(&op.command(live));
+    }
+    message
 }
 
 proptest! {
@@ -397,32 +411,74 @@ proptest! {
         let (together_net, apart_net) = (seeded_network(), seeded_network());
         let live = together_net.vehicle_ids();
         prop_assert!(!live.is_empty());
-        let commands: Vec<Command> = ops.iter().map(|op| op.command(&live)).collect();
         let together_server = TraciServer::spawn(together_net).unwrap();
         let apart_server = TraciServer::spawn(apart_net).unwrap();
         let mut together = TraciClient::connect(together_server.addr()).unwrap();
         let mut apart = TraciClient::connect(apart_server.addr()).unwrap();
 
-        let replies = together.exchange(&commands).unwrap();
-        prop_assert_eq!(replies.len(), commands.len());
-        for (i, (reply, command)) in replies.iter().zip(&commands).enumerate() {
-            let alone = apart.exchange(std::slice::from_ref(command)).unwrap();
-            prop_assert_eq!(alone.len(), 1);
+        let all = message(&ops, &live);
+        let mut answers = together.send(&all).unwrap();
+        for (i, op) in ops.iter().enumerate() {
+            let one = message(std::slice::from_ref(op), &live);
+            let mut alone = apart.send(&one).unwrap();
             prop_assert_eq!(
-                outcome(reply),
-                outcome(&alone[0]),
+                op.read(&mut answers),
+                op.read(&mut alone),
                 "command {} of {}: {:?}",
                 i,
                 ops.len(),
-                ops[i]
+                op
             );
+            alone.finish().unwrap();
         }
+        answers.finish().unwrap();
         let hash = |server: &TraciServer<Network>| server.simulation().lock().state_hash();
         prop_assert_eq!(hash(&together_server), hash(&apart_server));
         together.close().unwrap();
         apart.close().unwrap();
         together_server.join();
         apart_server.join();
+    }
+
+    /// A reply read through the cursor fails, and never panics, when it is
+    /// cut short anywhere: every strict prefix of a real reply body leaves
+    /// some command unanswered. No single-bit flip of the body panics a
+    /// read either; a flip inside a value's bytes reads as another value.
+    #[test]
+    fn truncated_or_flipped_replies_fail_without_panic(
+        ops in prop::collection::vec(arb_op(), 1..12),
+    ) {
+        let net = seeded_network();
+        let live = net.vehicle_ids();
+        let server = TraciServer::spawn(net).unwrap();
+        let request = message(&ops, &live);
+        let body = {
+            use std::io::Write;
+            let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+            raw.write_all(request.as_bytes()).unwrap();
+            let mut body = Vec::new();
+            read_message(&mut raw, &mut body).unwrap();
+            body
+        };
+        let read_all = |body: &[u8]| {
+            let mut answers = Answers::new(&request, body);
+            for op in &ops {
+                let _ = op.read(&mut answers);
+            }
+            answers.finish()
+        };
+        prop_assert!(read_all(&body).is_ok());
+        for cut in 0..body.len() {
+            prop_assert!(read_all(&body[..cut]).is_err(), "cut {}", cut);
+        }
+        let mut copy = body.clone();
+        for bit in 0..copy.len() * 8 {
+            copy[bit / 8] ^= 1 << (bit % 8);
+            let _ = read_all(&copy);
+            copy[bit / 8] ^= 1 << (bit % 8);
+        }
+        TraciClient::connect(server.addr()).unwrap().close().unwrap();
+        server.join();
     }
 }
 
