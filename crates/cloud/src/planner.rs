@@ -28,15 +28,27 @@
 //!
 //! An arena dropped for any reason — replaced, surplus to a full pool, or
 //! released at shutdown — hands its memory back to the operating system.
+//!
+//! **Late trips.** The DP's clock ends at its horizon (900 s), so a trip
+//! departing late on the signal clock cannot plan there. When such a
+//! solve fails and the trip's arrival windows repeat with a period `C` no
+//! longer than its departure `d` ([`repeat_period`]), the trip is solved
+//! again at `d − k·C`, `k = ⌊d / C⌋`, and the plan's station times move
+//! `k·C` later; durations such as `trip_time` keep the solve's bits. The
+//! retry runs only after a failure, so a trip that plans at its own
+//! departure keeps its bits, and it is cached under the request's own
+//! bytes. A trip at or past the horizon whose windows do not repeat is
+//! refused with an error naming why.
 
 use crate::protocol::TripRequest;
 use parking_lot::Mutex;
+use velopt_common::units::Seconds;
 use velopt_common::{Error, Result};
 use velopt_core::batch::PlanRequest;
 use velopt_core::dp::{
     DpConfig, DpOptimizer, OptimizedProfile, SignalConstraint, SolverArena, StartState,
 };
-use velopt_core::windows::{green_only_constraints, queue_aware_constraints};
+use velopt_core::windows::{green_only_constraints, queue_aware_constraints, repeat_period};
 use velopt_ev_energy::{EnergyModel, RegenPolicy, VehicleParams};
 use velopt_road::Road;
 
@@ -133,14 +145,49 @@ pub(crate) struct Admitted<'t> {
 }
 
 impl Admitted<'_> {
-    fn plan_request(&self) -> PlanRequest<'_> {
+    /// The trip's solve, departing at `time` on the signal clock.
+    fn plan_request(&self, time: Seconds) -> PlanRequest<'_> {
         PlanRequest {
             road: &self.trip.road,
             signals: &self.signals,
             start: StartState {
-                time: self.trip.departure,
+                time,
                 ..StartState::default()
             },
+        }
+    }
+
+    /// Where the trip plans when its solve at its departure `d` failed:
+    /// `Some((d − k·C, k·C))` when its windows repeat with a period `C ≤ d`
+    /// (`k = ⌊d / C⌋`), and `None` when no whole period fits before `d`.
+    ///
+    /// # Errors
+    ///
+    /// A trip departing at or past `horizon` that cannot move back under
+    /// it by whole periods gets an error naming why: the light whose queue
+    /// outlives its green, cycles with no common period, or a period longer
+    /// than the departure.
+    fn late_phase(&self, horizon: Seconds) -> Result<Option<(Seconds, Seconds)>> {
+        let trip = self.trip;
+        let d = trip.departure.value();
+        let period = repeat_period(&trip.road, &trip.rates, trip.queue, trip.queue_aware);
+        match period {
+            Ok(c) if c.value() <= d => {
+                let phase = d % c.value();
+                Ok(Some((Seconds::new(phase), Seconds::new(d - phase))))
+            }
+            _ if d < horizon.value() => Ok(None),
+            Ok(c) => Err(Error::invalid_input(format!(
+                "departure {d} s is at or past the planning horizon of {} s, and the \
+                 trip's arrival windows repeat only every {} s",
+                horizon.value(),
+                c.value()
+            ))),
+            Err(cause) => Err(Error::invalid_input(format!(
+                "departure {d} s is at or past the planning horizon of {} s, and cannot \
+                 move back by whole signal periods: {cause}",
+                horizon.value()
+            ))),
         }
     }
 }
@@ -211,12 +258,45 @@ impl Planner {
 
     /// Solves admitted trips concurrently, one pooled arena per batch
     /// worker (one worker per core, capped by the trip count); results
-    /// come back in order.
+    /// come back in order. A trip whose solve fails is retried once at its
+    /// phase in its windows' period (see the module docs on late trips).
     pub(crate) fn solve_batch(&self, trips: &[Admitted<'_>]) -> Vec<Result<OptimizedProfile>> {
-        let requests: Vec<PlanRequest<'_>> = trips.iter().map(Admitted::plan_request).collect();
-        let workers = self.threads.min(trips.len().max(1));
+        let requests: Vec<PlanRequest<'_>> = trips
+            .iter()
+            .map(|t| t.plan_request(t.trip.departure))
+            .collect();
+        let mut results = self.solve(&requests);
+        let horizon = self.optimizer.config().horizon;
+        let mut late = Vec::new();
+        for (i, (trip, result)) in trips.iter().zip(&mut results).enumerate() {
+            if result.is_ok() {
+                continue;
+            }
+            match trip.late_phase(horizon) {
+                Ok(Some((phase, shift))) => late.push((i, trip.plan_request(phase), shift)),
+                Ok(None) => {}
+                Err(e) => *result = Err(e),
+            }
+        }
+        if late.is_empty() {
+            return results;
+        }
+        let requests: Vec<PlanRequest<'_>> = late.iter().map(|(_, r, _)| *r).collect();
+        for ((i, _, shift), retried) in late.into_iter().zip(self.solve(&requests)) {
+            results[i] = retried.map(|mut profile| {
+                for time in &mut profile.times {
+                    *time += shift;
+                }
+                profile
+            });
+        }
+        results
+    }
+
+    fn solve(&self, requests: &[PlanRequest<'_>]) -> Vec<Result<OptimizedProfile>> {
+        let workers = self.threads.min(requests.len().max(1));
         let mut arenas: Vec<SolverArena> = (0..workers).map(|_| self.checkout()).collect();
-        let results = self.optimizer.optimize_batch_with(&requests, &mut arenas);
+        let results = self.optimizer.optimize_batch_with(requests, &mut arenas);
         for arena in arenas {
             self.checkin(arena);
         }
@@ -404,6 +484,54 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// Where a trip whose solve failed plans instead, or why it cannot.
+    #[test]
+    fn late_trips_move_back_by_whole_periods_or_name_why_not() {
+        let planner = Planner::new(1).unwrap();
+        let horizon = planner.optimizer().config().horizon;
+        let phase = |trip: &TripRequest| planner.admit(trip).unwrap().late_phase(horizon);
+        let s = Seconds::new;
+        // Both US-25 lights run 30/30 s: a 60 s period.
+        let moved = phase(&TripRequest::us25_at(3630.0)).unwrap();
+        assert_eq!(moved, Some((s(30.0), s(3600.0))));
+        assert_eq!(phase(&TripRequest::us25_at(45.0)).unwrap(), None);
+        // At 3,000 veh/h a queue outlives its green. Inside the horizon
+        // the solve's own error stands; at or past it, the cause is named.
+        let jammed = |t: f64| TripRequest {
+            rates: vec![velopt_common::units::VehiclesPerHour::new(3000.0); 2],
+            ..TripRequest::us25_at(t)
+        };
+        assert_eq!(phase(&jammed(850.0)).unwrap(), None);
+        let err = phase(&jammed(900.0)).unwrap_err().to_string();
+        assert!(err.contains("light 0's queue outlives"), "{err}");
+        // Cycles of 60 s and 60.5 s repeat every 7,260 s; cycles off the
+        // millisecond grid never do.
+        let on = |green: f64, t: f64| {
+            let road = RoadBuilder::new(Meters::new(1000.0))
+                .default_limits(MetersPerSecond::new(5.0), MetersPerSecond::new(15.0))
+                .traffic_light(Meters::new(300.0), s(30.0), s(30.0), s(0.0))
+                .traffic_light(Meters::new(700.0), s(30.0), s(green), s(10.0))
+                .build()
+                .unwrap();
+            TripRequest {
+                road,
+                queue_aware: false,
+                ..TripRequest::us25_at(t)
+            }
+        };
+        assert_eq!(
+            phase(&on(30.5, 7300.0)).unwrap(),
+            Some((s(40.0), s(7260.0)))
+        );
+        let err = phase(&on(30.5, 1000.0)).unwrap_err().to_string();
+        assert!(err.contains("repeat only every 7260 s"), "{err}");
+        let err = phase(&on(30.0004, 1000.0)).unwrap_err().to_string();
+        assert!(
+            err.contains("no common period in whole milliseconds"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -15,18 +15,22 @@
 //!   queue it back to the owning shard via its inbox + waker.
 //!
 //! Per-connection ordering: a connection has **at most one frame in the
-//! compute pool at a time**; later frames wait in its `pending` queue.
+//! compute pool at a time**; later frames wait in its pending queue.
 //! Responses therefore come back in request order without any sequencing
 //! machinery, exactly like the old blocking loop — the reactor changes
 //! *when* work runs, never *what* it computes.
 //!
 //! Backpressure: reads pause (the shard drops `EPOLLIN` interest) while a
-//! connection's parsed-frame queue or outbound queue is at its cap. Frames
-//! are parsed as their bytes arrive, so the raw read buffer holds at most
-//! one incomplete frame. Writes happen under `EPOLLOUT` and unfinished
-//! frames stay queued. A slab slot's generation counter stamps every dispatched job so
-//! a response for a connection that died mid-solve is discarded instead of
-//! being delivered to the slot's next connection.
+//! connection's parsed-frame queue or outbound queue is at its cap. The
+//! parsed-frame queue is capped by count and by payload bytes: a peer that
+//! pipelines frames of the largest legal size holds at most one frame's
+//! worth past the byte cap, not 32 of them. Frames are parsed as their
+//! bytes arrive, and parsing stops at the cap, so the raw read buffer holds
+//! at most one incomplete frame and the rest of one read. Writes happen
+//! under `EPOLLOUT` and unfinished frames stay queued. A slab slot's
+//! generation counter stamps every dispatched job so a response for a
+//! connection that died mid-solve is discarded instead of being delivered
+//! to the slot's next connection.
 
 use crate::server::ServerStats;
 use bytes::{Bytes, BytesMut};
@@ -46,6 +50,9 @@ const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 const READ_CHUNK: usize = 16 * 1024;
 /// Reads pause once this many parsed frames await the compute pool.
 const MAX_PENDING_FRAMES: usize = 32;
+/// Reads pause once the parsed frames awaiting the compute pool hold this
+/// many payload bytes: one frame of the largest legal size.
+const MAX_PENDING_BYTES: usize = MAX_FRAME_LEN;
 /// Reads pause (and compute dispatch stops) once this many responses are
 /// queued outbound — the bounded per-connection outbound queue.
 const MAX_OUTBOX_FRAMES: usize = 64;
@@ -148,15 +155,87 @@ pub(crate) struct ShardHandle {
     pub pool: Arc<BufferPool>,
 }
 
+/// A connection's inbound side: raw bytes, and the frames parsed from them
+/// that wait for their turn in the compute pool.
+struct Inbound {
+    /// Raw inbound bytes not yet assembled into frames.
+    read_buf: Vec<u8>,
+    /// Parsed frames waiting for their turn in the compute pool.
+    pending: VecDeque<(u8, Bytes)>,
+    /// Payload bytes held in `pending`.
+    pending_bytes: usize,
+    /// Payload bytes at which `pending` is full: [`MAX_PENDING_BYTES`].
+    byte_cap: usize,
+}
+
+impl Inbound {
+    fn new() -> Self {
+        Self {
+            read_buf: Vec::new(),
+            pending: VecDeque::new(),
+            pending_bytes: 0,
+            byte_cap: MAX_PENDING_BYTES,
+        }
+    }
+
+    /// Whether reads pause: the parsed frames number
+    /// [`MAX_PENDING_FRAMES`] or hold the byte cap.
+    fn full(&self) -> bool {
+        self.pending.len() >= MAX_PENDING_FRAMES || self.pending_bytes >= self.byte_cap
+    }
+
+    /// Assembles complete length-prefixed frames out of `read_buf` until
+    /// the queue is full; the rest waits there for [`Self::pop`] to make
+    /// room. The queue thus holds at most the byte cap plus one frame.
+    fn parse(&mut self, stats: &ServerStats) -> Result<(), ()> {
+        let mut off = 0usize;
+        while !self.full() {
+            let available = self.read_buf.len() - off;
+            if available < 4 {
+                break;
+            }
+            let len = u32::from_be_bytes(
+                self.read_buf[off..off + 4]
+                    .try_into()
+                    .expect("4-byte slice"),
+            ) as usize;
+            if len == 0 || len > MAX_FRAME_LEN {
+                return Err(());
+            }
+            if available < 4 + len {
+                break;
+            }
+            let tag = self.read_buf[off + 4];
+            let payload = Bytes::from(self.read_buf[off + 5..off + 4 + len].to_vec());
+            stats.record_frame(tag);
+            self.pending_bytes += payload.len();
+            self.pending.push_back((tag, payload));
+            off += 4 + len;
+        }
+        if off > 0 {
+            self.read_buf.drain(..off);
+        }
+        Ok(())
+    }
+
+    /// The next parsed frame, with the frames it made room for parsed
+    /// behind it.
+    fn pop(&mut self, stats: &ServerStats) -> Result<Option<(u8, Bytes)>, ()> {
+        let Some(frame) = self.pending.pop_front() else {
+            return Ok(None);
+        };
+        self.pending_bytes -= frame.1.len();
+        self.parse(stats)?;
+        Ok(Some(frame))
+    }
+}
+
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
     /// Generation of the slab slot at admission; stamps dispatched jobs.
     gen: u64,
-    /// Raw inbound bytes not yet assembled into frames.
-    read_buf: Vec<u8>,
-    /// Parsed frames waiting for their turn in the compute pool.
-    pending: VecDeque<(u8, Bytes)>,
+    inbound: Inbound,
     /// Encoded responses waiting for the socket, with a write offset for
     /// partially flushed frames.
     outbox: VecDeque<(FrameBuf, usize)>,
@@ -295,8 +374,7 @@ impl Shard {
         let idx = slab.insert(Conn {
             stream,
             gen: 0, // overwritten by Slab::insert
-            read_buf: Vec::new(),
-            pending: VecDeque::new(),
+            inbound: Inbound::new(),
             outbox: VecDeque::new(),
             in_flight: false,
             peer_closed: false,
@@ -317,17 +395,17 @@ impl Shard {
         // Frames are parsed as their bytes arrive, so `read_buf` holds at
         // most one incomplete frame (and one chunk past it): a frame of any
         // legal size completes, and a peer that pipelines many frames is
-        // held at `MAX_PENDING_FRAMES`.
+        // held at `MAX_PENDING_FRAMES` or `MAX_PENDING_BYTES`.
         let mut scratch = [0u8; READ_CHUNK];
-        while conn.pending.len() < MAX_PENDING_FRAMES {
+        while !conn.inbound.full() {
             match conn.stream.read(&mut scratch) {
                 Ok(0) => {
                     conn.peer_closed = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.read_buf.extend_from_slice(&scratch[..n]);
-                    if Self::parse_frames(conn, &self.stats).is_err() {
+                    conn.inbound.read_buf.extend_from_slice(&scratch[..n]);
+                    if conn.inbound.parse(&self.stats).is_err() {
                         // Protocol violation: the stream is beyond recovery.
                         self.close(slab, idx);
                         return;
@@ -343,37 +421,6 @@ impl Shard {
         }
         // At the pending cap, reads pause; level-triggered epoll re-reports.
         self.process(slab, idx);
-    }
-
-    /// Assembles complete length-prefixed frames out of `read_buf`.
-    fn parse_frames(conn: &mut Conn, stats: &ServerStats) -> Result<(), ()> {
-        let mut off = 0usize;
-        loop {
-            let available = conn.read_buf.len() - off;
-            if available < 4 {
-                break;
-            }
-            let len = u32::from_be_bytes(
-                conn.read_buf[off..off + 4]
-                    .try_into()
-                    .expect("4-byte slice"),
-            ) as usize;
-            if len == 0 || len > MAX_FRAME_LEN {
-                return Err(());
-            }
-            if available < 4 + len {
-                break;
-            }
-            let tag = conn.read_buf[off + 4];
-            let payload = Bytes::from(conn.read_buf[off + 5..off + 4 + len].to_vec());
-            stats.record_frame(tag);
-            conn.pending.push_back((tag, payload));
-            off += 4 + len;
-        }
-        if off > 0 {
-            conn.read_buf.drain(..off);
-        }
-        Ok(())
     }
 
     fn on_writable(&self, slab: &mut Slab, idx: usize) {
@@ -414,9 +461,15 @@ impl Shard {
             return;
         }
         // Dispatch at most one frame to the compute pool: per-connection
-        // FIFO responses fall out of never having two in flight.
+        // FIFO responses fall out of never having two in flight. The frame
+        // leaves room for any the read buffer holds complete.
         if !conn.in_flight && conn.outbox.len() < MAX_OUTBOX_FRAMES {
-            if let Some((tag, payload)) = conn.pending.pop_front() {
+            let Ok(next) = conn.inbound.pop(&self.stats) else {
+                // Protocol violation: the stream is beyond recovery.
+                self.close(slab, idx);
+                return;
+            };
+            if let Some((tag, payload)) = next {
                 conn.in_flight = true;
                 let job = Job {
                     shard: self.id,
@@ -432,15 +485,17 @@ impl Shard {
                 }
             }
         }
-        if conn.peer_closed && !conn.in_flight && conn.pending.is_empty() && conn.outbox.is_empty()
+        if conn.peer_closed
+            && !conn.in_flight
+            && conn.inbound.pending.is_empty()
+            && conn.outbox.is_empty()
         {
             // Everything the peer asked for has been answered and written
             // (a trailing partial frame can never complete — drop it).
             self.close(slab, idx);
             return;
         }
-        let paused =
-            conn.pending.len() >= MAX_PENDING_FRAMES || conn.outbox.len() >= MAX_OUTBOX_FRAMES;
+        let paused = conn.inbound.full() || conn.outbox.len() >= MAX_OUTBOX_FRAMES;
         let want = Interest {
             readable: !conn.peer_closed && !paused,
             writable: !conn.outbox.is_empty(),
@@ -557,4 +612,84 @@ impl Acceptor {
 /// Registers a shard's waker on its poller under the reserved key.
 pub(crate) fn register_waker(poller: &Poller, waker: &Waker) -> std::io::Result<()> {
     poller.add(waker.as_raw_fd(), WAKER_KEY, Interest::READ)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Back-to-back frames, frame `i` tagged `i` with `sizes[i]` payload
+    /// bytes.
+    fn frames(sizes: &[usize]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, &size) in sizes.iter().enumerate() {
+            out.extend_from_slice(&(1 + size as u32).to_be_bytes());
+            out.push(i as u8);
+            out.resize(out.len() + size, i as u8);
+        }
+        out
+    }
+
+    /// Drains `inbound`, checking every frame's tag and payload against
+    /// its position and that the queue never holds more than `bound`
+    /// payload bytes.
+    fn drain_in_order(inbound: &mut Inbound, stats: &ServerStats, n: usize, bound: usize) {
+        for i in 0..n {
+            let (tag, payload) = inbound.pop(stats).unwrap().expect("a frame per request");
+            assert_eq!(usize::from(tag), i);
+            assert!(payload.iter().all(|&b| usize::from(b) == i), "frame {i}");
+            let held: usize = inbound.pending.iter().map(|(_, p)| p.len()).sum();
+            assert_eq!(held, inbound.pending_bytes);
+            assert!(held <= bound, "{held} bytes pending after frame {i}");
+        }
+        assert!(inbound.pop(stats).unwrap().is_none());
+        assert!(inbound.read_buf.is_empty());
+    }
+
+    /// Frames pipelined past the byte cap: parsing stops once the queue
+    /// holds the cap, so it never holds more than the cap plus one frame,
+    /// and each frame popped parses the ones behind it, in order.
+    #[test]
+    fn pending_frames_stop_at_the_byte_cap_and_come_out_in_order() {
+        let stats = ServerStats::default();
+        let mut inbound = Inbound {
+            byte_cap: 1000,
+            ..Inbound::new()
+        };
+        inbound.read_buf = frames(&[300; 10]);
+        inbound.parse(&stats).unwrap();
+        // 4 frames hold 1,200 bytes, past the 1,000-byte cap: reads pause.
+        assert_eq!(inbound.pending.len(), 4);
+        assert_eq!(inbound.pending_bytes, 1200);
+        assert!(inbound.full());
+        assert_eq!(inbound.read_buf.len(), 6 * 305);
+        drain_in_order(&mut inbound, &stats, 10, 1000 + 300);
+    }
+
+    /// One frame larger than the byte cap still completes, alone.
+    #[test]
+    fn a_frame_past_the_byte_cap_still_completes() {
+        let stats = ServerStats::default();
+        let mut inbound = Inbound {
+            byte_cap: 100,
+            ..Inbound::new()
+        };
+        inbound.read_buf = frames(&[500, 500]);
+        inbound.parse(&stats).unwrap();
+        assert_eq!(inbound.pending.len(), 1);
+        assert!(inbound.full());
+        drain_in_order(&mut inbound, &stats, 2, 500);
+    }
+
+    /// Small frames are held by count, at [`MAX_PENDING_FRAMES`].
+    #[test]
+    fn small_frames_stop_at_the_frame_cap() {
+        let stats = ServerStats::default();
+        let mut inbound = Inbound::new();
+        inbound.read_buf = frames(&[8; 40]);
+        inbound.parse(&stats).unwrap();
+        assert_eq!(inbound.pending.len(), MAX_PENDING_FRAMES);
+        assert!(inbound.full());
+        drain_in_order(&mut inbound, &stats, 40, 8 * MAX_PENDING_FRAMES);
+    }
 }

@@ -3,7 +3,9 @@
 //! (and of an invalid trip) answered by one solve, and the faults a storm
 //! meets on the wire: waiters that hang up mid-solve, a peer that sends
 //! half a frame, a reader too slow for its answers, a frame larger than
-//! the reactor's reads, and departures the signal clock cannot hold.
+//! the reactor's reads, a peer that pipelines large frames, departures
+//! past the planner's horizon, and departures the signal clock cannot
+//! hold.
 //!
 //! This file is the `cargo test -p velopt-cloud --test cosim` CI gate.
 
@@ -408,6 +410,102 @@ fn a_batch_frame_over_256_kb_is_answered_and_its_connection_serves_on() {
     assert!(departs_at(&payload, 285.0));
     assert_eq!(stats.error_responses(), 0);
     drop(stream);
+    server.shutdown();
+}
+
+/// A peer that pipelines large frames behind a slow one: 20 frames of
+/// 4 MiB each, 80 MiB in all, wait behind a batch of distinct trips. The
+/// reactor pauses the connection's reads once its parsed frames hold one
+/// largest legal frame's worth (64 MiB) rather than 32 frames of it; the
+/// writer then blocks until the queue drains, and every frame is answered,
+/// in order. Each large frame carries an unknown tag of its own, so the
+/// error naming it shows its place.
+#[test]
+fn large_frames_pipelined_past_the_byte_cap_are_answered_in_order() {
+    const FRAMES: u8 = 20;
+    const PAYLOAD: usize = 4 << 20;
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 1,
+        shards: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut reader = connect(server.addr());
+    let mut writer_stream = reader.try_clone().unwrap();
+    let slow = BatchPlanRequest {
+        trips: (0..64)
+            .map(|i| TripRequest::us25_at(f64::from(i)))
+            .collect(),
+    }
+    .encode();
+    let writer = std::thread::spawn(move || {
+        send(&mut writer_stream, tags::REQ_BATCH, &slow);
+        let mut large = frame(0, &vec![0u8; PAYLOAD]);
+        for i in 0..FRAMES {
+            large[4] = 100 + i;
+            writer_stream.write_all(&large).unwrap();
+        }
+    });
+    let (tag, _) = recv(&mut reader);
+    assert_eq!(tag, tags::RESP_BATCH);
+    for i in 0..FRAMES {
+        let (tag, message) = recv(&mut reader);
+        let message = String::from_utf8_lossy(&message);
+        assert_eq!(tag, tags::RESP_ERROR, "{message}");
+        assert_eq!(message, format!("unknown request tag {}", 100 + i));
+    }
+    writer.join().unwrap();
+    drop(reader);
+    server.shutdown();
+}
+
+/// A trip departing past the DP's 900 s horizon plans at its phase in its
+/// arrival windows' period. Both US-25 lights run 30/30 s, so the period is
+/// 60 s, and a trip at 3,630 s (as a `REQ_TRIP`) or at 930 s (in a
+/// `REQ_BATCH`) makes the 30 s trip's plan, 3,600 s or 900 s later: the
+/// same stations, speeds, energy and violations by `to_bits`, and its
+/// times moved by the whole periods. At 3,000 veh/h a light's queue
+/// outlives its green, its windows drift from cycle to cycle, and the trip
+/// is refused with an error naming the light.
+#[test]
+fn late_trips_plan_at_their_phase_in_the_signal_period() {
+    let server = CloudServer::spawn(1).unwrap();
+    let mut client = CloudClient::connect(server.addr()).unwrap();
+    let early = client.request(&TripRequest::us25_at(30.0)).unwrap();
+    let jammed = |t: f64| TripRequest {
+        rates: vec![VehiclesPerHour::new(3000.0); 2],
+        ..TripRequest::us25_at(t)
+    };
+    let late = client.request(&TripRequest::us25_at(3630.0)).unwrap();
+    let refused = client.request(&jammed(3630.0)).unwrap_err().to_string();
+    let batched = client
+        .plan_batch(&[TripRequest::us25_at(930.0), jammed(930.0)])
+        .unwrap();
+    let batch_refused = batched[1].as_ref().unwrap_err();
+    for (plan, shift) in [(&late, 3600.0), (batched[0].as_ref().unwrap(), 900.0)] {
+        let bits = |p: &velopt_core::dp::OptimizedProfile| {
+            let mut bits: Vec<u64> = p.stations.iter().map(|s| s.value().to_bits()).collect();
+            bits.extend(p.speeds.iter().map(|v| v.value().to_bits()));
+            bits.push(p.total_energy.value().to_bits());
+            bits.push(p.trip_time.value().to_bits());
+            bits.push(p.window_violations as u64);
+            bits
+        };
+        assert_eq!(bits(plan), bits(&early));
+        assert_eq!(plan.times.len(), early.times.len());
+        for (t, t0) in plan.times.iter().zip(&early.times) {
+            assert!(
+                (t.value() - (t0.value() + shift)).abs() < 1e-9,
+                "{t} vs {t0}"
+            );
+        }
+    }
+    for message in [&refused, batch_refused] {
+        assert!(message.contains("horizon"), "{message}");
+        assert!(message.contains("light 0's queue outlives"), "{message}");
+        assert!(message.contains("3000 veh/h"), "{message}");
+    }
+    assert_eq!(server.stats().error_responses(), 1);
     server.shutdown();
 }
 

@@ -533,6 +533,82 @@ mod random_corridors {
     }
 }
 
+mod period_shift {
+    use super::*;
+    use velopt_common::units::VehiclesPerHour;
+    use velopt_core::dp::StartState;
+    use velopt_core::windows::{green_only_constraints, queue_aware_constraints, window_period};
+    use velopt_queue::QueueParams;
+    use velopt_road::CorridorTemplate;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Where a corridor's arrival windows repeat with a period `C`, a
+        /// trip planned at `d` and at `d + k·C`, both inside the horizon,
+        /// is the same plan `k·C` later: equal stations and speeds, energy
+        /// and violations by `to_bits`, and times within 1e-9 after the
+        /// shift. Corridors have 1–3 lights of one `p`/`p` s timing, so
+        /// `C = 2p`, with seeded offsets and queue-aware windows at
+        /// 100–600 veh/h or green-only ones.
+        #[test]
+        fn a_plan_a_period_later_is_the_same_plan_shifted(
+            seed in 0u64..10_000,
+            half_cycle in prop_oneof![Just(20.0f64), Just(25.0f64), Just(30.0f64)],
+            rate in prop_oneof![Just(100.0f64), Just(300.0f64), Just(600.0f64)],
+            queue_aware in any::<bool>(),
+            d in 0.0f64..300.0,
+            k in 1u32..5,
+        ) {
+            let road = CorridorTemplate {
+                length: (600.0, 900.0),
+                lights: (1, 3),
+                phase: (half_cycle, half_cycle),
+                stop_sign_probability: 0.0,
+                ..CorridorTemplate::default()
+            }
+            .generate(seed)
+            .unwrap();
+            let opt = optimizer();
+            let horizon = opt.config().horizon;
+            let rates = vec![VehiclesPerHour::new(rate); road.traffic_lights().len()];
+            let base = QueueParams::us25_probe();
+            let c = window_period(&road, &rates, base, queue_aware)
+                .expect("every light clears its queue within its green");
+            prop_assert_eq!(c, Seconds::new(2.0 * half_cycle));
+            let signals = if queue_aware {
+                queue_aware_constraints(&road, &rates, base, horizon).unwrap()
+            } else {
+                green_only_constraints(&road, horizon)
+            };
+            let shift = f64::from(k) * c.value();
+            let plan = |time: f64| {
+                opt.optimize_from(&road, &signals, StartState {
+                    time: Seconds::new(time),
+                    ..StartState::default()
+                })
+                .unwrap()
+            };
+            let (early, late) = (plan(d), plan(d + shift));
+            prop_assert_eq!(&early.stations, &late.stations);
+            prop_assert_eq!(&early.speeds, &late.speeds);
+            prop_assert_eq!(
+                early.total_energy.value().to_bits(),
+                late.total_energy.value().to_bits()
+            );
+            prop_assert_eq!(early.window_violations, late.window_violations);
+            prop_assert_eq!(early.times.len(), late.times.len());
+            for (t0, t1) in early.times.iter().zip(&late.times) {
+                prop_assert!(
+                    (t1.value() - (t0.value() + shift)).abs() < 1e-9,
+                    "{} vs {} + {}", t1, t0, shift
+                );
+            }
+            prop_assert!((late.trip_time - early.trip_time).value().abs() < 1e-9);
+        }
+    }
+}
+
 mod bounds_memo {
     use super::*;
     use velopt_core::dp::{OptimizedProfile, SolverArena, StartState};

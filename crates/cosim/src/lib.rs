@@ -23,7 +23,10 @@
 //!    [`CloudClient`] connection. Each corridor's request is encoded once,
 //!    and every vehicle's request is written before any reply is read, so
 //!    identical requests are in flight together without a thread per
-//!    vehicle,
+//!    vehicle. The request departs at the epoch's phase in the corridor's
+//!    signal period when its arrival windows repeat ([`window_period`]),
+//!    so epochs a period apart send the same bytes and share one cloud
+//!    solve, and the fleet plans past the planner's horizon,
 //! 3. **feeds back** each returned profile as a TraCI speed command for
 //!    the vehicle's current position.
 //!
@@ -55,6 +58,7 @@ use velopt_cloud::{CloudClient, TripFrame, TripRequest};
 use velopt_common::units::{Seconds, VehiclesPerHour};
 use velopt_common::Result;
 use velopt_core::dp::OptimizedProfile;
+use velopt_core::windows::{phase_in_period, window_period};
 use velopt_queue::QueueParams;
 use velopt_road::Road;
 use velopt_traci::protocol::ids;
@@ -75,8 +79,11 @@ pub struct CosimConfig {
     pub command_floor: f64,
     /// Granularity (vehicles/hour) the estimated arrival rates are
     /// rounded to before they enter a plan request. Coarser buckets keep
-    /// the request key stable across ticks, which is what makes the
-    /// cloud's plan cache and single-flight dedupe effective.
+    /// the rates in the request key stable from one epoch to the next; the
+    /// departure, the epoch's phase in its corridor's signal period (see
+    /// the crate docs), keeps the rest of the key stable, and together
+    /// they let the cloud's plan cache and single-flight table answer
+    /// many replans with one solve.
     pub rate_quantum: f64,
 }
 
@@ -119,8 +126,9 @@ struct Corridor {
     /// Bumped on every signature change; vehicles replan when their
     /// planned epoch falls behind.
     epoch: u64,
-    /// Sim time of the last flip — the shared departure time of the
-    /// epoch's replan wave (identical departures are what coalesce).
+    /// Sim time of the last flip. The epoch's replan wave departs at it,
+    /// or at its phase in the corridor's signal period (identical
+    /// departures are what coalesce).
     epoch_time: f64,
     /// Cumulative entrance-loop crossings, for the arrival-rate estimate.
     volume: u64,
@@ -398,24 +406,6 @@ impl FleetDriver {
         }
     }
 
-    /// The corridor's current plan request: shared by every vehicle of
-    /// the epoch, so identical requests coalesce server-side.
-    fn corridor_request(&self, corridor: usize) -> TripRequest {
-        let c = &self.corridors[corridor];
-        let hours = (c.epoch_time.max(1.0)) / 3600.0;
-        let quantum = self.config.rate_quantum.max(1.0);
-        let rate = ((c.volume as f64 / hours) / quantum).round() * quantum;
-        let rate = rate.clamp(quantum, 3600.0);
-        let lights = c.road.traffic_lights().len();
-        TripRequest {
-            road: c.road.clone(),
-            departure: Seconds::new(c.epoch_time),
-            rates: vec![VehiclesPerHour::new(rate); lights],
-            queue: QueueParams::us25_probe(),
-            queue_aware: self.config.queue_aware,
-        }
-    }
-
     /// Issues the wave's plan requests and feeds the profiles back as
     /// speed commands, all in the tick's last TraCI message. Every flight's
     /// request is written, each on its vehicle's own connection, before
@@ -433,7 +423,10 @@ impl FleetDriver {
             .map(|&(_, c, _)| c)
             .collect::<HashSet<_>>()
             .into_iter()
-            .map(|c| (c, TripFrame::new(&self.corridor_request(c))))
+            .map(|c| {
+                let request = corridor_request(&self.corridors[c], &self.config);
+                (c, TripFrame::new(&request))
+            })
             .collect();
 
         // Detach each planning connection (opening it on first use, or
@@ -526,6 +519,40 @@ impl FleetDriver {
     }
 }
 
+/// The corridor's current plan request: shared by every vehicle of the
+/// epoch, so identical requests coalesce server-side.
+///
+/// When the corridor's arrival windows repeat with a period `C`
+/// ([`window_period`]), the departure is the epoch's phase in that period
+/// on a 1 ms grid ([`phase_in_period`]): `(round(epoch_time · 1000) mod
+/// C_ms) / 1000` s. A plan depends on its departure only through that
+/// phase, so two epochs a period apart send the same bytes, and the second
+/// is answered from the cloud's plan cache or the first's flight instead of
+/// a fresh solve; an epoch past the planner's horizon plans at its phase.
+/// The plan's times are therefore on the folded clock — the driver reads
+/// only its stations and speeds. Without a period (a light whose queue
+/// outlives its green) the departure is the epoch's simulation time.
+fn corridor_request(corridor: &Corridor, config: &CosimConfig) -> TripRequest {
+    let hours = (corridor.epoch_time.max(1.0)) / 3600.0;
+    let quantum = config.rate_quantum.max(1.0);
+    let rate = ((corridor.volume as f64 / hours) / quantum).round() * quantum;
+    let rate = rate.clamp(quantum, 3600.0);
+    let rates = vec![VehiclesPerHour::new(rate); corridor.road.traffic_lights().len()];
+    let queue = QueueParams::us25_probe();
+    let epoch_time = Seconds::new(corridor.epoch_time);
+    let departure = match window_period(&corridor.road, &rates, queue, config.queue_aware) {
+        Some(period) => phase_in_period(epoch_time, period),
+        None => epoch_time,
+    };
+    TripRequest {
+        road: corridor.road.clone(),
+        departure,
+        rates,
+        queue,
+        queue_aware: config.queue_aware,
+    }
+}
+
 /// Appends a read of vehicle `id`'s position to `message`.
 fn position_read(message: &mut Message, id: &str) {
     message.get(ids::CMD_GET_VEHICLE_VARIABLE, ids::VAR_POSITION, id);
@@ -556,11 +583,16 @@ mod tests {
     use velopt_road::CorridorTemplate;
     use velopt_traci::{TraciBackend, TraciServer};
 
-    fn small_net(corridors: usize, seed: u64) -> (Network, Vec<Road>) {
-        let template = CorridorTemplate {
-            length: (600.0, 800.0),
-            ..CorridorTemplate::default()
-        };
+    /// `corridors` seeded corridors of `template`, chained head to tail,
+    /// with fresh arrivals at `head_rate` veh/h at the head and, when
+    /// given, at `inner_rate` on every other corridor.
+    fn chained_net(
+        template: CorridorTemplate,
+        corridors: usize,
+        seed: u64,
+        head_rate: f64,
+        inner_rate: Option<f64>,
+    ) -> (Network, Vec<Road>) {
         let roads: Vec<Road> = (0..corridors)
             .map(|i| template.generate(seed + i as u64).unwrap())
             .collect();
@@ -573,8 +605,8 @@ mod tests {
                 } else {
                     CorridorSpec::terminal(road.clone())
                 };
-                if i == 0 {
-                    spec.arrival_rate = velopt_common::units::VehiclesPerHour::new(1200.0);
+                if let Some(rate) = if i == 0 { Some(head_rate) } else { inner_rate } {
+                    spec.arrival_rate = VehiclesPerHour::new(rate);
                 }
                 spec.detectors = vec![velopt_common::units::Meters::new(25.0)];
                 spec
@@ -582,6 +614,103 @@ mod tests {
             .collect();
         let net = Network::new(specs, 1, SimConfig::default()).unwrap();
         (net, roads)
+    }
+
+    fn small_net(corridors: usize, seed: u64) -> (Network, Vec<Road>) {
+        let template = CorridorTemplate {
+            length: (600.0, 800.0),
+            ..CorridorTemplate::default()
+        };
+        chained_net(template, corridors, seed, 1200.0, None)
+    }
+
+    /// Corridors of `loopbench`'s fleet template — two 30/30 s lights, no
+    /// stop sign — with its head and inner arrival rates.
+    fn fleet_net(corridors: usize, seed: u64) -> (Network, Vec<Road>) {
+        let template = CorridorTemplate {
+            length: (600.0, 900.0),
+            lights: (2, 2),
+            phase: (30.0, 30.0),
+            stop_sign_probability: 0.0,
+            ..CorridorTemplate::default()
+        };
+        chained_net(template, corridors, seed, 300.0, Some(60.0))
+    }
+
+    /// Two flips a signal period apart read simulation times that differ in
+    /// their last bits; their requests fold onto one phase and are the same
+    /// frame. A corridor whose queue outlives its green has no period and
+    /// departs at the raw epoch time.
+    #[test]
+    fn epochs_a_period_apart_send_the_same_request_frame() {
+        let (_, roads) = fleet_net(1, 5);
+        let corridor = |epoch_time: f64, volume: u64| Corridor {
+            road: roads[0].clone(),
+            signature: Vec::new(),
+            epoch: 1,
+            epoch_time,
+            volume,
+        };
+        let config = CosimConfig::default();
+        // 26 and 31 crossings estimate 299.7 and 299.8 veh/h: 300 both.
+        let early = corridor_request(&corridor(312.300_000_000_001_7, 26), &config);
+        let late = corridor_request(&corridor(372.300_000_000_002_85, 31), &config);
+        assert_eq!(early.departure, Seconds::new(12.3));
+        assert_eq!(early.rates, late.rates);
+        // The frame is its header and this payload.
+        assert_eq!(early.encode(), late.encode());
+        // A 30/30 s light cannot clear 3,500 veh/h within its green.
+        let jammed = corridor_request(&corridor(312.300_000_000_001_7, 300), &config);
+        assert_eq!(jammed.rates[0], VehiclesPerHour::new(3500.0));
+        assert_eq!(jammed.departure, Seconds::new(312.300_000_000_001_7));
+        // The green-only baseline's windows repeat at any rate.
+        let baseline = CosimConfig {
+            queue_aware: false,
+            ..CosimConfig::default()
+        };
+        let jammed = corridor_request(&corridor(312.300_000_000_001_7, 300), &baseline);
+        assert_eq!(jammed.departure, Seconds::new(12.3));
+    }
+
+    /// A fleet attached 3,000 simulated seconds in — past the planner's
+    /// 900 s horizon, where every plan of a raw-clock departure fails —
+    /// plans every replan. The first 600 ticks span one 60 s signal
+    /// period, whose flips each fold onto a phase of their own; the next
+    /// period's flips fold onto the same phases, so their replans share the
+    /// first period's solves.
+    #[test]
+    fn a_fleet_plans_past_the_horizon_and_shares_solves_a_period_apart() {
+        let (mut net, roads) = fleet_net(3, 25);
+        net.run_until(Seconds::new(3000.0)).unwrap();
+        let traci = TraciServer::spawn(net).unwrap();
+        let cloud = CloudServer::spawn_with(ServerConfig {
+            compute_workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut driver =
+            FleetDriver::connect(traci.addr(), cloud.addr(), roads, CosimConfig::default())
+                .unwrap();
+        driver.run(600).unwrap();
+        let (first, first_flights) = (driver.stats(), cloud.stats().coalesce_flights());
+        driver.run(600).unwrap();
+        let (stats, flights) = (driver.stats(), cloud.stats().coalesce_flights());
+        driver.close().unwrap();
+        cloud.shutdown();
+        traci.join();
+        assert!(first.replans > 0 && first.flips > 0, "{first:?}");
+        assert_eq!(stats.plan_failures, 0, "{stats:?}");
+        assert_eq!(stats.plans_ok, stats.replans);
+        assert!(
+            flights < stats.flips,
+            "{flights} fresh solves for {} flips",
+            stats.flips
+        );
+        let (second_flights, second_flips) = (flights - first_flights, stats.flips - first.flips);
+        assert!(
+            stats.replans > first.replans && second_flights < second_flips,
+            "second period: {second_flights} fresh solves for {second_flips} flips"
+        );
     }
 
     /// The full closed loop: seeded network → TraCI → single-flight cloud
